@@ -29,7 +29,7 @@ from .contractor import (
     parse_box,
 )
 from .instrument import InstrumentationPoint, instrument_program, intervals_to_assume_expr
-from .interval import BOTTOM, Interval, TOP, Truth3, eval_cmp, interval_binop, truth3_logic
+from .interval import BOTTOM, Interval, TOP, Truth3, eval_cmp, interval_binop
 from .lang import parse_program, program_to_source
 from .optimize import RewriteReport, const_fold, guard_eliminate, optimize_program, singleton_propagate
 from .oracle import check_equivalence, check_soundness, enumerate_executions

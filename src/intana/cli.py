@@ -6,7 +6,7 @@ plus report), instrument (program with interval assumptions), contract
 pipelines over exhaustive concrete execution).
 
 Exit codes: 0 success/clean, 1 property violation found, 2 usage or
-parse error.
+parse error, or input nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -133,10 +133,9 @@ def _has_assert_false(prog) -> bool:
 def cmd_optimize(args) -> int:
     prog = _read_program(args.input)
     config = _config(args)
-    optimized, report = optimize_program(prog, config)
+    optimized, report, analyses = optimize_program(prog, config)
     source = program_to_source(optimized)
     if args.format == "json":
-        analyses = analyze_program(prog, config)
         _emit(_document(source, config, analyses, _report_json(report)), args)
     else:
         trailer = "\n".join("// %s: %d" % (k, v)
@@ -187,7 +186,7 @@ def cmd_contract(args) -> int:
 def cmd_check(args) -> int:
     prog = _read_program(args.input)
     config = _config(args)
-    analyses = analyze_program(prog, config)
+    optimized, _, analyses = optimize_program(prog, config)
     lines = []
     clean = True
 
@@ -198,7 +197,6 @@ def cmd_check(args) -> int:
                      % (v.function, v.node, v.var, v.value, v.interval, list(v.choices)))
     clean &= not violations
 
-    optimized, _ = optimize_program(prog, config)
     eq = check_equivalence(prog, optimized, step_limit=args.step_limit)
     lines.append("optimize equivalence: %s" % ("ok" if eq else "FAILED %r" % (eq.counterexample,)))
     clean &= bool(eq)
@@ -274,6 +272,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 2
 
 

@@ -250,9 +250,9 @@ def _tdiv_preimage_hull(z: Interval, part: Interval) -> Interval:
         los = [lo_at(part.lo), lo_at(part.hi)]
         his = [hi_at(part.lo), hi_at(part.hi)]
         return Interval.make(min(los), max(his))
-    # Negative part: mirror.
-    mirrored = _tdiv_preimage_hull(z.negate(), part.negate())
-    return mirrored.negate()
+    # Negative part: trunc(x / -m) = -trunc(x / m), so mirror the target
+    # range; the dividend is the same.
+    return _tdiv_preimage_hull(z.negate(), part.negate())
 
 
 def inv_div_dividend(z: Interval, y: Interval) -> Interval:
@@ -370,20 +370,26 @@ def hc4_revise(c: Constraint, box) -> "dict":
     return backward_prop(tree, required, box)
 
 
-def contract_fixpoint(cs, box, max_rounds: int = 10) -> "dict":
-    """Round-robin single-constraint contraction until stable."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+def _round_robin(revise, items, box, max_rounds: int) -> "dict":
+    """Apply revise(item, box) to each item in turn until the box is stable,
+    empty, or max_rounds rounds have run."""
     current = dict(box)
     for _ in range(max_rounds):
         previous = dict(current)
-        for c in cs:
-            current = hc4_revise(c, current)
+        for item in items:
+            current = revise(item, current)
             if box_is_empty(current):
                 return current
         if current == previous:
             break
     return current
+
+
+def contract_fixpoint(cs, box, max_rounds: int = 10) -> "dict":
+    """Round-robin single-constraint contraction until stable."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    return _round_robin(hc4_revise, cs, box, max_rounds)
 
 
 # --- condition classification ------------------------------------------------
@@ -412,6 +418,12 @@ def _flatten_and(e: Expr):
         yield e
 
 
+def _contract_conjunct(item: Expr, box) -> "dict":
+    if isinstance(item, Binary) and item.op in CMP_OPS:
+        return hc4_revise(Constraint.from_expr(item), box)
+    return contract_condition(item, box, 1)
+
+
 def contract_condition(cond: Expr, box, max_rounds: int = 10) -> "dict":
     """Contract a condition already in NNF; disjunctions are hulled."""
     if box_is_empty(box):
@@ -425,20 +437,8 @@ def contract_condition(cond: Expr, box, max_rounds: int = 10) -> "dict":
         right = contract_condition(cond.right, box, max_rounds)
         return box_join(left, right)
     if isinstance(cond, Binary) and cond.op == "&&":
-        conjuncts = list(_flatten_and(cond))
-        current = dict(box)
-        for _ in range(max_rounds):
-            previous = dict(current)
-            for item in conjuncts:
-                if isinstance(item, Binary) and item.op in CMP_OPS:
-                    current = hc4_revise(Constraint.from_expr(item), current)
-                else:
-                    current = contract_condition(item, current, 1)
-                if box_is_empty(current):
-                    return current
-            if current == previous:
-                break
-        return current
+        return _round_robin(_contract_conjunct, list(_flatten_and(cond)), box,
+                            max_rounds)
     raise ValueError("not an NNF condition: %r" % (cond,))
 
 

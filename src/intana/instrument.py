@@ -27,6 +27,8 @@ from .lang import (
     Var,
     While,
     free_vars,
+    map_block,
+    map_children,
 )
 
 LOOP_BEFORE = "loop-before"
@@ -95,13 +97,7 @@ class _Instrumenter:
             return None
         return self.result.before.get(node)
 
-    def block(self, stmts) -> "list[Stmt]":
-        out = []
-        for stmt in stmts:
-            out.extend(self.stmt(stmt))
-        return out
-
-    def stmt(self, stmt: Stmt) -> "list[Stmt]":
+    def stmt(self, stmt: Stmt, walk) -> "list[Stmt]":
         node = self.cfg.stmt_node.get(stmt.sid)
         state = self._state_before(stmt)
         if state is None:
@@ -111,12 +107,11 @@ class _Instrumenter:
             inside_state = transfer_assume(state, stmt.cond, True, self.config)
             inside = self._assume(free_vars(stmt.cond), inside_state, node,
                                   LOOP_INSIDE)
-            body = inside + self.block(stmt.body)
-            return head + [replace(stmt, body=body)]
+            loop = map_children(stmt, walk)
+            return head + [replace(loop, body=inside + loop.body)]
         if isinstance(stmt, If):
             pre = self._assume(free_vars(stmt.cond), state, node, CONDITIONAL)
-            orelse = None if stmt.orelse is None else self.block(stmt.orelse)
-            return pre + [replace(stmt, then=self.block(stmt.then), orelse=orelse)]
+            return pre + [map_children(stmt, walk)]
         if isinstance(stmt, Assert):
             return self._assume(free_vars(stmt.cond), state, node,
                                 ASSERTION) + [stmt]
@@ -136,7 +131,7 @@ def instrument_program(prog: Program, analyses,
     functions = {}
     for name, fn in prog.functions.items():
         worker = _Instrumenter(name, analyses[name], config)
-        body = worker.block(fn.body)
+        body = map_block(fn.body, worker.stmt)
         functions[name] = Function(fn.name, fn.params, body, fn.locals)
         points.extend(worker.points)
     return Program(functions, prog.entry), points

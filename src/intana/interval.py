@@ -328,16 +328,3 @@ def eval_cmp(op: str, a: Interval, b: Interval) -> Truth3:
         return eval_cmp("==", a, b).negate()
     raise ValueError("unknown comparison operator: %r" % op)
 
-
-def truth3_logic(op: str, a: Truth3, b: "Truth3 | None" = None) -> Truth3:
-    if op == "not":
-        if b is not None:
-            raise ValueError("not is unary")
-        return not3(a)
-    if b is None:
-        raise ValueError("%s is binary" % op)
-    if op == "and":
-        return and3(a, b)
-    if op == "or":
-        return or3(a, b)
-    raise ValueError("unknown logic operator: %r" % op)

@@ -17,6 +17,9 @@ from .ast import (
     Function,
     If,
     IntLit,
+    map_block,
+    map_children,
+    map_exprs,
     Nondet,
     Program,
     program_nondets,

@@ -7,7 +7,7 @@ results can be mapped back onto rewritten trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 ARITH_OPS = frozenset({"+", "-", "*", "/"})
 CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
@@ -192,18 +192,58 @@ def walk_stmts(block):
             yield from walk_stmts(s.body)
 
 
-def stmt_exprs(s: Stmt):
+def map_exprs(s: Stmt, f) -> Stmt:
+    """A copy of s with each expression it directly holds replaced by f(e).
+
+    Sub-blocks are left alone; an absent Decl init or Return value is not
+    passed to f.
+    """
+    if isinstance(s, Decl) and s.init is not None:
+        return replace(s, init=f(s.init))
+    if isinstance(s, Assign):
+        return replace(s, rhs=f(s.rhs))
+    if isinstance(s, (Assume, Assert, If, While)):
+        return replace(s, cond=f(s.cond))
+    if isinstance(s, Call):
+        return replace(s, args=tuple(f(a) for a in s.args))
+    if isinstance(s, Return) and s.value is not None:
+        return replace(s, value=f(s.value))
+    return replace(s)
+
+
+def stmt_exprs(s: Stmt) -> "list[Expr]":
     """The expressions directly held by a statement (not its sub-blocks)."""
-    if isinstance(s, (Decl,)) and s.init is not None:
-        yield s.init
-    elif isinstance(s, Assign):
-        yield s.rhs
-    elif isinstance(s, (Assume, Assert, If, While)):
-        yield s.cond
-    elif isinstance(s, Call):
-        yield from s.args
-    elif isinstance(s, Return) and s.value is not None:
-        yield s.value
+    found = []
+    map_exprs(s, lambda e: found.append(e) or e)
+    return found
+
+
+def map_children(s: Stmt, walk) -> Stmt:
+    """s with its If/While sub-blocks replaced by walk(sub_block).
+
+    An If's orelse is walked before its then: instrumentation numbers its
+    points in visit order.
+    """
+    if isinstance(s, If):
+        orelse = None if s.orelse is None else walk(s.orelse)
+        return replace(s, then=walk(s.then), orelse=orelse)
+    if isinstance(s, While):
+        return replace(s, body=walk(s.body))
+    return s
+
+
+def map_block(block, fn) -> "list[Stmt]":
+    """Rewrite a block: fn(stmt, walk) returns the statements replacing stmt.
+
+    walk rewrites a nested block the same way; fn decides which sub-blocks
+    to visit, usually through map_children.
+    """
+    def walk(stmts):
+        out = []
+        for s in stmts:
+            out.extend(fn(s, walk))
+        return out
+    return walk(block)
 
 
 def program_nondets(prog: Program):

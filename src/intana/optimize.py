@@ -14,10 +14,12 @@ zero is never folded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .absint import (
     AbstractState,
     AnalysisConfig,
+    FunctionAnalysis,
     analyze_program,
     eval_cond3,
     eval_expr,
@@ -27,11 +29,9 @@ from .interval import Truth3
 from .lang import (
     ARITH_OPS,
     Assert,
-    Assign,
     Assume,
     Binary,
     BoolLit,
-    Call,
     CMP_OPS,
     Decl,
     Expr,
@@ -40,12 +40,14 @@ from .lang import (
     If,
     IntLit,
     Program,
-    Return,
     Stmt,
     TRUE,
     Unary,
     Var,
     While,
+    map_block,
+    map_children,
+    map_exprs,
     subexprs,
     walk_stmts,
 )
@@ -91,9 +93,31 @@ def division_safe(e: Expr, state: AbstractState, arith: bool) -> bool:
     return True
 
 
-def _rebuild_function(fn: Function, body: "list[Stmt]") -> Function:
-    locals_ = tuple(s.name for s in walk_stmts(body) if isinstance(s, Decl))
-    return Function(fn.name, fn.params, body, locals_)
+def _rewrite_functions(prog: Program, rewrite) -> Program:
+    """Map every function body with rewrite(function_name, stmt, walk)."""
+    functions = {}
+    for name, fn in prog.functions.items():
+        body = map_block(fn.body, partial(rewrite, name))
+        locals_ = tuple(s.name for s in walk_stmts(body) if isinstance(s, Decl))
+        functions[name] = Function(fn.name, fn.params, body, locals_)
+    return Program(functions, prog.entry)
+
+
+def _prune(stmt: Stmt, walk, report: RewriteReport) -> "list[Stmt]":
+    """Flatten an If or While whose condition is now a literal.
+
+    Only the live branch is walked; any other statement keeps its
+    sub-blocks, rewritten by walk.
+    """
+    cond = stmt.cond if isinstance(stmt, (If, While)) else None
+    if isinstance(cond, BoolLit):
+        if isinstance(stmt, If):
+            report.dead_branches_removed += 1
+            return walk(stmt.then if cond.value else (stmt.orelse or []))
+        if not cond.value:
+            report.dead_branches_removed += 1
+            return []
+    return [map_children(stmt, walk)]
 
 
 def _state_before(stmt: Stmt, analysis) -> "AbstractState | None":
@@ -120,39 +144,16 @@ def _subst_singletons(e: Expr, state: AbstractState, report: RewriteReport) -> E
     return e
 
 
-def _propagate_stmt(stmt: Stmt, analysis, report: RewriteReport) -> Stmt:
-    state = _state_before(stmt, analysis)
-    usable = state is not None and not state.is_bottom
-    sub = (lambda e: _subst_singletons(e, state, report)) if usable else (lambda e: e)
-    if isinstance(stmt, Decl) and stmt.init is not None:
-        return replace(stmt, init=sub(stmt.init))
-    if isinstance(stmt, Assign):
-        return replace(stmt, rhs=sub(stmt.rhs))
-    if isinstance(stmt, (Assume, Assert)):
-        return replace(stmt, cond=sub(stmt.cond))
-    if isinstance(stmt, If):
-        orelse = (None if stmt.orelse is None
-                  else [_propagate_stmt(s, analysis, report) for s in stmt.orelse])
-        return replace(stmt, cond=sub(stmt.cond),
-                       then=[_propagate_stmt(s, analysis, report) for s in stmt.then],
-                       orelse=orelse)
-    if isinstance(stmt, While):
-        return replace(stmt, cond=sub(stmt.cond),
-                       body=[_propagate_stmt(s, analysis, report) for s in stmt.body])
-    if isinstance(stmt, Call):
-        return replace(stmt, args=tuple(sub(a) for a in stmt.args))
-    if isinstance(stmt, Return):
-        return replace(stmt, value=sub(stmt.value))
-    return replace(stmt)
-
-
 def singleton_propagate(prog: Program, analyses) -> "tuple[Program, RewriteReport]":
     report = RewriteReport()
-    functions = {}
-    for name, fn in prog.functions.items():
-        body = [_propagate_stmt(s, analyses[name], report) for s in fn.body]
-        functions[name] = _rebuild_function(fn, body)
-    return Program(functions, prog.entry), report
+
+    def propagate(name, stmt, walk):
+        state = _state_before(stmt, analyses[name])
+        if state is not None and not state.is_bottom:
+            stmt = map_exprs(stmt, lambda e: _subst_singletons(e, state, report))
+        return [map_children(stmt, walk)]
+
+    return _rewrite_functions(prog, propagate), report
 
 
 # --- guard elimination -------------------------------------------------------
@@ -208,50 +209,18 @@ def _resolve_cond(cond: Expr, state: "AbstractState | None",
     return cond
 
 
-def _eliminate_block(block, analysis, config, report) -> "list[Stmt]":
-    out = []
-    for stmt in block:
-        out.extend(_eliminate_stmt(stmt, analysis, config, report))
-    return out
-
-
-def _eliminate_stmt(stmt: Stmt, analysis, config: AnalysisConfig,
-                    report: RewriteReport) -> "list[Stmt]":
-    if isinstance(stmt, (Assume, Assert)):
-        state = _state_before(stmt, analysis)
-        return [replace(stmt, cond=_resolve_cond(stmt.cond, state, config, report))]
-    if isinstance(stmt, If):
-        state = _state_before(stmt, analysis)
-        cond = _resolve_cond(stmt.cond, state, config, report)
-        if isinstance(cond, BoolLit):
-            live = stmt.then if cond.value else (stmt.orelse or [])
-            report.dead_branches_removed += 1
-            return _eliminate_block(live, analysis, config, report)
-        orelse = (None if stmt.orelse is None
-                  else _eliminate_block(stmt.orelse, analysis, config, report))
-        return [replace(stmt, cond=cond,
-                        then=_eliminate_block(stmt.then, analysis, config, report),
-                        orelse=orelse)]
-    if isinstance(stmt, While):
-        state = _state_before(stmt, analysis)
-        cond = _resolve_cond(stmt.cond, state, config, report)
-        if isinstance(cond, BoolLit) and not cond.value:
-            report.dead_branches_removed += 1
-            return []
-        return [replace(stmt, cond=cond,
-                        body=_eliminate_block(stmt.body, analysis, config, report))]
-    return [replace(stmt)]
-
-
 def guard_eliminate(prog: Program, analyses,
                     config: "AnalysisConfig | None" = None) -> "tuple[Program, RewriteReport]":
     config = config or AnalysisConfig()
     report = RewriteReport()
-    functions = {}
-    for name, fn in prog.functions.items():
-        body = _eliminate_block(fn.body, analyses[name], config, report)
-        functions[name] = _rebuild_function(fn, body)
-    return Program(functions, prog.entry), report
+
+    def eliminate(name, stmt, walk):
+        if isinstance(stmt, (Assume, Assert, If, While)):
+            state = _state_before(stmt, analyses[name])
+            stmt = replace(stmt, cond=_resolve_cond(stmt.cond, state, config, report))
+        return _prune(stmt, walk, report)
+
+    return _rewrite_functions(prog, eliminate), report
 
 
 # --- constant folding --------------------------------------------------------
@@ -323,56 +292,23 @@ def _fold_bool(op: str, left: Expr, right: Expr,
     return None
 
 
-def _fold_block(block, report: RewriteReport) -> "list[Stmt]":
-    out = []
-    for stmt in block:
-        out.extend(_fold_stmt(stmt, report))
-    return out
-
-
-def _fold_stmt(stmt: Stmt, report: RewriteReport) -> "list[Stmt]":
-    if isinstance(stmt, Decl) and stmt.init is not None:
-        return [replace(stmt, init=_fold_expr(stmt.init, report))]
-    if isinstance(stmt, Assign):
-        return [replace(stmt, rhs=_fold_expr(stmt.rhs, report))]
-    if isinstance(stmt, (Assume, Assert)):
-        return [replace(stmt, cond=_fold_expr(stmt.cond, report))]
-    if isinstance(stmt, If):
-        cond = _fold_expr(stmt.cond, report)
-        if isinstance(cond, BoolLit):
-            report.dead_branches_removed += 1
-            return _fold_block(stmt.then if cond.value else (stmt.orelse or []),
-                               report)
-        orelse = None if stmt.orelse is None else _fold_block(stmt.orelse, report)
-        return [replace(stmt, cond=cond, then=_fold_block(stmt.then, report),
-                        orelse=orelse)]
-    if isinstance(stmt, While):
-        cond = _fold_expr(stmt.cond, report)
-        if isinstance(cond, BoolLit) and not cond.value:
-            report.dead_branches_removed += 1
-            return []
-        return [replace(stmt, cond=cond, body=_fold_block(stmt.body, report))]
-    if isinstance(stmt, Call):
-        return [replace(stmt, args=tuple(_fold_expr(a, report) for a in stmt.args))]
-    if isinstance(stmt, Return):
-        return [replace(stmt, value=_fold_expr(stmt.value, report))]
-    return [replace(stmt)]
-
-
 def const_fold(prog: Program) -> "tuple[Program, RewriteReport]":
     report = RewriteReport()
-    functions = {}
-    for name, fn in prog.functions.items():
-        body = _fold_block(fn.body, report)
-        functions[name] = _rebuild_function(fn, body)
-    return Program(functions, prog.entry), report
+
+    def fold(name, stmt, walk):
+        return _prune(map_exprs(stmt, lambda e: _fold_expr(e, report)), walk, report)
+
+    return _rewrite_functions(prog, fold), report
 
 
 # --- pipeline ----------------------------------------------------------------
 
-def optimize_program(prog: Program,
-                     config: "AnalysisConfig | None" = None) -> "tuple[Program, RewriteReport]":
-    """analyze, propagate singletons, eliminate guards, fold constants."""
+def optimize_program(prog: Program, config: "AnalysisConfig | None" = None
+                     ) -> "tuple[Program, RewriteReport, dict[str, FunctionAnalysis]]":
+    """analyze, propagate singletons, eliminate guards, fold constants.
+
+    The analyses returned are those of prog, as analyze_program gives them.
+    """
     config = config or AnalysisConfig()
     analyses = analyze_program(prog, config)
     # Statement ids survive rewriting, so one analysis serves both passes.
@@ -381,4 +317,4 @@ def optimize_program(prog: Program,
     folded, r3 = const_fold(eliminated)
     report.absorb(r2)
     report.absorb(r3)
-    return folded, report
+    return folded, report, analyses

@@ -121,7 +121,7 @@ def test_criterion_2_optimization_equivalence(capfd):
     failures = []
     for seed in range(2000, 2500):
         prog = parse_program(random_program(seed))
-        optimized, _ = optimize_program(prog, AnalysisConfig())
+        optimized, _, _ = optimize_program(prog, AnalysisConfig())
         result = check_equivalence(prog, optimized, step_limit=100_000)
         if not result:
             failures.append((seed, result.counterexample))
@@ -130,7 +130,7 @@ def test_criterion_2_optimization_equivalence(capfd):
         prog = parse_program(random_program(seed))
         for config in (AnalysisConfig(use_contractors=False),
                        AnalysisConfig(interval_arith=False)):
-            optimized, _ = optimize_program(prog, config)
+            optimized, _, _ = optimize_program(prog, config)
             if not check_equivalence(prog, optimized, step_limit=100_000):
                 failures.append((seed, config))
     elapsed = time.time() - start
@@ -398,12 +398,12 @@ def detect_equivalence(seeds=range(25), config=None):
     try:
         for source in EQUIV_PROGRAMS:
             prog = parse_program(source)
-            optimized, _ = optimize_program(prog, config)
+            optimized, _, _ = optimize_program(prog, config)
             if not check_equivalence(prog, optimized, step_limit=50_000):
                 return True
         for seed in seeds:
             prog = parse_program(random_program(seed))
-            optimized, _ = optimize_program(prog, config)
+            optimized, _, _ = optimize_program(prog, config)
             if not check_equivalence(prog, optimized, step_limit=50_000):
                 return True
     except Exception:

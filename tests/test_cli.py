@@ -2,7 +2,9 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
+import intana.absint
 from intana.cli import main
 
 HERE = pathlib.Path(__file__).parent
@@ -190,6 +192,22 @@ class TestCheck:
         assert code == 2 and err
 
 
+class TestAnalyzeOnce:
+    @pytest.mark.parametrize("argv", [["check"], ["optimize", "--format", "json"]])
+    def test_one_analysis_per_function(self, capsys, monkeypatch, argv):
+        calls = []
+        original = intana.absint.analyze
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(intana.absint, "analyze", counting)
+        code, _, _ = run(capsys, *argv, loop_path())
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestErrors:
     def test_parse_error_exit_code(self, capsys, tmp_path):
         source = tmp_path / "p.mini"
@@ -206,3 +224,15 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", loop_path(),
                            "--widening-delay", "-1")
         assert code == 2 and err
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    @pytest.mark.parametrize("body", [
+        "if (x > 0) { " * 400 + "x = 1; " + "} " * 400,
+        "int y; y = " + " + ".join(["x"] * 2000) + ";",
+    ], ids=["nested-ifs", "long-sum"])
+    def test_deep_input_is_usage_error(self, capsys, tmp_path, command, body):
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int x = nondet(0, 1); %s }\n" % body)
+        code, _, err = run(capsys, command, str(source))
+        assert code == 2
+        assert err.strip() == "error: input nests too deeply"

@@ -13,8 +13,10 @@ from intana.contractor import (
     contract_fixpoint,
     forward_eval,
     hc4_revise,
+    inv_div_dividend,
     nnf,
     parse_box,
+    _tdiv_preimage,
 )
 from intana.fuzz import random_constraint_box
 from intana.interval import BOTTOM, Interval, Truth3
@@ -149,6 +151,22 @@ class TestHc4Revise:
         box = parse_box("x:[-20,20]")
         out = hc4_revise(constraint("x / -2 == 3", ["x"]), box)
         assert out["x"] == iv(-7, -6)
+
+    def test_negative_divisor_range_keeps_solutions(self):
+        # a=1, b=-1 gives 1 < 2, so the box must not be emptied.
+        box = parse_box("a:[0,2], b:[-inf,-1]")
+        out = hc4_revise(constraint("a < (-2 / b)", ["a", "b"]), box)
+        assert box_render(out) == "a:[0,1], b:[-inf,-1]"
+
+    def test_wide_negative_divisor_hull_matches_enumeration(self):
+        # The divisor part is wider than ENUM_LIMIT, so the dividend
+        # projection takes the corner hull rather than enumerating.
+        z, y = iv(1, 2), iv(-5000, -1)
+        expected = BOTTOM
+        for yv in range(-5000, 0):
+            expected = expected.join(_tdiv_preimage(z, yv))
+        assert expected == iv(-14999, -1)
+        assert inv_div_dividend(z, y) == expected
 
     def test_multiplication_gap_detected_by_enumeration(self):
         box = parse_box("x:[0,10], y:[2,2]")

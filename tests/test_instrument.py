@@ -99,6 +99,17 @@ class TestInstrumentProgram:
             # emitted expression only references the declared variable set
             assert free_vars(point.emitted) <= point.vars
 
+    def test_else_branch_points_precede_then_branch(self):
+        prog, out, points = instrumented("""
+            fn main() {
+                int x = nondet(0, 4);
+                if (x > 1) { assert(x >= 2); } else { assert(x <= 1); }
+            }
+        """)
+        assert [p.kind for p in points] == ["conditional", "assertion", "assertion"]
+        assert [expr_to_source(p.emitted) for p in points] == [
+            "x >= 0 && x <= 4", "x >= 0 && x <= 1", "x >= 2 && x <= 4"]
+
     def test_round_trips_through_parser(self):
         prog, out, _ = instrumented(
             "fn main() { int i = 0; while (i < 3) { i = i + 1; } assert(i == 3); }")

@@ -15,7 +15,7 @@ from intana.oracle import check_equivalence
 
 def optimized(source, **kwargs):
     prog = parse_program(source)
-    out, report = optimize_program(prog, AnalysisConfig(**kwargs))
+    out, report, _ = optimize_program(prog, AnalysisConfig(**kwargs))
     return prog, out, report
 
 
@@ -172,6 +172,15 @@ class TestPipeline:
         assert "y = 6;" in text and "y = 0;" in text and "if" not in text
         assert check_equivalence(prog, out)
 
+    def test_returns_analyses_of_input_program(self):
+        prog = parse_program(
+            "fn f(v) { return v; } fn main() { int x = 5; int y; y = f(x); }")
+        _, _, analyses = optimize_program(prog, AnalysisConfig())
+        expected = analyze_program(prog, AnalysisConfig())
+        assert sorted(analyses) == ["f", "main"]
+        for name, fa in expected.items():
+            assert analyses[name].result == fa.result
+
     def test_unanalyzable_program_unchanged(self):
         prog, out, report = optimized(
             "fn main() { int x = nondet(-4, 4); int y = nondet(-4, 4);"
@@ -199,7 +208,7 @@ class TestPipeline:
         ]
         for source in sources:
             _, once, _ = optimized(source)
-            twice, report = optimize_program(once, AnalysisConfig())
+            twice, report, _ = optimize_program(once, AnalysisConfig())
             assert program_to_source(twice) == program_to_source(once)
             assert not report.changed
 
@@ -207,7 +216,7 @@ class TestPipeline:
     def test_equivalence_on_fuzzed_programs(self, seed):
         from intana.fuzz import random_program
         prog = parse_program(random_program(seed))
-        out, _ = optimize_program(prog, AnalysisConfig())
+        out, _, _ = optimize_program(prog, AnalysisConfig())
         assert check_equivalence(prog, out, step_limit=100_000)
 
 
