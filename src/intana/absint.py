@@ -8,10 +8,12 @@ number of descending passes narrows the infinite bounds back in.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
-from .contractor import box_is_empty, contract_condition, nnf
-from .interval import BOTTOM, eval_cmp, Interval, not3, and3, or3, TOP, Truth3
+from .contractor import contract_condition, nnf
+from .interval import (AbstractState, BOTTOM, eval_cmp, Interval, interval_binop, not3,
+                       and3, or3, TOP, Truth3)
 from .lang import (
     Assert,
     Assign,
@@ -48,76 +50,6 @@ class AnalysisConfig:
             raise ValueError("widening_delay and narrowing_passes must be >= 0")
 
 
-@dataclass(frozen=True)
-class AbstractState:
-    """Box over the function's variables; any bottom range means unreachable."""
-
-    env: "tuple[tuple[str, Interval], ...]"
-
-    @staticmethod
-    def of(env: "dict[str, Interval]") -> "AbstractState":
-        if any(iv.is_bottom for iv in env.values()):
-            env = {v: BOTTOM for v in env}
-        return AbstractState(tuple(sorted(env.items())))
-
-    @staticmethod
-    def top(varnames) -> "AbstractState":
-        return AbstractState.of({v: TOP for v in varnames})
-
-    @staticmethod
-    def bottom(varnames) -> "AbstractState":
-        return AbstractState.of({v: BOTTOM for v in varnames})
-
-    def as_dict(self) -> "dict[str, Interval]":
-        return dict(self.env)
-
-    def get(self, name: str) -> Interval:
-        return dict(self.env)[name]
-
-    @property
-    def reachable(self) -> bool:
-        return not self.is_bottom
-
-    @property
-    def is_bottom(self) -> bool:
-        return any(iv.is_bottom for _, iv in self.env)
-
-    def set(self, name: str, iv: Interval) -> "AbstractState":
-        d = self.as_dict()
-        d[name] = iv
-        return AbstractState.of(d)
-
-    def join(self, other: "AbstractState") -> "AbstractState":
-        if self.is_bottom:
-            return other
-        if other.is_bottom:
-            return self
-        a, b = self.as_dict(), other.as_dict()
-        return AbstractState.of({v: a[v].join(b[v]) for v in a})
-
-    def widen(self, new: "AbstractState") -> "AbstractState":
-        if self.is_bottom:
-            return new
-        if new.is_bottom:
-            return self
-        a, b = self.as_dict(), new.as_dict()
-        return AbstractState.of({v: a[v].widen(b[v]) for v in a})
-
-    def narrow(self, new: "AbstractState") -> "AbstractState":
-        if self.is_bottom or new.is_bottom:
-            return AbstractState.bottom([v for v, _ in self.env])
-        a, b = self.as_dict(), new.as_dict()
-        return AbstractState.of({v: a[v].narrow(b[v]) for v in a})
-
-    def leq(self, other: "AbstractState") -> bool:
-        if self.is_bottom:
-            return True
-        if other.is_bottom:
-            return False
-        a, b = self.as_dict(), other.as_dict()
-        return all(a[v].leq(b[v]) for v in a)
-
-
 def eval_expr(e: Expr, state: AbstractState, arith: bool = True) -> Interval:
     """Abstract evaluation of an arithmetic expression."""
     if state.is_bottom:
@@ -125,7 +57,7 @@ def eval_expr(e: Expr, state: AbstractState, arith: bool = True) -> Interval:
     if isinstance(e, IntLit):
         return Interval.singleton(e.value)
     if isinstance(e, Var):
-        return state.get(e.name)
+        return state[e.name]
     if isinstance(e, Nondet):
         if e.bounded:
             return Interval(e.lo, e.hi)
@@ -133,8 +65,6 @@ def eval_expr(e: Expr, state: AbstractState, arith: bool = True) -> Interval:
     if isinstance(e, Unary) and e.op == "neg":
         return eval_expr(e.operand, state, arith).negate()
     if isinstance(e, Binary):
-        from .interval import interval_binop
-
         return interval_binop(e.op, eval_expr(e.left, state, arith),
                               eval_expr(e.right, state, arith), arith=arith)
     raise ValueError("not an arithmetic expression: %r" % (e,))
@@ -198,16 +128,12 @@ def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,
     config = config or AnalysisConfig()
     if state.is_bottom:
         return state
-    if config.use_contractors:
-        shaped = nnf(cond, negated=not polarity)
-        box = contract_condition(shaped, state.as_dict())
-        if box_is_empty(box):
-            return AbstractState.bottom([v for v, _ in state.env])
-        return AbstractState.of(box)
     effective = nnf(cond, negated=not polarity)
+    if config.use_contractors:
+        return contract_condition(effective, state)
     verdict = eval_cond3(effective, state, config.interval_arith)
     if verdict is Truth3.FALSE:
-        return AbstractState.bottom([v for v, _ in state.env])
+        return state.as_bottom()
     return _simple_prune(effective, state, config.interval_arith)
 
 
@@ -272,8 +198,7 @@ def _edge_state(node, after: AbstractState, label: str, config: AnalysisConfig) 
 
 def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = None) -> AnalysisResult:
     config = config or AnalysisConfig()
-    varnames = [v for v, _ in init.env]
-    bottom = AbstractState.bottom(varnames)
+    bottom = init.as_bottom()
     rpo = reverse_postorder(cfg)
     rpo_index = {n: i for i, n in enumerate(rpo)}
 
@@ -283,8 +208,6 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
     head_updates = {}
     widened = set()
     updates = 0
-
-    import heapq
 
     pending = [(rpo_index[cfg.entry], cfg.entry)]
     queued = {cfg.entry}
@@ -341,10 +264,18 @@ class FunctionAnalysis:
     cfg: Cfg
     result: AnalysisResult
 
+    def state_before(self, stmt) -> "AbstractState | None":
+        """The state before stmt's node, or None if stmt has no live node."""
+        node = self.cfg.stmt_node.get(stmt.sid)
+        if node is None:
+            return None
+        return self.result.before.get(node)
+
 
 def initial_state(func) -> AbstractState:
-    # Parameters are untracked across calls, so they start unknown.
-    return AbstractState.top(func.variables)
+    # Parameters are untracked across calls, so they start unknown.  Names
+    # are sorted once here; every state of the analysis keeps this order.
+    return AbstractState.top(sorted(func.variables))
 
 
 def analyze_program(prog: Program, config: "AnalysisConfig | None" = None) -> "dict[str, FunctionAnalysis]":

@@ -53,13 +53,11 @@ def _config(args) -> AnalysisConfig:
 
 
 def _state_json(state) -> "dict[str, str]":
-    return {name: iv.render() for name, iv in state.env}
+    return {name: iv.render() for name, iv in state.items()}
 
 
 def _state_text(state) -> str:
-    if state.is_bottom:
-        return "bottom"
-    return ", ".join("%s:%s" % (name, iv.render()) for name, iv in state.env) or "(no variables)"
+    return "bottom" if state.is_bottom else box_render(state) or "(no variables)"
 
 
 def _nodes_json(analyses) -> "list[dict]":

@@ -1,4 +1,4 @@
-"""Forward-backward contraction of boxes under arithmetic constraints.
+"""Forward-backward contraction of boxes (AbstractStates) under arithmetic constraints.
 
 A constraint `lhs <rel> rhs` is rewritten as `lhs - rhs <rel> 0`, the
 expression tree is evaluated bottom-up over the box (forward stage), the
@@ -10,9 +10,13 @@ x <= e - 1).
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .interval import (
+    AbstractState,
     BOTTOM,
     Interval,
     NEG_INF,
@@ -26,9 +30,6 @@ from .interval import (
     is_finite,
 )
 from .lang import Binary, BoolLit, CMP_OPS, Expr, free_vars, IntLit, Unary, Var
-
-# Box: ordered map variable -> interval; empty iff any range is bottom.
-Box = "dict[str, Interval]"
 
 # Sibling intervals at most this many values wide are projected by exact
 # enumeration; larger ones fall back to a sound rational hull.
@@ -61,46 +62,19 @@ class Constraint:
         return free_vars(self.lhs) | free_vars(self.rhs)
 
 
-def box_is_empty(box) -> bool:
-    return any(iv.is_bottom for iv in box.values())
-
-
-def empty_box(box) -> "dict":
-    return {name: BOTTOM for name in box}
-
-
-def box_leq(a, b) -> bool:
-    if box_is_empty(a):
-        return True
-    return all(a[v].leq(b[v]) for v in b)
-
-
-def box_join(a, b) -> "dict":
-    if box_is_empty(a):
-        return dict(b)
-    if box_is_empty(b):
-        return dict(a)
-    return {v: a[v].join(b[v]) for v in a}
-
-
-def box_render(box) -> str:
-    if box_is_empty(box):
+def box_render(box: AbstractState) -> str:
+    if box.is_bottom:
         return "empty"
     return ", ".join("%s:%s" % (v, iv.render()) for v, iv in box.items())
 
 
-_BOX_ENTRY_RE = None
+_BOX_ENTRY_RE = re.compile(
+    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*:\s*"
+    r"\[\s*(?P<lo>[+-]?(?:\d+|inf))\s*,\s*(?P<hi>[+-]?(?:\d+|inf))\s*\]")
 
 
-def parse_box(text: str) -> "dict":
-    """Parse the dump syntax `x:[0,10], y:[2,4]` (with inf keywords)."""
-    global _BOX_ENTRY_RE
-    import re
-
-    if _BOX_ENTRY_RE is None:
-        _BOX_ENTRY_RE = re.compile(
-            r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*:\s*"
-            r"\[\s*(?P<lo>[+-]?(?:\d+|inf))\s*,\s*(?P<hi>[+-]?(?:\d+|inf))\s*\]")
+def parse_box(text: str) -> AbstractState:
+    """Parse the dump syntax `x:[0,10], y:[2,4]` (with inf keywords), in order."""
     box = {}
     for m in _BOX_ENTRY_RE.finditer(text):
         box[m.group("name")] = Interval.make(
@@ -108,7 +82,7 @@ def parse_box(text: str) -> "dict":
     rest = _BOX_ENTRY_RE.sub("", text).replace(",", "").strip()
     if rest or not box:
         raise ValueError("bad box syntax: %r" % text)
-    return box
+    return AbstractState.of(box)
 
 
 def _bound(text: str):
@@ -126,7 +100,7 @@ class AnnotatedExpr:
     children: "tuple[AnnotatedExpr, ...]" = ()
 
 
-def forward_eval(e: Expr, box) -> AnnotatedExpr:
+def forward_eval(e: Expr, box: AbstractState) -> AnnotatedExpr:
     """Bottom-up interval evaluation; every node gets an interval."""
     if isinstance(e, IntLit):
         return AnnotatedExpr(e, Interval.singleton(e.value))
@@ -165,8 +139,6 @@ def _mul_preimage_exact(z: Interval, yv: int) -> Interval:
 
 def _ratio_corner(zb, yb):
     """Candidate endpoint of z/y at a corner; infinities by sign limit."""
-    from fractions import Fraction
-
     if isinstance(zb, float) and isinstance(yb, float):
         return POS_INF if (zb > 0) == (yb > 0) else NEG_INF
     if isinstance(zb, float):
@@ -177,8 +149,6 @@ def _ratio_corner(zb, yb):
 
 
 def _mul_preimage_hull(z: Interval, part: Interval) -> Interval:
-    import math
-
     corners = [_ratio_corner(zb, yb)
                for zb in (z.lo, z.hi) for yb in (part.lo, part.hi)]
     lo, hi = min(corners), max(corners)
@@ -288,30 +258,32 @@ def inv_div_divisor(z: Interval, x: Interval, y: Interval) -> Interval:
 
 # --- backward propagation ----------------------------------------------------
 
-def backward_prop(tree: AnnotatedExpr, required: Interval, box) -> "dict":
+def backward_prop(tree: AnnotatedExpr, required: Interval, box: AbstractState) -> AbstractState:
     """Push `required` down the annotated tree; returns the refined box."""
-    out = dict(box)
-    if _backward(tree, required, out):
-        return out
-    return empty_box(box)
+    ivs = list(box.intervals)
+    if _backward(tree, required, box, ivs):
+        return box.replaced(ivs)
+    return box.as_bottom()
 
 
-def _backward(node: AnnotatedExpr, required: Interval, box) -> bool:
+def _backward(node: AnnotatedExpr, required: Interval, box: AbstractState, ivs: list) -> bool:
+    """Refine ivs, the box's intervals, in place; False once one is empty."""
     itv = node.itv.meet(required)
     if itv.is_bottom:
         return False
     node.itv = itv
     e = node.expr
     if isinstance(e, Var):
-        refined = box[e.name].meet(itv)
+        i = box.position(e.name)
+        refined = ivs[i].meet(itv)
         if refined.is_bottom:
             return False
-        box[e.name] = refined
+        ivs[i] = refined
         return True
     if isinstance(e, IntLit):
         return True
     if isinstance(e, Unary):
-        return _backward(node.children[0], itv.negate(), box)
+        return _backward(node.children[0], itv.negate(), box, ivs)
     left, right = node.children
     if e.op == "+":
         lreq = interval_binop("-", itv, right.itv)
@@ -323,7 +295,7 @@ def _backward(node: AnnotatedExpr, required: Interval, box) -> bool:
         if left.expr == right.expr:
             # Syntactic square: both factors share one value in any point.
             sq = _inv_square(itv, left.itv)
-            return _backward(left, sq, box) and _backward(right, sq, box)
+            return _backward(left, sq, box, ivs) and _backward(right, sq, box, ivs)
         lreq = inv_mul(itv, right.itv)
         rreq = inv_mul(itv, left.itv)
     elif e.op == "/":
@@ -331,13 +303,11 @@ def _backward(node: AnnotatedExpr, required: Interval, box) -> bool:
         rreq = inv_div_divisor(itv, left.itv, right.itv)
     else:
         raise ValueError(e.op)
-    return _backward(left, lreq, box) and _backward(right, rreq, box)
+    return _backward(left, lreq, box, ivs) and _backward(right, rreq, box, ivs)
 
 
 def _inv_square(z: Interval, x: Interval) -> Interval:
     """Hull of {x' : x'*x' in z}, restricted to x's sign when definite."""
-    import math
-
     z = z.meet(Interval.make(0, POS_INF))
     if z.is_bottom or x.is_bottom:
         return BOTTOM
@@ -356,36 +326,36 @@ def _inv_square(z: Interval, x: Interval) -> Interval:
 
 # --- single-constraint contraction -------------------------------------------
 
-def hc4_revise(c: Constraint, box) -> "dict":
+def hc4_revise(c: Constraint, box: AbstractState) -> AbstractState:
     """One forward-backward pass; contracts box, preserving all solutions."""
-    if box_is_empty(box):
-        return empty_box(box)
+    if box.is_bottom:
+        return box
     diff = Binary("-", c.lhs, c.rhs)
     tree = forward_eval(diff, box)
     if c.relation == "!=":
         if tree.itv == Interval(0, 0):
-            return empty_box(box)
-        return dict(box)
+            return box.as_bottom()
+        return box
     required = _RELATION_RANGE[c.relation]
     return backward_prop(tree, required, box)
 
 
-def _round_robin(revise, items, box, max_rounds: int) -> "dict":
+def _round_robin(revise, items, box: AbstractState, max_rounds: int) -> AbstractState:
     """Apply revise(item, box) to each item in turn until the box is stable,
     empty, or max_rounds rounds have run."""
-    current = dict(box)
+    current = box
     for _ in range(max_rounds):
-        previous = dict(current)
+        previous = current
         for item in items:
             current = revise(item, current)
-            if box_is_empty(current):
+            if current.is_bottom:
                 return current
         if current == previous:
             break
     return current
 
 
-def contract_fixpoint(cs, box, max_rounds: int = 10) -> "dict":
+def contract_fixpoint(cs, box: AbstractState, max_rounds: int = 10) -> AbstractState:
     """Round-robin single-constraint contraction until stable."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -418,24 +388,24 @@ def _flatten_and(e: Expr):
         yield e
 
 
-def _contract_conjunct(item: Expr, box) -> "dict":
+def _contract_conjunct(item: Expr, box: AbstractState) -> AbstractState:
     if isinstance(item, Binary) and item.op in CMP_OPS:
         return hc4_revise(Constraint.from_expr(item), box)
     return contract_condition(item, box, 1)
 
 
-def contract_condition(cond: Expr, box, max_rounds: int = 10) -> "dict":
+def contract_condition(cond: Expr, box: AbstractState, max_rounds: int = 10) -> AbstractState:
     """Contract a condition already in NNF; disjunctions are hulled."""
-    if box_is_empty(box):
-        return empty_box(box)
+    if box.is_bottom:
+        return box
     if isinstance(cond, BoolLit):
-        return dict(box) if cond.value else empty_box(box)
+        return box if cond.value else box.as_bottom()
     if isinstance(cond, Binary) and cond.op in CMP_OPS:
         return hc4_revise(Constraint.from_expr(cond), box)
     if isinstance(cond, Binary) and cond.op == "||":
         left = contract_condition(cond.left, box, max_rounds)
         right = contract_condition(cond.right, box, max_rounds)
-        return box_join(left, right)
+        return left.join(right)
     if isinstance(cond, Binary) and cond.op == "&&":
         return _round_robin(_contract_conjunct, list(_flatten_and(cond)), box,
                             max_rounds)
@@ -445,11 +415,11 @@ def contract_condition(cond: Expr, box, max_rounds: int = 10) -> "dict":
 @dataclass
 class Classification:
     verdict: Truth3
-    box_in: "dict"
-    box_out: "dict"
+    box_in: AbstractState
+    box_out: AbstractState
 
 
-def classify_condition(cond: Expr, box, max_rounds: int = 10) -> Classification:
+def classify_condition(cond: Expr, box: AbstractState, max_rounds: int = 10) -> Classification:
     """Refined boxes for a condition and its negation, plus the verdict.
 
     The verdict is TRUE iff the negation's box is empty, FALSE iff the
@@ -458,11 +428,11 @@ def classify_condition(cond: Expr, box, max_rounds: int = 10) -> Classification:
     """
     box_in = contract_condition(nnf(cond), box, max_rounds)
     box_out = contract_condition(nnf(cond, negated=True), box, max_rounds)
-    if box_is_empty(box):
+    if box.is_bottom:
         verdict = Truth3.MAYBE
-    elif box_is_empty(box_out):
+    elif box_out.is_bottom:
         verdict = Truth3.TRUE
-    elif box_is_empty(box_in):
+    elif box_in.is_bottom:
         verdict = Truth3.FALSE
     else:
         verdict = Truth3.MAYBE

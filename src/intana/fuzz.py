@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .contractor import Box
-from .interval import Interval
+from .interval import AbstractState, Interval
 
 VAR_NAMES = ("a", "b", "c")
 MAX_NONDETS = 3
@@ -154,7 +153,7 @@ def random_program(seed: int) -> str:
     return ProgramGenerator(random.Random(seed)).program()
 
 
-def random_constraint_box(seed: int) -> "tuple[str, Box, bool]":
+def random_constraint_box(seed: int) -> "tuple[str, AbstractState, bool]":
     """A (condition-source, box, hull-checkable) triple.
 
     Hull-checkable pairs use each variable at most once combined only
@@ -166,10 +165,11 @@ def random_constraint_box(seed: int) -> "tuple[str, Box, bool]":
     """
     rng = random.Random(seed)
     names = list(VAR_NAMES[:rng.randint(1, 3)])
-    box: Box = {}
+    ranges = {}
     for name in names:
         lo = rng.randint(-15, 15)
-        box[name] = Interval(lo, lo + rng.randint(0, 20))
+        ranges[name] = Interval(lo, lo + rng.randint(0, 20))
+    box = AbstractState.of(ranges)
 
     if rng.random() < 0.5:
         # Linear flavor: each variable at most once, ops + and - only.

@@ -73,8 +73,8 @@ def intervals_to_assume_expr(varnames, state: AbstractState) -> "Expr | None":
 class _Instrumenter:
     def __init__(self, fname: str, analysis, config: AnalysisConfig):
         self.fname = fname
+        self.analysis = analysis
         self.cfg = analysis.cfg
-        self.result = analysis.result
         self.config = config
         self.points: "list[InstrumentationPoint]" = []
         self.next_sid = 1 + max(
@@ -91,15 +91,9 @@ class _Instrumenter:
         self.next_sid += 1
         return [stmt]
 
-    def _state_before(self, stmt: Stmt) -> "AbstractState | None":
-        node = self.cfg.stmt_node.get(stmt.sid)
-        if node is None:
-            return None
-        return self.result.before.get(node)
-
     def stmt(self, stmt: Stmt, walk) -> "list[Stmt]":
         node = self.cfg.stmt_node.get(stmt.sid)
-        state = self._state_before(stmt)
+        state = self.analysis.state_before(stmt)
         if state is None:
             return [stmt]
         if isinstance(stmt, While):

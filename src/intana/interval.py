@@ -1,10 +1,12 @@
-"""Integer intervals with infinite endpoints.
+"""Integer intervals with infinite endpoints, and boxes of them.
 
 The abstract domain is the lattice of closed integer intervals [lo, hi]
 where endpoints may be -inf/+inf, plus a bottom element for the empty
 interval.  Endpoints are plain Python ints; the infinities are the float
 sentinels +-math.inf (mixed int/float comparisons are exact, and no finite
-float value is ever produced).
+float value is ever produced).  An AbstractState is the product lattice:
+one interval per variable, as used by both the analyzer and the
+contractors.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ from dataclasses import dataclass
 
 NEG_INF = -math.inf
 POS_INF = math.inf
-
-# An endpoint: an int, or one of the infinity sentinels.
-Bound = "int | float"
-
-ARITH_OPS = ("+", "-", "*", "/")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 def is_finite(b) -> bool:
@@ -184,6 +180,119 @@ class Interval:
 
 BOTTOM = Interval(1, 0)
 TOP = Interval(NEG_INF, POS_INF)
+
+
+class _Space:
+    """The names shared by a family of states, their positions, and their bottom."""
+
+    __slots__ = ("names", "index", "bottom")
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.bottom = AbstractState(self, (BOTTOM,) * len(self.names))
+        # With no names no range can be empty, so this "bottom" is reachable.
+        self.bottom.is_bottom = bool(self.names)
+
+
+class AbstractState:
+    """A box: one interval per variable, over names that derived states share.
+
+    Any bottom component makes the state its names' one bottom, which alone
+    has `is_bottom` set.  Operations work position by position, on states
+    over the same names.
+    """
+
+    __slots__ = ("_space", "intervals", "is_bottom")
+
+    def __init__(self, space: _Space, intervals: tuple):
+        self._space, self.intervals, self.is_bottom = space, intervals, False
+
+    @staticmethod
+    def of(env) -> "AbstractState":
+        """The state of a name -> interval mapping, in the mapping's order."""
+        space = _Space(env)
+        if any(iv.is_bottom for iv in env.values()):
+            return space.bottom
+        return AbstractState(space, tuple(env.values()))
+
+    @staticmethod
+    def top(names) -> "AbstractState":
+        return AbstractState.of(dict.fromkeys(names, TOP))
+
+    @staticmethod
+    def bottom(names) -> "AbstractState":
+        return AbstractState.top(names).as_bottom()
+
+    @property
+    def names(self) -> "tuple[str, ...]":
+        return self._space.names
+
+    def as_bottom(self) -> "AbstractState":
+        return self._space.bottom
+
+    def position(self, name: str) -> int:
+        return self._space.index[name]
+
+    def get(self, name: str) -> Interval:
+        return self.intervals[self._space.index[name]]
+
+    __getitem__ = get
+
+    def __iter__(self):
+        return iter(self._space.names)
+
+    def items(self):
+        return zip(self._space.names, self.intervals)
+
+    def as_dict(self) -> "dict[str, Interval]":
+        return dict(self.items())
+
+    def replaced(self, intervals) -> "AbstractState":
+        """These names with new intervals, none of which may be bottom."""
+        return AbstractState(self._space, tuple(intervals))
+
+    def set(self, name: str, iv: Interval) -> "AbstractState":
+        # As per variable: bottom stays bottom unless its only range is replaced.
+        if iv.is_bottom or (self.is_bottom and len(self.intervals) > 1):
+            return self._space.bottom
+        ivs = list(self.intervals)
+        ivs[self._space.index[name]] = iv
+        return AbstractState(self._space, tuple(ivs))
+
+    def _ascend(self, op, other: "AbstractState") -> "AbstractState":
+        # join and widen: bottom is the identity on either side.
+        if self.is_bottom:
+            return other
+        if other.is_bottom:
+            return self
+        return AbstractState(self._space, tuple(map(op, self.intervals, other.intervals)))
+
+    def join(self, other: "AbstractState") -> "AbstractState":
+        return self._ascend(Interval.join, other)
+
+    def widen(self, new: "AbstractState") -> "AbstractState":
+        return self._ascend(Interval.widen, new)
+
+    def narrow(self, new: "AbstractState") -> "AbstractState":
+        # A bottom operand's components are all bottom, and so is the result.
+        ivs = tuple(map(Interval.narrow, self.intervals, new.intervals))
+        if any(iv.is_bottom for iv in ivs):
+            return self._space.bottom
+        return AbstractState(self._space, ivs)
+
+    def leq(self, other: "AbstractState") -> bool:
+        if self.is_bottom or other.is_bottom:
+            return self.is_bottom
+        return all(map(Interval.leq, self.intervals, other.intervals))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AbstractState):
+            return NotImplemented
+        return self.intervals == other.intervals and self.names == other.names
+
+    def __repr__(self) -> str:
+        return "AbstractState(%s)" % ", ".join("%s:%s" % kv for kv in self.items())
 
 
 def _fmt_bound(b) -> str:

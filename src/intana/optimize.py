@@ -120,13 +120,6 @@ def _prune(stmt: Stmt, walk, report: RewriteReport) -> "list[Stmt]":
     return [map_children(stmt, walk)]
 
 
-def _state_before(stmt: Stmt, analysis) -> "AbstractState | None":
-    node = analysis.cfg.stmt_node.get(stmt.sid)
-    if node is None:
-        return None
-    return analysis.result.before.get(node)
-
-
 # --- singleton propagation ---------------------------------------------------
 
 def _subst_singletons(e: Expr, state: AbstractState, report: RewriteReport) -> Expr:
@@ -148,7 +141,7 @@ def singleton_propagate(prog: Program, analyses) -> "tuple[Program, RewriteRepor
     report = RewriteReport()
 
     def propagate(name, stmt, walk):
-        state = _state_before(stmt, analyses[name])
+        state = analyses[name].state_before(stmt)
         if state is not None and not state.is_bottom:
             stmt = map_exprs(stmt, lambda e: _subst_singletons(e, state, report))
         return [map_children(stmt, walk)]
@@ -163,7 +156,7 @@ def _classify(cond: Expr, state: "AbstractState | None",
     if state is None or state.is_bottom:
         return Truth3.MAYBE
     if config.use_contractors:
-        return classify_condition(cond, state.as_dict()).verdict
+        return classify_condition(cond, state).verdict
     return eval_cond3(cond, state, config.interval_arith)
 
 
@@ -216,7 +209,7 @@ def guard_eliminate(prog: Program, analyses,
 
     def eliminate(name, stmt, walk):
         if isinstance(stmt, (Assume, Assert, If, While)):
-            state = _state_before(stmt, analyses[name])
+            state = analyses[name].state_before(stmt)
             stmt = replace(stmt, cond=_resolve_cond(stmt.cond, state, config, report))
         return _prune(stmt, walk, report)
 

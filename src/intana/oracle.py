@@ -155,11 +155,12 @@ class _Interpreter:
         """Run one function frame; env is mutated in place by the caller's dict."""
         cfg = self.cfgs[fname]
         n = cfg.entry
+        value = None
         try:
             while True:
                 node = cfg.nodes[n]
                 if node.kind == "exit":
-                    return None
+                    break
                 if node.kind == "entry":
                     n = _follow(cfg, n, FALLTHROUGH)
                     continue
@@ -199,7 +200,10 @@ class _Interpreter:
                     raise TypeError(stmt)
                 n = _follow(cfg, n, FALLTHROUGH)
         except _Return as ret:
-            return ret.value
+            value = ret.value
+        if self.record_trace:  # the frame's exit state, checked like any other
+            self.trace.append((fname, cfg.exit, dict(env)))
+        return value
 
 
 def _follow(cfg, n, label):

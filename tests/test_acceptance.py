@@ -20,8 +20,6 @@ import numpy as np
 from intana.absint import AnalysisConfig, analyze_program
 from intana.contractor import (
     Constraint,
-    box_is_empty,
-    box_leq,
     classify_condition,
     parse_box,
 )
@@ -171,7 +169,7 @@ def contractor_violations(pairs):
         cond = parse_condition(source, list(box))
         c = Constraint.from_expr(cond)
         out = contractor.hc4_revise(c, box)
-        if not box_leq(out, box):
+        if not out.leq(box):
             issues.append((seed, "contraction"))
         solutions = list(integer_solutions(cond, box))
         for env in solutions:
@@ -184,7 +182,7 @@ def contractor_violations(pairs):
         if hull_checkable:
             hull_checked += 1
             if not solutions:
-                if not box_is_empty(out):
+                if not out.is_bottom:
                     issues.append((seed, "hull-empty"))
             else:
                 for name in box:
@@ -297,7 +295,7 @@ def test_criterion_6_worked_examples(capfd):
     if inner.verdict is not Truth3.TRUE:
         ok = False
         detail.append("guard on [4,9] not definitely true")
-    if wide.verdict is not Truth3.MAYBE or wide.box_in != {"x": Interval(4, 9)}:
+    if wide.verdict is not Truth3.MAYBE or wide.box_in.as_dict() != {"x": Interval(4, 9)}:
         ok = False
         detail.append("guard on [0,20] misclassified")
 
@@ -478,7 +476,6 @@ def build_mutants():
     import intana.contractor as contractor
     import intana.instrument as instrument
     import intana.optimize as optimize
-    from intana.interval import BOTTOM
 
     orig_assign = absint.transfer_assign
     orig_assume = absint.transfer_assume
@@ -488,6 +485,7 @@ def build_mutants():
     orig_prune = absint._simple_prune
     orig_tdiv_pre = contractor._tdiv_preimage
     orig_assume_expr = instrument.intervals_to_assume_expr
+    orig_analyze = absint.analyze
 
     def assign_off_by_one(state, target, rhs, config=None):
         out = orig_assign(state, target, rhs, config)
@@ -517,7 +515,7 @@ def build_mutants():
         return e
 
     def contract_always_empty(cond, box, max_rounds=10):
-        return {name: BOTTOM for name in box}
+        return box.as_bottom()
 
     def prune_off_by_one(cond, state, arith):
         out = orig_prune(cond, state, arith)
@@ -541,7 +539,7 @@ def build_mutants():
         return Interval(-1, 1)
 
     def backward_no_refine(tree, required, box):
-        return dict(box)
+        return box
 
     _orig_hc4 = contractor.hc4_revise
 
@@ -549,7 +547,7 @@ def build_mutants():
         if c.relation == "!=":
             tree = contractor.forward_eval(Binary("-", c.lhs, c.rhs), box)
             if 0 in tree.itv:
-                return {name: BOTTOM for name in box}
+                return box.as_bottom()
         return _orig_hc4(c, box)
 
     _orig_classify = optimize._classify
@@ -599,6 +597,16 @@ def build_mutants():
                 return e
             return bump(expr)
         return expr
+
+    def exit_states_shifted(cfg, init, config=None):
+        result = orig_analyze(cfg, init, config)
+        state = result.before[cfg.exit]
+        for name in state.names:
+            iv = state.get(name)
+            if not iv.is_bottom and not iv.is_top:
+                state = state.set(name, iv.shift(1))
+        result.before[cfg.exit] = state
+        return result
 
     def assume_expr_tightened_hi(varnames, state):
         expr = orig_assume_expr(varnames, state)
@@ -660,6 +668,8 @@ def build_mutants():
          [(instrument, "intervals_to_assume_expr", assume_expr_shifted)]),
         ("assumed upper bounds too tight", detect_invariance,
          [(instrument, "intervals_to_assume_expr", assume_expr_tightened_hi)]),
+        ("exit states shifted", detect_soundness,
+         [(absint, "analyze", exit_states_shifted)]),
     ]
 
 

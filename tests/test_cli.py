@@ -156,6 +156,13 @@ class TestContract:
         assert code == 0
         assert out.strip() == "x:[1,3], y:[2,4]"
 
+    def test_box_keeps_the_order_written(self, capsys):
+        code, out, _ = run(capsys, "contract",
+                           "--constraint", "x + y == 5",
+                           "--box", "y:[2,4], x:[0,10]")
+        assert code == 0
+        assert out.strip() == "y:[2,4], x:[1,3]"
+
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "contract", "--format", "json",
                         "--constraint", "x + y == 5",

@@ -5,9 +5,6 @@ import pytest
 from intana.contractor import (
     Constraint,
     backward_prop,
-    box_is_empty,
-    box_join,
-    box_leq,
     box_render,
     classify_condition,
     contract_fixpoint,
@@ -19,7 +16,7 @@ from intana.contractor import (
     _tdiv_preimage,
 )
 from intana.fuzz import random_constraint_box
-from intana.interval import BOTTOM, Interval, Truth3
+from intana.interval import AbstractState, BOTTOM, Interval, Truth3
 from intana.lang import Binary, IntLit, Var, parse_condition
 
 
@@ -72,7 +69,7 @@ def solutions(cond, box):
 class TestBoxHelpers:
     def test_parse_box(self):
         box = parse_box("x:[0,10], y:[2,4]")
-        assert box == {"x": iv(0, 10), "y": iv(2, 4)}
+        assert box.as_dict() == {"x": iv(0, 10), "y": iv(2, 4)}
 
     def test_parse_box_infinities(self):
         box = parse_box("x:[-inf,5], y:[0,+inf]")
@@ -83,43 +80,43 @@ class TestBoxHelpers:
             parse_box("x=[0,10]")
 
     def test_render_round_trips(self):
-        box = {"x": iv(1, 3), "y": iv(-2, 4)}
+        box = AbstractState.of({"x": iv(1, 3), "y": iv(-2, 4)})
         assert parse_box(box_render(box)) == box
 
     def test_box_join_and_leq(self):
-        a = {"x": iv(0, 2)}
-        b = {"x": iv(5, 9)}
-        assert box_join(a, b) == {"x": iv(0, 9)}
-        assert box_leq(a, box_join(a, b))
+        a = AbstractState.of({"x": iv(0, 2)})
+        b = AbstractState.of({"x": iv(5, 9)})
+        assert a.join(b).as_dict() == {"x": iv(0, 9)}
+        assert a.leq(a.join(b))
 
     def test_empty_box(self):
-        assert box_is_empty({"x": BOTTOM, "y": iv(0, 1)})
-        assert not box_is_empty({"x": iv(0, 1)})
+        assert AbstractState.of({"x": BOTTOM, "y": iv(0, 1)}).is_bottom
+        assert not AbstractState.of({"x": iv(0, 1)}).is_bottom
 
 
 class TestForwardBackward:
     def test_forward_annotates_tree(self):
-        box = {"x": iv(1, 3), "y": iv(10, 20)}
+        box = AbstractState.of({"x": iv(1, 3), "y": iv(10, 20)})
         tree = forward_eval(parse_condition("x + y == 5", list(box)).left, box)
         assert tree.itv == iv(11, 23)
 
     def test_backward_projects_onto_variables(self):
-        box = {"x": iv(0, 10), "y": iv(2, 4)}
+        box = AbstractState.of({"x": iv(0, 10), "y": iv(2, 4)})
         tree = forward_eval(Binary("+", Var("x"), Var("y")), box)
         refined = backward_prop(tree, iv(5, 5), box)
-        assert refined == {"x": iv(1, 3), "y": iv(2, 4)}
+        assert refined.as_dict() == {"x": iv(1, 3), "y": iv(2, 4)}
 
 
 class TestHc4Revise:
     def test_addition_example(self):
         box = parse_box("x:[0,10], y:[2,4]")
         out = hc4_revise(constraint("x + y == 5", ["x", "y"]), box)
-        assert out == {"x": iv(1, 3), "y": iv(2, 4)}
+        assert out.as_dict() == {"x": iv(1, 3), "y": iv(2, 4)}
 
     def test_contradiction_empties_box(self):
         box = parse_box("x:[0,10]")
         out = hc4_revise(constraint("x + 1 <= 0", ["x"]), box)
-        assert box_is_empty(out)
+        assert out.is_bottom
 
     def test_strict_inequality_is_integer_aware(self):
         box = parse_box("x:[0,10]")
@@ -137,7 +134,7 @@ class TestHc4Revise:
     def test_not_equal_prunes_only_singleton_gap(self):
         box = parse_box("x:[5,5]")
         out = hc4_revise(constraint("x != 5", ["x"]), box)
-        assert box_is_empty(out)
+        assert out.is_bottom
         box = parse_box("x:[5,9]")
         out = hc4_revise(constraint("x != 5", ["x"]), box)
         assert out["x"] == iv(5, 9)  # hull cannot exclude an interior point
@@ -171,7 +168,7 @@ class TestHc4Revise:
     def test_multiplication_gap_detected_by_enumeration(self):
         box = parse_box("x:[0,10], y:[2,2]")
         out = hc4_revise(constraint("x * y == 5", ["x", "y"]), box)
-        assert box_is_empty(out)  # 5 is odd, y is exactly 2
+        assert out.is_bottom  # 5 is odd, y is exactly 2
 
 
 class TestContractFixpoint:
@@ -188,7 +185,7 @@ class TestContractFixpoint:
         cs = [constraint("x == y", ["x", "y"]),
               constraint("x + y == 4", ["x", "y"])]
         out = contract_fixpoint(cs, box, max_rounds=50)
-        assert out == {"x": iv(0, 4), "y": iv(0, 4)}
+        assert out.as_dict() == {"x": iv(0, 4), "y": iv(0, 4)}
         assert contract_fixpoint(cs, out, max_rounds=50) == out
 
     def test_rejects_nonpositive_rounds(self):
@@ -216,8 +213,8 @@ class TestClassifyCondition:
         cond = parse_condition("x > 3 && x < 10", ["x"])
         result = classify_condition(cond, parse_box("x:[0,20]"))
         assert result.verdict is Truth3.MAYBE
-        assert result.box_in == {"x": iv(4, 9)}
-        assert result.box_out == {"x": iv(0, 20)}  # hull of [0,3] and [10,20]
+        assert result.box_in.as_dict() == {"x": iv(4, 9)}
+        assert result.box_out.as_dict() == {"x": iv(0, 20)}  # hull of [0,3] and [10,20]
 
     def test_guard_false(self):
         cond = parse_condition("x > 3", ["x"])
@@ -226,14 +223,14 @@ class TestClassifyCondition:
 
     def test_empty_input_box_is_maybe(self):
         cond = parse_condition("x > 3", ["x"])
-        result = classify_condition(cond, {"x": BOTTOM})
+        result = classify_condition(cond, AbstractState.of({"x": BOTTOM}))
         assert result.verdict is Truth3.MAYBE
 
     def test_disjunction_hulls(self):
         cond = parse_condition("x < 2 || x > 8", ["x"])
         result = classify_condition(cond, parse_box("x:[0,10]"))
         assert result.verdict is Truth3.MAYBE
-        assert result.box_in == {"x": iv(0, 10)}
+        assert result.box_in.as_dict() == {"x": iv(0, 10)}
 
 
 class TestRandomizedProperties:
@@ -242,14 +239,14 @@ class TestRandomizedProperties:
         source, box, hull_checkable = random_constraint_box(seed)
         cond = parse_condition(source, list(box))
         out = hc4_revise(Constraint.from_expr(cond), box)
-        assert box_leq(out, box)
+        assert out.leq(box)
         sols = list(solutions(cond, box))
         for env in sols:
             for name, value in env.items():
                 assert value in out[name]
         if hull_checkable:
             if not sols:
-                assert box_is_empty(out)
+                assert out.is_bottom
             else:
                 for name in box:
                     values = [env[name] for env in sols]

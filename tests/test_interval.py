@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from intana.interval import (
+    AbstractState,
     BOTTOM,
     Interval,
     NEG_INF,
@@ -235,3 +236,71 @@ class TestEvalCmp:
                     want = (Truth3.MAYBE if len(outcomes) == 2
                             else Truth3.TRUE if True in outcomes else Truth3.FALSE)
                     assert eval_cmp(op, a, b) is want
+
+
+# --- states: the product of per-variable intervals ---------------------------
+
+components = st.one_of(
+    intervals(),
+    st.just(BOTTOM),
+    st.just(TOP),
+    bounded.map(lambda b: Interval(NEG_INF, b)),
+    bounded.map(lambda b: Interval(b, POS_INF)),
+)
+name_sets = st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=5,
+                     unique=True)
+
+
+@st.composite
+def state_pairs(draw):
+    """Two states over one name set, both built from the same top."""
+    names = draw(name_sets)
+    top = AbstractState.top(names)
+    pair = []
+    for _ in range(2):
+        ivs = [draw(components) for _ in names]
+        state = top
+        for name, component in zip(names, ivs):
+            state = state.set(name, component)
+        pair.append((state, ivs))
+    return names, pair
+
+
+def expect(top, names, ivs, got):
+    """got is the state of per-variable intervals ivs, normalized."""
+    if any(component.is_bottom for component in ivs):
+        assert got is top.as_bottom()
+        assert got.is_bottom
+    else:
+        assert not got.is_bottom
+        assert list(got.items()) == list(zip(names, ivs))
+
+
+class TestAbstractStateLattice:
+    @given(state_pairs())
+    def test_set_builds_the_per_variable_state(self, case):
+        names, [(a, a_ivs), _] = case
+        expect(a, names, a_ivs, a)
+
+    @given(state_pairs())
+    def test_operations_are_per_variable(self, case):
+        names, [(a, _), (b, _)] = case
+        a_ivs, b_ivs = list(a.intervals), list(b.intervals)
+        for op in ("join", "widen", "narrow"):
+            want = [getattr(x, op)(y) for x, y in zip(a_ivs, b_ivs)]
+            expect(a, names, want, getattr(a, op)(b))
+        assert a.leq(b) == all(x.leq(y) for x, y in zip(a_ivs, b_ivs))
+
+    @given(state_pairs(), st.data())
+    def test_set_replaces_one_component(self, case, data):
+        names, [(a, _), _] = case
+        name = data.draw(st.sampled_from(names))
+        component = data.draw(components)
+        want = [component if n == name else iv for n, iv in zip(names, a.intervals)]
+        expect(a, names, want, a.set(name, component))
+
+    @given(state_pairs())
+    def test_equality_compares_components(self, case):
+        names, [(a, _), (b, _)] = case
+        assert (a == b) == (a.intervals == b.intervals)
+        assert a == AbstractState.of(a.as_dict())

@@ -2,7 +2,7 @@ import pytest
 
 from intana.absint import AnalysisConfig, analyze_program
 from intana.interval import Interval
-from intana.lang import parse_program
+from intana.lang import build_cfg, parse_program
 from intana.oracle import (
     ASSERT_FAILED,
     ASSUME_INFEASIBLE,
@@ -107,6 +107,20 @@ class TestEnumeration:
             == [(r.choices, r.env, r.verdict) for r in second]
 
 
+    def test_exit_states_are_traced_in_every_frame(self):
+        prog = parse_program("""
+            fn early(v) { if (v > 0) { return v; } return 0; }
+            fn late(v) { int w; w = v; }
+            fn main() { int x = nondet(0, 1); int y; y = early(x); late(x); }
+        """)
+        cfgs = {name: build_cfg(fn) for name, fn in prog.functions.items()}
+        for run in enumerate_executions(prog):
+            exits = [(fname, env) for fname, node, env in run.trace
+                     if node == cfgs[fname].exit]
+            assert [fname for fname, _ in exits] == ["early", "late", "main"]
+            assert exits[-1][1] == run.env
+
+
 class TestSoundness:
     def test_clean_on_loop_example(self):
         prog = parse_program(
@@ -124,6 +138,16 @@ class TestSoundness:
         violations = check_soundness(prog, analyses)
         assert violations
         assert {(v.node, v.var) for v in violations} == {(victim, "x")}
+
+    def test_detects_corrupted_exit_state(self):
+        prog = parse_program("fn main() { int x = nondet(0, 3); x = x + 1; }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        fa = analyses["main"]
+        exit_state = fa.result.before[fa.cfg.exit]
+        fa.result.before[fa.cfg.exit] = exit_state.set("x", Interval(100, 100))
+        violations = check_soundness(prog, analyses)
+        assert {(v.node, v.var, v.value) for v in violations} \
+            == {(fa.cfg.exit, "x", value) for value in range(1, 5)}
 
 
 class TestEquivalence:
