@@ -233,9 +233,9 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
                 heapq.heappush(pending, (rpo_index[m], m))
                 queued.add(m)
 
-    # Descending phase: recover precision lost to widening.
-    for n in rpo:
-        after[n] = _transfer_node(cfg.nodes[n], before[n], config)
+    # Descending phase: recover precision lost to widening.  The worklist
+    # left every after[n] equal to the transfer of before[n], and each
+    # narrowing visit keeps it so.
     for _ in range(config.narrowing_passes):
         changed = False
         for n in rpo:
@@ -252,8 +252,6 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
             after[n] = _transfer_node(node, before[n], config)
         if not changed:
             break
-    for n in rpo:
-        after[n] = _transfer_node(cfg.nodes[n], before[n], config)
 
     return AnalysisResult(before=before, after=after, iterations=updates,
                           widened_nodes=widened)

@@ -6,7 +6,9 @@ plus report), instrument (program with interval assumptions), contract
 pipelines over exhaustive concrete execution).
 
 Exit codes: 0 success/clean, 1 property violation found, 2 usage or
-parse error, or input nested too deeply to process.
+parse error, or input nested too deeply to process, 3 `check` incomplete
+because at least one execution of the input hit `--step-limit` (its
+findings are still printed, but none of them decides the exit code).
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from .lang import Assert, BoolLit, ParseError, parse_condition, parse_program, \
     program_to_source, expr_to_source, walk_stmts
 from .optimize import optimize_program
 from .oracle import (
+    STEP_LIMIT,
     EnumerationCapError,
     UnboundedNondetError,
     check_equivalence,
     check_soundness,
+    enumerate_executions,
 )
 
 
@@ -185,28 +189,37 @@ def cmd_check(args) -> int:
     prog = _read_program(args.input)
     config = _config(args)
     optimized, _, analyses = optimize_program(prog, config)
+    executions = enumerate_executions(prog, step_limit=args.step_limit)
     lines = []
     clean = True
 
-    violations = check_soundness(prog, analyses, step_limit=args.step_limit)
+    violations = check_soundness(prog, analyses, executions=executions)
     lines.append("soundness: %d violation(s)" % len(violations))
     for v in violations[:10]:
         lines.append("  %s node %d: %s = %d outside %s (choices %s)"
                      % (v.function, v.node, v.var, v.value, v.interval, list(v.choices)))
     clean &= not violations
 
-    eq = check_equivalence(prog, optimized, step_limit=args.step_limit)
+    eq = check_equivalence(prog, optimized, step_limit=args.step_limit, executions=executions)
     lines.append("optimize equivalence: %s" % ("ok" if eq else "FAILED %r" % (eq.counterexample,)))
     clean &= bool(eq)
 
     instrumented, _ = instrument_program(prog, analyses, config)
-    eq = check_equivalence(prog, instrumented, step_limit=args.step_limit)
+    eq = check_equivalence(prog, instrumented, step_limit=args.step_limit, executions=executions)
     lines.append("instrument invariance: %s" % ("ok" if eq else "FAILED %r" % (eq.counterexample,)))
     clean &= bool(eq)
 
-    lines.append("result: %s" % ("clean" if clean else "violations found"))
+    # A truncated execution was not checked to its end, and a rewrite that
+    # changes the step count can differ from it only in where it stopped.
+    truncated = sum(state.verdict == STEP_LIMIT for state in executions)
+    lines.append("step limit: %d of %d execution(s) truncated" % (truncated, len(executions)))
+    if truncated:
+        result, code = "incomplete", 3
+    else:
+        result, code = ("clean", 0) if clean else ("violations found", 1)
+    lines.append("result: %s" % result)
     _emit("\n".join(lines), args)
-    return 0 if clean else 1
+    return code
 
 
 def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:

@@ -5,10 +5,15 @@ choice tree depth-first, yielding one execution per complete assignment
 of choices (in dynamic program order, so nondet inside loops and callees
 is handled uniformly).  This is the ground truth against which analysis
 soundness and rewrite equivalence are checked.
+
+Each enumeration compiles the program once: every CFG node becomes a
+tuple holding a Python closure for its statement or condition, so the
+executions walk those tuples instead of the AST.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .lang import (
@@ -69,23 +74,20 @@ class _Halt(Exception):
         self.node = node
 
 
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 class _Chooser:
     """Replays a prefix of choices, then extends with each range minimum."""
 
-    def __init__(self, prefix):
-        self.prefix = list(prefix)
+    def __init__(self):
+        self.reset(())
+
+    def reset(self, prefix) -> None:
+        self.prefix = prefix
         self.taken = []  # (value, lo, hi)
-        self.index = 0
 
     def choose(self, lo: int, hi: int) -> int:
-        value = self.prefix[self.index] if self.index < len(self.prefix) else lo
+        i = len(self.taken)
+        value = self.prefix[i] if i < len(self.prefix) else lo
         self.taken.append((value, lo, hi))
-        self.index += 1
         return value
 
 
@@ -94,146 +96,193 @@ def _tdiv(a: int, b: int) -> int:
     return q if (a >= 0) == (b >= 0) else -q
 
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def _compile_expr(e, choose, where):
+    """A closure env -> value; `where` is the (function, node) a halt names."""
+    if isinstance(e, (IntLit, BoolLit)):
+        value = e.value
+        return lambda env: value
+    if isinstance(e, Var):
+        name = e.name
+        return lambda env: env[name]
+    if isinstance(e, Nondet):
+        lo, hi = e.lo, e.hi
+        return lambda env: choose(lo, hi)
+    if isinstance(e, Unary):
+        f = _compile_expr(e.operand, choose, where)
+        if e.op == "neg":
+            return lambda env: -f(env)
+        return lambda env: not f(env)
+    if isinstance(e, Binary):
+        left = _compile_expr(e.left, choose, where)
+        right = _compile_expr(e.right, choose, where)
+        if e.op == "/":
+            def divide(env):
+                a = left(env)
+                b = right(env)
+                if b == 0:
+                    raise _Halt(DIV_BY_ZERO, where)
+                return _tdiv(a, b)
+            return divide
+        if e.op in ("&&", "||"):
+            # Strict connectives: both operands always evaluate.
+            conj = e.op == "&&"
+
+            def connective(env):
+                a = bool(left(env))
+                b = bool(right(env))
+                return a and b if conj else a or b
+            return connective
+        op = _BINARY[e.op]
+        # Variable and literal operands are read in place: most conditions
+        # and updates are of these shapes, and each saves a call.
+        if isinstance(e.left, Var) and isinstance(e.right, Var):
+            a, b = e.left.name, e.right.name
+            return lambda env: op(env[a], env[b])
+        if isinstance(e.left, Var) and isinstance(e.right, IntLit):
+            a, c = e.left.name, e.right.value
+            return lambda env: op(env[a], c)
+        return lambda env: op(left(env), right(env))
+    raise TypeError(e)
+
+
+# Node kinds of a compiled CFG.
+_EXIT, _ASSIGN, _CHECK, _COND, _CALL, _RETURN = range(6)
+
+
+def _compile_node(prog, fname, n, node, succ, choose):
+    """(kind, action, next, other) for one CFG node other than the entry.
+
+    `next` is the fall-through or true successor.  `other` is the false
+    successor of a condition, the target of an assignment, the verdict
+    of a failed assume or assert, or (callee, result variable) of a call.
+    """
+    where = (fname, n)
+    stmt = node.stmt
+    if node.kind == "exit":
+        return _EXIT, None, None, None
+    if node.kind == "cond":
+        return (_COND, _compile_expr(node.cond, choose, where),
+                succ[BRANCH_TRUE], succ[BRANCH_FALSE])
+    if isinstance(stmt, Decl):
+        value = (_compile_expr(stmt.init, choose, where) if stmt.init is not None
+                 else lambda env: 0)
+        return _ASSIGN, value, succ[FALLTHROUGH], stmt.name
+    if isinstance(stmt, Assign):
+        return _ASSIGN, _compile_expr(stmt.rhs, choose, where), succ[FALLTHROUGH], stmt.target
+    if isinstance(stmt, (Assume, Assert)):
+        verdict = ASSUME_INFEASIBLE if isinstance(stmt, Assume) else ASSERT_FAILED
+        return _CHECK, _compile_expr(stmt.cond, choose, where), succ[FALLTHROUGH], verdict
+    if isinstance(stmt, Skip):  # a check that always holds
+        return _CHECK, lambda env: True, succ[FALLTHROUGH], None
+    if isinstance(stmt, Call):
+        params = prog.functions[stmt.callee].params
+        args = [_compile_expr(arg, choose, where) for arg in stmt.args]
+
+        def frame(env):
+            return dict(zip(params, [arg(env) for arg in args]))
+        return _CALL, frame, succ[FALLTHROUGH], (stmt.callee, stmt.result)
+    if isinstance(stmt, Return):
+        return _RETURN, _compile_expr(stmt.value, choose, where), None, None
+    raise TypeError(stmt)
+
+
+def _compile_cfg(prog, fname, cfg, choose):
+    """A function's nodes compiled into a list indexed by node id, the node
+    its entry falls through to, and its exit node."""
+    code = [None] * (max(cfg.nodes) + 1)
+    succ = {n: {label: m for m, label in cfg.successors(n)} for n in cfg.nodes}
+    for n, node in cfg.nodes.items():
+        if n != cfg.entry:
+            code[n] = _compile_node(prog, fname, n, node, succ[n], choose)
+    return code, succ[cfg.entry][FALLTHROUGH], cfg.exit
+
+
 class _Interpreter:
-    def __init__(self, prog, cfgs, chooser, step_limit, record_trace):
-        self.prog = prog
-        self.cfgs = cfgs
-        self.chooser = chooser
+    """Runs the executions of one program, whose CFGs it compiles once."""
+
+    def __init__(self, prog: Program, step_limit: int, record_trace: bool):
+        self.chooser = _Chooser()
+        choose = self.chooser.choose
+        self.code = {}
+        for fname, fn in prog.functions.items():
+            self.code[fname] = _compile_cfg(prog, fname, build_cfg(fn), choose)
+        self.entry = prog.entry
         self.step_limit = step_limit
         self.record_trace = record_trace
+
+    def run(self, prefix) -> ConcreteState:
+        """One execution that replays `prefix`, then takes each range minimum."""
+        self.chooser.reset(prefix)
         self.steps = 0
         self.trace = []
-
-    def eval(self, e, env, fname, node):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, Var):
-            return env[e.name]
-        if isinstance(e, Nondet):
-            if not e.bounded:
-                raise UnboundedNondetError("unbounded nondet during execution")
-            return self.chooser.choose(e.lo, e.hi)
-        if isinstance(e, Unary):
-            v = self.eval(e.operand, env, fname, node)
-            return -v if e.op == "neg" else not v
-        if isinstance(e, Binary):
-            # Strict connectives: both operands always evaluate.
-            a = self.eval(e.left, env, fname, node)
-            b = self.eval(e.right, env, fname, node)
-            op = e.op
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0:
-                    raise _Halt(DIV_BY_ZERO, (fname, node))
-                return _tdiv(a, b)
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            if op == ">=":
-                return a >= b
-            if op == "&&":
-                return bool(a) and bool(b)
-            if op == "||":
-                return bool(a) or bool(b)
-        raise TypeError(e)
+        env = {}
+        verdict, node = OK, None
+        try:
+            self.run_function(self.entry, env)
+        except _Halt as halt:
+            verdict, node = halt.verdict, halt.node
+        return ConcreteState(
+            choices=tuple(v for v, _, _ in self.chooser.taken),
+            env=env,
+            verdict=verdict,
+            verdict_node=node,
+            trace=self.trace,
+        )
 
     def run_function(self, fname: str, env: "dict[str, int]") -> "int | None":
-        """Run one function frame; env is mutated in place by the caller's dict."""
-        cfg = self.cfgs[fname]
-        n = cfg.entry
+        """Run one function frame, mutating env in place."""
+        code, n, exit_node = self.code[fname]
+        trace = self.trace if self.record_trace else None
+        limit = self.step_limit
+        steps = self.steps
         value = None
-        try:
-            while True:
-                node = cfg.nodes[n]
-                if node.kind == "exit":
-                    break
-                if node.kind == "entry":
-                    n = _follow(cfg, n, FALLTHROUGH)
-                    continue
-                self.steps += 1
-                if self.steps > self.step_limit:
-                    raise _Halt(STEP_LIMIT, (fname, n))
-                if self.record_trace:
-                    self.trace.append((fname, n, dict(env)))
-                if node.kind == "cond":
-                    taken = self.eval(node.cond, env, fname, n)
-                    n = _follow(cfg, n, BRANCH_TRUE if taken else BRANCH_FALSE)
-                    continue
-                stmt = node.stmt
-                if isinstance(stmt, Decl):
-                    env[stmt.name] = (self.eval(stmt.init, env, fname, n)
-                                      if stmt.init is not None else 0)
-                elif isinstance(stmt, Assign):
-                    env[stmt.target] = self.eval(stmt.rhs, env, fname, n)
-                elif isinstance(stmt, Assume):
-                    if not self.eval(stmt.cond, env, fname, n):
-                        raise _Halt(ASSUME_INFEASIBLE, (fname, n))
-                elif isinstance(stmt, Assert):
-                    if not self.eval(stmt.cond, env, fname, n):
-                        raise _Halt(ASSERT_FAILED, (fname, n))
-                elif isinstance(stmt, Call):
-                    callee = self.prog.functions[stmt.callee]
-                    values = [self.eval(a, env, fname, n) for a in stmt.args]
-                    frame = dict(zip(callee.params, values))
-                    rv = self.run_function(stmt.callee, frame)
-                    if stmt.result is not None:
-                        env[stmt.result] = rv
-                elif isinstance(stmt, Return):
-                    raise _Return(self.eval(stmt.value, env, fname, n))
-                elif isinstance(stmt, Skip):
-                    pass
-                else:
-                    raise TypeError(stmt)
-                n = _follow(cfg, n, FALLTHROUGH)
-        except _Return as ret:
-            value = ret.value
-        if self.record_trace:  # the frame's exit state, checked like any other
-            self.trace.append((fname, cfg.exit, dict(env)))
+        while True:
+            kind, action, succ, other = code[n]
+            if kind == _EXIT:
+                break
+            steps += 1
+            if steps > limit:
+                raise _Halt(STEP_LIMIT, (fname, n))
+            if trace is not None:
+                trace.append((fname, n, env.copy()))
+            if kind == _ASSIGN:
+                env[other] = action(env)
+                n = succ
+            elif kind == _COND:
+                n = succ if action(env) else other
+            elif kind == _CHECK:
+                if not action(env):
+                    raise _Halt(other, (fname, n))
+                n = succ
+            elif kind == _CALL:
+                callee, result = other
+                frame = action(env)
+                self.steps = steps
+                rv = self.run_function(callee, frame)
+                steps = self.steps
+                if result is not None:
+                    env[result] = rv
+                n = succ
+            else:
+                value = action(env)
+                break
+        self.steps = steps
+        if trace is not None:  # the frame's exit state, checked like any other
+            trace.append((fname, exit_node, env.copy()))
         return value
-
-
-def _follow(cfg, n, label):
-    for m, l in cfg.successors(n):
-        if l == label:
-            return m
-    raise RuntimeError("missing %s edge from node %d" % (label, n))
-
-
-def build_cfgs(prog: Program):
-    return {name: build_cfg(fn) for name, fn in prog.functions.items()}
-
-
-def _run_once(prog, cfgs, prefix, step_limit, record_trace):
-    chooser = _Chooser(prefix)
-    interp = _Interpreter(prog, cfgs, chooser, step_limit, record_trace)
-    main_env = {}
-    verdict, node = OK, None
-    try:
-        interp.run_function(prog.entry, main_env)
-    except _Halt as halt:
-        verdict, node = halt.verdict, halt.node
-    state = ConcreteState(
-        choices=tuple(v for v, _, _ in chooser.taken),
-        env=main_env,
-        verdict=verdict,
-        verdict_node=node,
-        trace=interp.trace,
-    )
-    return state, chooser
 
 
 def enumerate_executions(prog: Program, step_limit: int = 10_000,
@@ -247,15 +296,14 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
             raise UnboundedNondetError("program contains unbounded nondet()")
     if prog.functions[prog.entry].params:
         raise UnboundedNondetError("entry function must not take parameters")
-    cfgs = build_cfgs(prog)
+    interp = _Interpreter(prog, step_limit, record_trace)
     results = []
-    prefix = []
+    prefix = ()
     while True:
-        state, chooser = _run_once(prog, cfgs, prefix, step_limit, record_trace)
-        results.append(state)
+        results.append(interp.run(prefix))
         if len(results) > cap:
             raise EnumerationCapError("more than %d executions" % cap)
-        taken = chooser.taken
+        taken = interp.chooser.taken
         while taken and taken[-1][0] >= taken[-1][2]:
             taken.pop()
         if not taken:
@@ -278,18 +326,23 @@ def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
     """Every concrete value at every trace point must lie in its interval."""
     if executions is None:
         executions = enumerate_executions(prog, step_limit, cap)
+    boxes = {}  # (function, node) -> its analysis state as a dict, or None
     violations = []
     for state in executions:
         for fname, node, env in state.trace:
-            before = analyses[fname].result.before.get(node)
-            if before is None:
+            key = (fname, node)
+            if key in boxes:
+                abstract = boxes[key]
+            else:
+                before = analyses[fname].result.before.get(node)
+                abstract = boxes[key] = None if before is None else before.as_dict()
+            if abstract is None:
                 violations.append(SoundnessViolation(
                     fname, node, "<missing>", 0, "no state", state.choices))
                 continue
-            abstract = before.as_dict()
             for var, value in env.items():
                 iv = abstract[var]
-                if value not in iv:
+                if not iv.lo <= value <= iv.hi:  # a bottom has lo > hi
                     violations.append(SoundnessViolation(
                         fname, node, var, value, iv.render(), state.choices))
     return violations
@@ -305,9 +358,16 @@ class EquivalenceResult:
 
 
 def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
-                      cap: int = 1_000_000) -> EquivalenceResult:
-    """Compare final entry-function states and verdicts across all choices."""
-    runs_a = enumerate_executions(a, step_limit, cap, record_trace=False)
+                      cap: int = 1_000_000, executions=None) -> EquivalenceResult:
+    """Compare final entry-function states and verdicts across all choices.
+
+    `executions` may hold `a`'s executions, enumerated with the same
+    step limit, so a caller that already has them does not enumerate `a`
+    again.
+    """
+    runs_a = executions
+    if runs_a is None:
+        runs_a = enumerate_executions(a, step_limit, cap, record_trace=False)
     runs_b = enumerate_executions(b, step_limit, cap, record_trace=False)
     by_choice_a = {r.choices: r for r in runs_a}
     by_choice_b = {r.choices: r for r in runs_b}

@@ -5,6 +5,8 @@ import jsonschema
 import pytest
 
 import intana.absint
+import intana.cli
+import intana.oracle
 from intana.cli import main
 
 HERE = pathlib.Path(__file__).parent
@@ -198,6 +200,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(source))
         assert code == 2 and err
 
+    def test_reports_step_limit_count(self, capsys):
+        code, out, _ = run(capsys, "check", loop_path())
+        assert code == 0
+        assert out.splitlines()[-2:] == ["step limit: 0 of 1 execution(s) truncated",
+                                         "result: clean"]
+
+    def test_truncated_check_is_incomplete(self, capsys, tmp_path):
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int i = 0; while (i >= 0) { i = i + 1; } }\n")
+        code, out, _ = run(capsys, "check", str(source), "--step-limit", "50")
+        assert code == 3
+        assert out.splitlines()[-2:] == ["step limit: 1 of 1 execution(s) truncated",
+                                         "result: incomplete"]
+
 
 class TestAnalyzeOnce:
     @pytest.mark.parametrize("argv", [["check"], ["optimize", "--format", "json"]])
@@ -213,6 +229,30 @@ class TestAnalyzeOnce:
         code, _, _ = run(capsys, *argv, loop_path())
         assert code == 0
         assert len(calls) == 1
+
+
+class TestEnumerateOnce:
+    def test_check_enumerates_the_input_once(self, capsys, monkeypatch):
+        parsed, calls = [], []
+        original_parse = intana.cli.parse_program
+        original = intana.oracle.enumerate_executions
+
+        def parsing(*args, **kwargs):
+            parsed.append(original_parse(*args, **kwargs))
+            return parsed[-1]
+
+        def counting(prog, *args, **kwargs):
+            calls.append(prog)
+            return original(prog, *args, **kwargs)
+
+        monkeypatch.setattr(intana.cli, "parse_program", parsing)
+        monkeypatch.setattr(intana.cli, "enumerate_executions", counting)
+        monkeypatch.setattr(intana.oracle, "enumerate_executions", counting)
+        code, _, _ = run(capsys, "check", str(CORPUS / "08_helper_call.mini"))
+        assert code == 0
+        assert len(parsed) == 1
+        assert len(calls) == 3  # the input, the optimized and the instrumented program
+        assert sum(prog is parsed[0] for prog in calls) == 1
 
 
 class TestErrors:

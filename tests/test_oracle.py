@@ -2,7 +2,7 @@ import pytest
 
 from intana.absint import AnalysisConfig, analyze_program
 from intana.interval import Interval
-from intana.lang import build_cfg, parse_program
+from intana.lang import Nondet, build_cfg, parse_program
 from intana.oracle import (
     ASSERT_FAILED,
     ASSUME_INFEASIBLE,
@@ -119,6 +119,63 @@ class TestEnumeration:
                      if node == cfgs[fname].exit]
             assert [fname for fname, _ in exits] == ["early", "late", "main"]
             assert exits[-1][1] == run.env
+
+    def test_div_by_zero_in_callee_names_the_callee_node(self):
+        prog = parse_program("""
+            fn ratio(v) { int q; q = 10 / v; return q; }
+            fn main() { int x = nondet(0, 1); int y; y = ratio(x); }
+        """)
+        node = build_cfg(prog.functions["ratio"]).stmt_node[
+            prog.functions["ratio"].body[1].sid]
+        runs = enumerate_executions(prog)
+        assert [(r.choices, r.verdict, r.verdict_node) for r in runs] \
+            == [((0,), DIV_BY_ZERO, ("ratio", node)), ((1,), OK, None)]
+        assert runs[1].env == {"x": 1, "y": 10}
+
+    def test_nondet_call_arguments_are_drawn_in_argument_order(self):
+        # The parser takes nondet only as a right-hand side; the AST and the
+        # oracle take it wherever an integer expression goes.
+        prog = parse_program("""
+            fn diff(a, b) { int d; d = a - b; return d; }
+            fn main() { int r; r = diff(0, 0); }
+        """)
+        prog.main.body[1].args = (Nondet(0, 1), Nondet(5, 6))
+        assert [(r.choices, r.env["r"]) for r in enumerate_executions(prog)] \
+            == [((0, 5), -5), ((0, 6), -6), ((1, 5), -4), ((1, 6), -5)]
+
+    def test_return_inside_loop_records_exit_state(self):
+        prog = parse_program("""
+            fn find(n) {
+                int i = 0;
+                while (i < 10) { if (i == n) { return i; } i = i + 1; }
+                return -1;
+            }
+            fn main() { int k = nondet(0, 2); int r; r = find(k); }
+        """)
+        exit_node = build_cfg(prog.functions["find"]).exit
+        for run in enumerate_executions(prog):
+            k = run.env["k"]
+            assert run.env["r"] == k
+            exits = [env for fname, node, env in run.trace
+                     if fname == "find" and node == exit_node]
+            assert exits == [{"n": k, "i": k}]
+
+    def test_unary_operators_on_variables(self):
+        prog = parse_program("""
+            fn main() {
+                int x = nondet(-1, 1);
+                int y = -x;
+                int w = -(-x);
+                int z = 0;
+                if (!(x > 0)) { z = 1; }
+                if (!(x > 0 || y > 0)) { z = z + 10; }
+            }
+        """)
+        assert [r.env for r in enumerate_executions(prog)] == [
+            {"x": -1, "y": 1, "w": -1, "z": 1},
+            {"x": 0, "y": 0, "w": 0, "z": 11},
+            {"x": 1, "y": -1, "w": 1, "z": 0},
+        ]
 
 
 class TestSoundness:
