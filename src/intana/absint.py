@@ -26,6 +26,7 @@ from .lang import (
     CMP_OPS,
     Decl,
     Expr,
+    free_vars,
     IntLit,
     Nondet,
     Program,
@@ -209,19 +210,51 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
     widened = set()
     updates = 0
 
+    # A transfer depends only on its input state, and a state equal to the
+    # stored one is kept as that object, so a node's transfer is recomputed
+    # only when before[n] changed.  An edge out of a condition reads and
+    # refines only the condition's variables: it is recomputed only when
+    # one of those changed since its last computation, and otherwise takes
+    # that result's ranges for them and after[p]'s for the rest.
+    reads = {n: [init.position(v) for v in free_vars(node.cond)]
+             for n, node in cfg.nodes.items() if node.kind == "cond"}
+    edges = {}  # (p, label) -> (after[p] it was computed from, edge state)
+
+    def edge_state(p, label):
+        state = after[p]
+        if p not in reads:
+            return state
+        source, out = edges.get((p, label), (None, None))
+        if source is state:
+            return out
+        if source is None or source.is_bottom or state.is_bottom or any(
+                state.intervals[i] != source.intervals[i] for i in reads[p]):
+            out = _edge_state(cfg.nodes[p], state, label, config)
+        elif not out.is_bottom:
+            ivs = list(state.intervals)
+            for i in reads[p]:
+                ivs[i] = out.intervals[i]
+            out = state.replaced(ivs)
+        edges[p, label] = state, out
+        return out
+
+    def transfer(n):
+        state = _transfer_node(cfg.nodes[n], before[n], config)
+        if state != after[n]:
+            after[n] = state
+
     pending = [(rpo_index[cfg.entry], cfg.entry)]
     queued = {cfg.entry}
     while pending:
         _, n = heapq.heappop(pending)
         queued.discard(n)
-        node = cfg.nodes[n]
-        after[n] = _transfer_node(node, before[n], config)
+        transfer(n)
         for m, label in cfg.successors(n):
-            out = _edge_state(node, after[n], label, config)
+            out = edge_state(n, label)
             old = before[m]
-            merged = old.join(out)
-            if merged.leq(old):
+            if out.leq(old):
                 continue
+            merged = old.join(out)
             if m in cfg.loop_heads:
                 head_updates[m] = head_updates.get(m, 0) + 1
                 if head_updates[m] > config.widening_delay:
@@ -239,17 +272,16 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
     for _ in range(config.narrowing_passes):
         changed = False
         for n in rpo:
-            node = cfg.nodes[n]
-            if n != cfg.entry:
-                incoming = bottom
-                for p, label in cfg.predecessors(n):
-                    incoming = incoming.join(
-                        _edge_state(cfg.nodes[p], after[p], label, config))
-                new = before[n].narrow(incoming) if n in cfg.loop_heads else incoming
-                if new != before[n]:
-                    before[n] = new
-                    changed = True
-            after[n] = _transfer_node(node, before[n], config)
+            if n == cfg.entry:
+                continue
+            incoming = bottom
+            for p, label in cfg.predecessors(n):
+                incoming = incoming.join(edge_state(p, label))
+            new = before[n].narrow(incoming) if n in cfg.loop_heads else incoming
+            if new != before[n]:
+                before[n] = new
+                changed = True
+                transfer(n)
         if not changed:
             break
 

@@ -108,23 +108,36 @@ class Interval:
             return None
         return self.hi - self.lo + 1
 
+    # join, meet and widen return an operand, not a copy, whenever the
+    # result equals it: the fixpoint then finds unchanged components by `is`.
+
     def join(self, other: "Interval") -> "Interval":
-        if self.is_bottom:
+        if self.lo > self.hi:
             return other
-        if other.is_bottom:
+        if self is other or other.lo > other.hi:
             return self
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        lo, hi = self.lo, self.hi
+        if lo <= other.lo and hi >= other.hi:
+            return self
+        if lo >= other.lo and hi <= other.hi:
+            return other
+        return Interval(min(lo, other.lo), max(hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
-        if self.is_bottom or other.is_bottom:
+        if self.lo > self.hi or other.lo > other.hi:
             return BOTTOM
-        return Interval.make(max(self.lo, other.lo), min(self.hi, other.hi))
+        lo, hi = self.lo, self.hi
+        if self is other or (lo >= other.lo and hi <= other.hi):
+            return self
+        if lo <= other.lo and hi >= other.hi:
+            return other
+        return Interval.make(max(lo, other.lo), min(hi, other.hi))
 
     def leq(self, other: "Interval") -> bool:
         """Lattice order: self contained in other."""
-        if self.is_bottom:
+        if self is other or self.lo > self.hi:
             return True
-        if other.is_bottom:
+        if other.lo > other.hi:
             return False
         return self.lo >= other.lo and self.hi <= other.hi
 
@@ -132,7 +145,7 @@ class Interval:
         """Extrapolate: bounds that grew jump to the infinities."""
         if self.is_bottom:
             return new
-        if new.is_bottom:
+        if new.is_bottom or (new.lo >= self.lo and new.hi <= self.hi):
             return self
         lo = NEG_INF if new.lo < self.lo else self.lo
         hi = POS_INF if new.hi > self.hi else self.hi
@@ -261,12 +274,20 @@ class AbstractState:
         return AbstractState(self._space, tuple(ivs))
 
     def _ascend(self, op, other: "AbstractState") -> "AbstractState":
-        # join and widen: bottom is the identity on either side.
+        # join and widen: bottom is the identity on either side.  States
+        # derived by `set` or `replaced` share most components, and an
+        # operand that already is the result is returned as it is.
         if self.is_bottom:
             return other
-        if other.is_bottom:
+        if other.is_bottom or self.intervals is other.intervals:
             return self
-        return AbstractState(self._space, tuple(map(op, self.intervals, other.intervals)))
+        ivs = tuple([a if a is b else op(a, b)
+                     for a, b in zip(self.intervals, other.intervals)])
+        if ivs == self.intervals:
+            return self
+        if ivs == other.intervals:
+            return other
+        return AbstractState(self._space, ivs)
 
     def join(self, other: "AbstractState") -> "AbstractState":
         return self._ascend(Interval.join, other)
@@ -284,7 +305,12 @@ class AbstractState:
     def leq(self, other: "AbstractState") -> bool:
         if self.is_bottom or other.is_bottom:
             return self.is_bottom
-        return all(map(Interval.leq, self.intervals, other.intervals))
+        if self.intervals is other.intervals:
+            return True
+        for a, b in zip(self.intervals, other.intervals):
+            if a is not b and not a.leq(b):
+                return False
+        return True
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbstractState):

@@ -149,44 +149,39 @@ class _Builder:
             self.cfg.preds[dst].append((src, label))
 
     def _back_edge_targets(self):
-        heads = set()
-        color = {}  # 1 = on stack, 2 = done
-
-        def visit(n):
-            color[n] = 1
-            for m, _ in self.cfg.succs.get(n, []):
-                if color.get(m) == 1:
-                    heads.add(m)
-                elif m not in color:
-                    visit(m)
-            color[n] = 2
-
-        import sys
-
-        old = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old, 10000))
-        try:
-            visit(self.cfg.entry)
-        finally:
-            sys.setrecursionlimit(old)
-        return heads
+        return _depth_first(self.cfg)[1]
 
 
 def build_cfg(func: Function) -> Cfg:
     return _Builder(func).build()
 
 
+def _depth_first(cfg: Cfg):
+    """Depth-first search from the entry, successors in edge order.
+
+    Returns the postorder of the nodes it reaches and the targets of its
+    back edges (edges to a node still on the search stack).  Iterative, so
+    a long straight-line function does not exhaust Python's stack.
+    """
+    postorder, heads = [], set()
+    seen, on_stack = {cfg.entry}, {cfg.entry}
+    stack = [(cfg.entry, iter(cfg.successors(cfg.entry)))]
+    while stack:
+        n, succs = stack[-1]
+        for m, _ in succs:
+            if m in on_stack:
+                heads.add(m)
+            elif m not in seen:
+                seen.add(m)
+                on_stack.add(m)
+                stack.append((m, iter(cfg.successors(m))))
+                break
+        else:
+            stack.pop()
+            on_stack.discard(n)
+            postorder.append(n)
+    return postorder, heads
+
+
 def reverse_postorder(cfg: Cfg):
-    order = []
-    seen = set()
-
-    def visit(n):
-        seen.add(n)
-        for m, _ in cfg.successors(n):
-            if m not in seen:
-                visit(m)
-        order.append(n)
-
-    visit(cfg.entry)
-    order.reverse()
-    return order
+    return _depth_first(cfg)[0][::-1]

@@ -350,16 +350,25 @@ def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
 
 @dataclass
 class EquivalenceResult:
-    equal: bool
+    """`truncated` counts the choices on which only `b` hit the step limit.
+
+    Those were not compared, so the result is true only when there are none.
+    """
+
     counterexample: "tuple | None" = None
+    truncated: int = 0
 
     def __bool__(self):
-        return self.equal
+        return self.counterexample is None and not self.truncated
 
 
 def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
                       cap: int = 1_000_000, executions=None) -> EquivalenceResult:
     """Compare final entry-function states and verdicts across all choices.
+
+    The counterexample is the first choice, in sorted order, on which they
+    differ.  A choice on which only `b` hit the step limit is counted in
+    `truncated` instead.
 
     `executions` may hold `a`'s executions, enumerated with the same
     step limit, so a caller that already has them does not enumerate `a`
@@ -375,10 +384,16 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
         raise NondetMismatchError(
             "programs draw different nondet choice sequences")
     common = (set(a.main.variables) & set(b.main.variables))
+    counterexample, truncated = None, 0
     for choices in sorted(by_choice_a):
         ra, rb = by_choice_a[choices], by_choice_b[choices]
-        ea = {v: ra.env[v] for v in common if v in ra.env}
-        eb = {v: rb.env[v] for v in common if v in rb.env}
-        if ra.verdict != rb.verdict or ea != eb:
-            return EquivalenceResult(False, (choices, (ra.verdict, ea), (rb.verdict, eb)))
-    return EquivalenceResult(True)
+        if rb.verdict == STEP_LIMIT and ra.verdict != STEP_LIMIT:
+            # `b` may only take more steps, so this run decides nothing.
+            truncated += 1
+            continue
+        if counterexample is None:
+            ea = {v: ra.env[v] for v in common if v in ra.env}
+            eb = {v: rb.env[v] for v in common if v in rb.env}
+            if ra.verdict != rb.verdict or ea != eb:
+                counterexample = (choices, (ra.verdict, ea), (rb.verdict, eb))
+    return EquivalenceResult(counterexample, truncated)

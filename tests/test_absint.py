@@ -1,5 +1,8 @@
+import pathlib
+
 import pytest
 
+import intana.absint
 from intana.absint import (
     AbstractState,
     AnalysisConfig,
@@ -14,8 +17,11 @@ from intana.absint import (
     transfer_assign,
     transfer_assume,
 )
+from intana.fuzz import random_program
 from intana.interval import BOTTOM, Interval, TOP, Truth3
 from intana.lang import build_cfg, parse_condition, parse_program
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 LOOP = """
 fn main() {
@@ -185,13 +191,41 @@ class TestLoopAnalysis:
             state_at(analyses["main"].result, 999, "before")
 
     def test_post_fixpoint_on_corpus_samples(self):
-        import glob
-        config = AnalysisConfig()
-        for path in sorted(glob.glob("corpus/*.mini"))[:8]:
-            with open(path) as handle:
-                prog = parse_program(handle.read())
-            for fa in analyze_program(prog, config).values():
-                assert check_post_fixpoint(fa.cfg, fa.result, config)
+        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))]
+        assert len(sources) == 30
+        programs = [parse_program(source)
+                    for source in sources + [random_program(seed) for seed in range(100)]]
+        for passes in (0, 1, 2):
+            for contractors in (True, False):
+                config = AnalysisConfig(narrowing_passes=passes, use_contractors=contractors)
+                for prog in programs:
+                    for fa in analyze_program(prog, config).values():
+                        assert check_post_fixpoint(fa.cfg, fa.result, config)
+
+    def test_narrowing_recomputes_nothing_without_loops(self, monkeypatch):
+        # A loop-free function is exact after the worklist, so narrowing
+        # finds every edge state computed already and contracts nothing.
+        calls = []
+        original = intana.absint.transfer_assume
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(intana.absint, "transfer_assume", counting)
+        loop_free = 0
+        for path in sorted(CORPUS.glob("*.mini")):
+            prog = parse_program(path.read_text())
+            if any(build_cfg(fn).loop_heads for fn in prog.functions.values()):
+                continue
+            loop_free += 1
+            counts = []
+            for passes in (0, 2):
+                calls.clear()
+                analyze_program(prog, AnalysisConfig(narrowing_passes=passes))
+                counts.append(len(calls))
+            assert counts[0] == counts[1], path.name
+        assert loop_free == 21
 
     def test_initial_state_is_top(self):
         prog = parse_program(LOOP)

@@ -214,6 +214,21 @@ class TestCheck:
         assert out.splitlines()[-2:] == ["step limit: 1 of 1 execution(s) truncated",
                                          "result: incomplete"]
 
+    def test_truncated_rewrite_is_incomplete(self, capsys, tmp_path):
+        # 9982 steps for the input, but one more `assume` per iteration in
+        # its instrumented form: only the rewrite hits the default limit.
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int i = 0; while (i < 4990) { i = i + 1; } }\n")
+        code, out, _ = run(capsys, "check", str(source))
+        assert code == 3
+        assert out.splitlines() == [
+            "soundness: 0 violation(s)",
+            "optimize equivalence: ok",
+            "instrument invariance: ok, 1 of 1 rewritten execution(s) truncated",
+            "step limit: 0 of 1 execution(s) truncated",
+            "result: incomplete",
+        ]
+
 
 class TestAnalyzeOnce:
     @pytest.mark.parametrize("argv", [["check"], ["optimize", "--format", "json"]])
@@ -271,6 +286,14 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", loop_path(),
                            "--widening-delay", "-1")
         assert code == 2 and err
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize", "instrument", "check"])
+    def test_long_flat_program_is_processed(self, capsys, tmp_path, command):
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int x = 0; %s}\n" % ("x = x + 1; " * 1200))
+        code, out, err = run(capsys, command, str(source))
+        assert code == 0, err
+        assert out and not err
 
     @pytest.mark.parametrize("command", ["analyze", "check"])
     @pytest.mark.parametrize("body", [

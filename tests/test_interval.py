@@ -304,3 +304,116 @@ class TestAbstractStateLattice:
         names, [(a, _), (b, _)] = case
         assert (a == b) == (a.intervals == b.intervals)
         assert a == AbstractState.of(a.as_dict())
+
+
+# --- fast paths: the same results as the plain formulas ----------------------
+
+def plain_join(a, b):
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def plain_meet(a, b):
+    if a.is_bottom or b.is_bottom:
+        return BOTTOM
+    return Interval.make(max(a.lo, b.lo), min(a.hi, b.hi))
+
+
+def plain_leq(a, b):
+    return a.is_bottom or (not b.is_bottom and b.lo <= a.lo and a.hi <= b.hi)
+
+
+def plain_widen(a, b):
+    if a.is_bottom:
+        return b
+    if b.is_bottom:
+        return a
+    return Interval(NEG_INF if b.lo < a.lo else a.lo, POS_INF if b.hi > a.hi else a.hi)
+
+
+# Equal operands come both as one object and as two.
+interval_pairs = st.one_of(
+    st.tuples(components, components),
+    components.map(lambda a: (a, a)),
+    components.map(lambda a: (a, Interval(a.lo, a.hi))),
+)
+
+
+@st.composite
+def related_states(draw):
+    """Two states over one name set that share some or all components."""
+    names = draw(name_sets)
+    top = AbstractState.top(names)
+    a = top
+    for name in names:
+        a = a.set(name, draw(components))
+    how = draw(st.sampled_from(["same", "same-tuple", "few-changes", "independent"]))
+    if how == "same":
+        b = a
+    elif how == "same-tuple":
+        b = a if a.is_bottom else a.replaced(a.intervals)
+    else:
+        b = a if how == "few-changes" else top
+        changed = names if how == "independent" else draw(
+            st.lists(st.sampled_from(names), max_size=2))
+        for name in changed:
+            b = b.set(name, draw(components))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def plain_state(a, b, op):
+    """op applied per variable; join and widen keep a bottom operand's other side."""
+    if a.is_bottom:
+        return list(b.intervals), b.is_bottom
+    if b.is_bottom:
+        return list(a.intervals), False
+    ivs = [op(x, y) for x, y in zip(a.intervals, b.intervals)]
+    return ivs, any(iv.is_bottom for iv in ivs)
+
+
+class TestFastPaths:
+    @given(interval_pairs)
+    def test_interval_operations_match_the_formulas(self, pair):
+        a, b = pair
+        assert a.join(b) == plain_join(a, b)
+        assert a.meet(b) == plain_meet(a, b)
+        assert a.leq(b) == plain_leq(a, b)
+        assert a.widen(b) == plain_widen(a, b)
+
+    @given(interval_pairs)
+    def test_join_and_meet_return_a_containing_or_contained_operand(self, pair):
+        a, b = pair
+        if a == b:
+            join, meet = (a, b), (a, b)
+        elif plain_leq(b, a):
+            join, meet = (a,), (b,)
+        elif plain_leq(a, b):
+            join, meet = (b,), (a,)
+        else:
+            return
+        assert any(a.join(b) is x for x in join)
+        assert any(a.meet(b) is x for x in meet)
+
+    @given(related_states())
+    def test_state_operations_match_the_formulas(self, pair):
+        a, b = pair
+        for op, plain in (("join", plain_join), ("widen", plain_widen)):
+            got = getattr(a, op)(b)
+            ivs, is_bottom = plain_state(a, b, plain)
+            assert got.is_bottom == is_bottom
+            if not is_bottom:
+                assert list(got.intervals) == ivs
+        want = a.is_bottom or (not b.is_bottom and all(
+            plain_leq(x, y) for x, y in zip(a.intervals, b.intervals)))
+        assert a.leq(b) == want
+
+    @given(related_states())
+    def test_state_join_returns_a_containing_operand(self, pair):
+        a, b = pair
+        if b.leq(a):
+            assert a.join(b) is a
+        elif a.leq(b):
+            assert a.join(b) is b

@@ -237,6 +237,14 @@ class TestEquivalence:
         b = parse_program("fn main() { int x = 1; }")
         assert check_equivalence(a, b)
 
+    def test_rewrite_alone_hitting_the_step_limit_is_not_a_counterexample(self):
+        a = parse_program("fn main() { int x = nondet(0, 1); }")
+        b = parse_program("fn main() { int x = nondet(0, 1); while (x == 1) { skip; } }")
+        result = check_equivalence(a, b, step_limit=100)
+        assert result.counterexample is None and result.truncated == 1
+        assert not result  # not compared is not shown equal
+        assert check_equivalence(b, a, step_limit=100).counterexample is not None
+
     def test_empty_programs(self):
         prog = parse_program("fn main() { skip; }")
         assert check_equivalence(prog, prog)
