@@ -24,7 +24,6 @@ from .contractor import (
     backward_prop,
     classify_condition,
     contract_fixpoint,
-    forward_eval,
     hc4_revise,
     parse_box,
 )

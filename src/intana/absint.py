@@ -11,9 +11,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .contractor import contract_condition, nnf
-from .interval import (AbstractState, BOTTOM, eval_cmp, Interval, interval_binop, not3,
-                       and3, or3, TOP, Truth3)
+from .contractor import contract_condition, eval_expr, nnf
+from .interval import (AbstractState, eval_cmp, interval_binop, not3, and3, or3,
+                       RELATION_RANGE, TOP, Truth3)
 from .lang import (
     Assert,
     Assign,
@@ -27,8 +27,6 @@ from .lang import (
     Decl,
     Expr,
     free_vars,
-    IntLit,
-    Nondet,
     Program,
     reverse_postorder,
     Return,
@@ -51,26 +49,6 @@ class AnalysisConfig:
             raise ValueError("widening_delay and narrowing_passes must be >= 0")
 
 
-def eval_expr(e: Expr, state: AbstractState, arith: bool = True) -> Interval:
-    """Abstract evaluation of an arithmetic expression."""
-    if state.is_bottom:
-        return BOTTOM
-    if isinstance(e, IntLit):
-        return Interval.singleton(e.value)
-    if isinstance(e, Var):
-        return state[e.name]
-    if isinstance(e, Nondet):
-        if e.bounded:
-            return Interval(e.lo, e.hi)
-        return TOP
-    if isinstance(e, Unary) and e.op == "neg":
-        return eval_expr(e.operand, state, arith).negate()
-    if isinstance(e, Binary):
-        return interval_binop(e.op, eval_expr(e.left, state, arith),
-                              eval_expr(e.right, state, arith), arith=arith)
-    raise ValueError("not an arithmetic expression: %r" % (e,))
-
-
 def eval_cond3(cond: Expr, state: AbstractState, arith: bool = True) -> Truth3:
     """Three-valued evaluation of a condition."""
     if isinstance(cond, BoolLit):
@@ -91,36 +69,22 @@ def eval_cond3(cond: Expr, state: AbstractState, arith: bool = True) -> Truth3:
 
 
 def _simple_prune(cond: Expr, state: AbstractState, arith: bool) -> AbstractState:
-    """Contractor-free refinement of a single top-level comparison."""
-    if not (isinstance(cond, Binary) and cond.op in CMP_OPS):
+    """Contractor-free refinement of a single top-level comparison: with
+    x <rel> o, x lies in o + range; with o <rel> x, in o - range."""
+    if not (isinstance(cond, Binary) and cond.op in RELATION_RANGE):
         return state
-    for var_side, other, op in ((cond.left, cond.right, cond.op),
-                                (cond.right, cond.left, _FLIPPED[cond.op])):
+    for var_side, other, shift in ((cond.left, cond.right, "+"),
+                                   (cond.right, cond.left, "-")):
         if not isinstance(var_side, Var):
             continue
-        x = state.get(var_side.name)
         o = eval_expr(other, state, arith)
         if o.is_bottom:
             continue
-        if op == "<":
-            bound = Interval.make(-float("inf"), o.hi - 1 if not isinstance(o.hi, float) else o.hi)
-        elif op == "<=":
-            bound = Interval.make(-float("inf"), o.hi)
-        elif op == ">":
-            bound = Interval.make(o.lo + 1 if not isinstance(o.lo, float) else o.lo, float("inf"))
-        elif op == ">=":
-            bound = Interval.make(o.lo, float("inf"))
-        elif op == "==":
-            bound = o
-        else:  # '!='
-            continue
-        state = state.set(var_side.name, x.meet(bound))
+        bound = interval_binop(shift, o, RELATION_RANGE[cond.op])
+        state = state.set(var_side.name, state.get(var_side.name).meet(bound))
         if state.is_bottom:
             return state
     return state
-
-
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 
 
 def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,

@@ -1,11 +1,14 @@
-"""Forward-backward contraction of boxes (AbstractStates) under arithmetic constraints.
+"""Interval evaluation, and forward-backward contraction of boxes (AbstractStates).
+
+`eval_expr` is the one forward interval evaluator: the analyzer's
+transfer functions use it, and so does the contractor's forward stage.
 
 A constraint `lhs <rel> rhs` is rewritten as `lhs - rhs <rel> 0`, the
-expression tree is evaluated bottom-up over the box (forward stage), the
-root is met with the interval encoding the relation, and inverse
-projections push the requirement back down to the variables (backward
-stage).  Strict inequalities are tightened integer-wise (x < e becomes
-x <= e - 1).
+expression tree is evaluated bottom-up over the box with each
+subexpression's interval noted (forward stage), the root is met with the
+relation's range from `interval.RELATION_RANGE`, and inverse projections
+push the requirement back down to the variables (backward stage).  Strict
+inequalities are tightened integer-wise (x < e becomes x <= e - 1).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .interval import (
     Interval,
     NEG_INF,
     POS_INF,
+    RELATION_RANGE,
     TOP,
     Truth3,
     divisor_parts,
@@ -29,21 +33,13 @@ from .interval import (
     interval_binop,
     is_finite,
 )
-from .lang import Binary, BoolLit, CMP_OPS, Expr, free_vars, IntLit, Unary, Var
+from .lang import Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var
 
 # Sibling intervals at most this many values wide are projected by exact
 # enumeration; larger ones fall back to a sound rational hull.
 ENUM_LIMIT = 2048
 
 _NEGATED_CMP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-
-_RELATION_RANGE = {
-    "==": Interval(0, 0),
-    "<=": Interval(NEG_INF, 0),
-    "<": Interval(NEG_INF, -1),
-    ">=": Interval(0, POS_INF),
-    ">": Interval(1, POS_INF),
-}
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,6 @@ class Constraint:
         if not (isinstance(e, Binary) and e.op in CMP_OPS):
             raise ValueError("not a comparison: %r" % (e,))
         return Constraint(e.op, e.left, e.right)
-
-    def variables(self) -> frozenset:
-        return free_vars(self.lhs) | free_vars(self.rhs)
 
 
 def box_render(box: AbstractState) -> str:
@@ -93,27 +86,30 @@ def _bound(text: str):
 
 # --- forward evaluation ------------------------------------------------------
 
-@dataclass
-class AnnotatedExpr:
-    expr: Expr
-    itv: Interval
-    children: "tuple[AnnotatedExpr, ...]" = ()
+def eval_expr(e: Expr, box: AbstractState, arith: bool = True, notes=None) -> Interval:
+    """Bottom-up interval evaluation of an arithmetic expression.
 
-
-def forward_eval(e: Expr, box: AbstractState) -> AnnotatedExpr:
-    """Bottom-up interval evaluation; every node gets an interval."""
+    With a `notes` dict, each subexpression's interval is also recorded
+    under its id(); it depends only on the subexpression and the box.
+    """
+    if box.is_bottom:
+        return BOTTOM
     if isinstance(e, IntLit):
-        return AnnotatedExpr(e, Interval.singleton(e.value))
-    if isinstance(e, Var):
-        return AnnotatedExpr(e, box[e.name])
-    if isinstance(e, Unary) and e.op == "neg":
-        child = forward_eval(e.operand, box)
-        return AnnotatedExpr(e, child.itv.negate(), (child,))
-    if isinstance(e, Binary) and e.op in ("+", "-", "*", "/"):
-        left = forward_eval(e.left, box)
-        right = forward_eval(e.right, box)
-        return AnnotatedExpr(e, interval_binop(e.op, left.itv, right.itv), (left, right))
-    raise ValueError("not an arithmetic expression: %r" % (e,))
+        itv = Interval.singleton(e.value)
+    elif isinstance(e, Var):
+        itv = box[e.name]
+    elif isinstance(e, Nondet):
+        itv = Interval(e.lo, e.hi) if e.bounded else TOP
+    elif isinstance(e, Unary) and e.op == "neg":
+        itv = eval_expr(e.operand, box, arith, notes).negate()
+    elif isinstance(e, Binary):
+        itv = interval_binop(e.op, eval_expr(e.left, box, arith, notes),
+                             eval_expr(e.right, box, arith, notes), arith=arith)
+    else:
+        raise ValueError("not an arithmetic expression: %r" % (e,))
+    if notes is not None:
+        notes[id(e)] = itv
+    return itv
 
 
 # --- inverse projections -----------------------------------------------------
@@ -157,21 +153,27 @@ def _mul_preimage_hull(z: Interval, part: Interval) -> Interval:
     return Interval.make(lo, hi)
 
 
+def _over_divisors(z: Interval, y: Interval, exact, hull) -> Interval:
+    """Join over y's nonzero parts: exact(z, yv) for each member of a part
+    at most ENUM_LIMIT values wide, hull(z, part) for a wider one."""
+    out = BOTTOM
+    for part in divisor_parts(y):
+        n = part.count()
+        if n is not None and n <= ENUM_LIMIT:
+            for yv in part.values():
+                out = out.join(exact(z, yv))
+        else:
+            out = out.join(hull(z, part))
+    return out
+
+
 def inv_mul(z: Interval, y: Interval) -> Interval:
     """Hull of {x : exists y' in y with x*y' in z}."""
     if z.is_bottom or y.is_bottom:
         return BOTTOM
     if 0 in y and 0 in z:
         return TOP  # y' = 0 works for every x
-    out = BOTTOM
-    for part in divisor_parts(y):
-        n = part.count()
-        if n is not None and n <= ENUM_LIMIT:
-            for yv in part.values():
-                out = out.join(_mul_preimage_exact(z, yv))
-        else:
-            out = out.join(_mul_preimage_hull(z, part))
-    return out
+    return _over_divisors(z, y, _mul_preimage_exact, _mul_preimage_hull)
 
 
 def _tdiv_preimage_pos(z: Interval, yv: int) -> Interval:
@@ -229,50 +231,37 @@ def inv_div_dividend(z: Interval, y: Interval) -> Interval:
     """Hull of {x : exists nonzero y' in y with trunc(x/y') in z}."""
     if z.is_bottom or y.is_bottom:
         return BOTTOM
-    out = BOTTOM
-    for part in divisor_parts(y):
-        n = part.count()
-        if n is not None and n <= ENUM_LIMIT:
-            for yv in part.values():
-                out = out.join(_tdiv_preimage(z, yv))
-        else:
-            out = out.join(_tdiv_preimage_hull(z, part))
-    return out
+    return _over_divisors(z, y, _tdiv_preimage, _tdiv_preimage_hull)
 
 
 def inv_div_divisor(z: Interval, x: Interval, y: Interval) -> Interval:
     """Hull of {y' in y nonzero : exists x' in x with trunc(x'/y') in z}."""
     if z.is_bottom or x.is_bottom or y.is_bottom:
         return BOTTOM
-    out = BOTTOM
-    for part in divisor_parts(y):
-        n = part.count()
-        if n is None or n > ENUM_LIMIT:
-            out = out.join(part)  # too wide to tighten soundly by enumeration
-            continue
-        for yv in part.values():
-            if not _tdiv_preimage(z, yv).meet(x).is_bottom:
-                out = out.join(Interval.singleton(yv))
-    return out
+
+    def exact(z, yv):
+        return BOTTOM if _tdiv_preimage(z, yv).meet(x).is_bottom else Interval.singleton(yv)
+
+    # A part too wide to enumerate is kept whole.
+    return _over_divisors(z, y, exact, lambda z, part: part)
 
 
 # --- backward propagation ----------------------------------------------------
 
-def backward_prop(tree: AnnotatedExpr, required: Interval, box: AbstractState) -> AbstractState:
-    """Push `required` down the annotated tree; returns the refined box."""
+def backward_prop(e: Expr, required: Interval, box: AbstractState, notes) -> AbstractState:
+    """Push `required` down e, whose forward intervals over box are in
+    `notes` (see eval_expr); returns the refined box."""
     ivs = list(box.intervals)
-    if _backward(tree, required, box, ivs):
+    if _backward(e, required, box, notes, ivs):
         return box.replaced(ivs)
     return box.as_bottom()
 
 
-def _backward(node: AnnotatedExpr, required: Interval, box: AbstractState, ivs: list) -> bool:
+def _backward(e: Expr, required: Interval, box: AbstractState, notes, ivs: list) -> bool:
     """Refine ivs, the box's intervals, in place; False once one is empty."""
-    itv = node.itv.meet(required)
+    itv = notes[id(e)].meet(required)
     if itv.is_bottom:
         return False
-    node.itv = itv
-    e = node.expr
     if isinstance(e, Var):
         i = box.position(e.name)
         refined = ivs[i].meet(itv)
@@ -283,27 +272,30 @@ def _backward(node: AnnotatedExpr, required: Interval, box: AbstractState, ivs: 
     if isinstance(e, IntLit):
         return True
     if isinstance(e, Unary):
-        return _backward(node.children[0], itv.negate(), box, ivs)
-    left, right = node.children
+        return _backward(e.operand, itv.negate(), box, notes, ivs)
+    left, right = e.left, e.right
+    x, y = notes[id(left)], notes[id(right)]
     if e.op == "+":
-        lreq = interval_binop("-", itv, right.itv)
-        rreq = interval_binop("-", itv, left.itv)
+        lreq = interval_binop("-", itv, y)
+        rreq = interval_binop("-", itv, x)
     elif e.op == "-":
-        lreq = interval_binop("+", itv, right.itv)
-        rreq = interval_binop("-", left.itv, itv)
+        lreq = interval_binop("+", itv, y)
+        rreq = interval_binop("-", x, itv)
     elif e.op == "*":
-        if left.expr == right.expr:
+        if left == right:
             # Syntactic square: both factors share one value in any point.
-            sq = _inv_square(itv, left.itv)
-            return _backward(left, sq, box, ivs) and _backward(right, sq, box, ivs)
-        lreq = inv_mul(itv, right.itv)
-        rreq = inv_mul(itv, left.itv)
+            sq = _inv_square(itv, x)
+            return (_backward(left, sq, box, notes, ivs)
+                    and _backward(right, sq, box, notes, ivs))
+        lreq = inv_mul(itv, y)
+        rreq = inv_mul(itv, x)
     elif e.op == "/":
-        lreq = inv_div_dividend(itv, right.itv)
-        rreq = inv_div_divisor(itv, left.itv, right.itv)
+        lreq = inv_div_dividend(itv, y)
+        rreq = inv_div_divisor(itv, x, y)
     else:
         raise ValueError(e.op)
-    return _backward(left, lreq, box, ivs) and _backward(right, rreq, box, ivs)
+    return (_backward(left, lreq, box, notes, ivs)
+            and _backward(right, rreq, box, notes, ivs))
 
 
 def _inv_square(z: Interval, x: Interval) -> Interval:
@@ -331,13 +323,13 @@ def hc4_revise(c: Constraint, box: AbstractState) -> AbstractState:
     if box.is_bottom:
         return box
     diff = Binary("-", c.lhs, c.rhs)
-    tree = forward_eval(diff, box)
+    notes = {}
+    itv = eval_expr(diff, box, notes=notes)
     if c.relation == "!=":
-        if tree.itv == Interval(0, 0):
+        if itv == Interval(0, 0):
             return box.as_bottom()
         return box
-    required = _RELATION_RANGE[c.relation]
-    return backward_prop(tree, required, box)
+    return backward_prop(diff, RELATION_RANGE[c.relation], box, notes)
 
 
 def _round_robin(revise, items, box: AbstractState, max_rounds: int) -> AbstractState:
@@ -419,15 +411,15 @@ class Classification:
     box_out: AbstractState
 
 
-def classify_condition(cond: Expr, box: AbstractState, max_rounds: int = 10) -> Classification:
+def classify_condition(cond: Expr, box: AbstractState) -> Classification:
     """Refined boxes for a condition and its negation, plus the verdict.
 
     The verdict is TRUE iff the negation's box is empty, FALSE iff the
     condition's box is empty, MAYBE otherwise (including an empty input
     box, which must never drive a rewrite).
     """
-    box_in = contract_condition(nnf(cond), box, max_rounds)
-    box_out = contract_condition(nnf(cond, negated=True), box, max_rounds)
+    box_in = contract_condition(nnf(cond), box)
+    box_out = contract_condition(nnf(cond, negated=True), box)
     if box.is_bottom:
         verdict = Truth3.MAYBE
     elif box_out.is_bottom:

@@ -429,6 +429,16 @@ def or3(a: Truth3, b: Truth3) -> Truth3:
     return Truth3.MAYBE
 
 
+# The values of a - b for which `a <rel> b` holds.  `!=` is negated `==`.
+RELATION_RANGE = {
+    "==": Interval(0, 0),
+    "<=": Interval(NEG_INF, 0),
+    "<": Interval(NEG_INF, -1),
+    ">=": Interval(0, POS_INF),
+    ">": Interval(1, POS_INF),
+}
+
+
 def eval_cmp(op: str, a: Interval, b: Interval) -> Truth3:
     """Compare two intervals: TRUE/FALSE only when every/no pair agrees.
 
@@ -437,29 +447,14 @@ def eval_cmp(op: str, a: Interval, b: Interval) -> Truth3:
     """
     if a.is_bottom or b.is_bottom:
         return Truth3.MAYBE
-    if op == "<":
-        if a.hi < b.lo:
-            return Truth3.TRUE
-        if a.lo >= b.hi:
-            return Truth3.FALSE
-        return Truth3.MAYBE
-    if op == "<=":
-        if a.hi <= b.lo:
-            return Truth3.TRUE
-        if a.lo > b.hi:
-            return Truth3.FALSE
-        return Truth3.MAYBE
-    if op == ">":
-        return eval_cmp("<", b, a)
-    if op == ">=":
-        return eval_cmp("<=", b, a)
-    if op == "==":
-        if a.is_singleton and a == b:
-            return Truth3.TRUE
-        if a.meet(b).is_bottom:
-            return Truth3.FALSE
-        return Truth3.MAYBE
     if op == "!=":
         return eval_cmp("==", a, b).negate()
-    raise ValueError("unknown comparison operator: %r" % op)
-
+    holds = RELATION_RANGE.get(op)
+    if holds is None:
+        raise ValueError("unknown comparison operator: %r" % op)
+    diff = _sub_iv(a, b)
+    if diff.leq(holds):
+        return Truth3.TRUE
+    if diff.meet(holds).is_bottom:
+        return Truth3.FALSE
+    return Truth3.MAYBE

@@ -538,15 +538,14 @@ def build_mutants():
     def inv_square_broken(z, x):
         return Interval(-1, 1)
 
-    def backward_no_refine(tree, required, box):
+    def backward_no_refine(e, required, box, notes):
         return box
 
     _orig_hc4 = contractor.hc4_revise
 
     def hc4_neq_overprunes(c, box):
         if c.relation == "!=":
-            tree = contractor.forward_eval(Binary("-", c.lhs, c.rhs), box)
-            if 0 in tree.itv:
+            if 0 in contractor.eval_expr(Binary("-", c.lhs, c.rhs), box):
                 return box.as_bottom()
         return _orig_hc4(c, box)
 
@@ -636,12 +635,12 @@ def build_mutants():
         ("simple pruning off by one", detect_soundness,
          [(absint, "_simple_prune", prune_off_by_one)]),
         ("relation range <= made strict", detect_contractor,
-         [(contractor, "_RELATION_RANGE",
-           {**contractor._RELATION_RANGE,
+         [(contractor, "RELATION_RANGE",
+           {**contractor.RELATION_RANGE,
             "<=": Interval.make(-float("inf"), -1)})]),
         ("relation range > made non-strict", detect_contractor,
-         [(contractor, "_RELATION_RANGE",
-           {**contractor._RELATION_RANGE, ">": Interval.make(0, float("inf"))})]),
+         [(contractor, "RELATION_RANGE",
+           {**contractor.RELATION_RANGE, ">": Interval.make(0, float("inf"))})]),
         ("multiplication inverse collapsed", detect_contractor,
          [(contractor, "inv_mul", inv_mul_broken)]),
         ("division preimage off by one", detect_contractor,

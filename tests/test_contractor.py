@@ -8,7 +8,7 @@ from intana.contractor import (
     box_render,
     classify_condition,
     contract_fixpoint,
-    forward_eval,
+    eval_expr,
     hc4_revise,
     inv_div_dividend,
     nnf,
@@ -97,13 +97,17 @@ class TestBoxHelpers:
 class TestForwardBackward:
     def test_forward_annotates_tree(self):
         box = AbstractState.of({"x": iv(1, 3), "y": iv(10, 20)})
-        tree = forward_eval(parse_condition("x + y == 5", list(box)).left, box)
-        assert tree.itv == iv(11, 23)
+        e = parse_condition("x + y == 5", list(box)).left
+        notes = {}
+        assert eval_expr(e, box, notes=notes) == iv(11, 23)
+        assert notes == {id(e): iv(11, 23), id(e.left): iv(1, 3), id(e.right): iv(10, 20)}
 
     def test_backward_projects_onto_variables(self):
         box = AbstractState.of({"x": iv(0, 10), "y": iv(2, 4)})
-        tree = forward_eval(Binary("+", Var("x"), Var("y")), box)
-        refined = backward_prop(tree, iv(5, 5), box)
+        e = Binary("+", Var("x"), Var("y"))
+        notes = {}
+        eval_expr(e, box, notes=notes)
+        refined = backward_prop(e, iv(5, 5), box, notes)
         assert refined.as_dict() == {"x": iv(1, 3), "y": iv(2, 4)}
 
 

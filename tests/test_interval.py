@@ -228,11 +228,19 @@ class TestEvalCmp:
         ops = {"==": lambda a, b: a == b, "!=": lambda a, b: a != b,
                "<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
                ">": lambda a, b: a > b, ">=": lambda a, b: a >= b}
-        cases = [iv(lo, hi) for lo in range(-3, 4) for hi in range(lo, 4)]
+        # Infinite ends are brute-forced clipped to +-5, past the finite
+        # bounds -3..3, so every verdict the true interval allows shows.
+        ends = list(range(-3, 4))
+        cases = [iv(lo, hi) for lo in ends + [NEG_INF] for hi in ends + [POS_INF]
+                 if lo <= hi]
+
+        def clipped(a):
+            return range(max(a.lo, -5), min(a.hi, 5) + 1)
+
         for a in cases:
             for b in cases:
                 for op, f in ops.items():
-                    outcomes = {f(x, y) for x in a.values() for y in b.values()}
+                    outcomes = {f(x, y) for x in clipped(a) for y in clipped(b)}
                     want = (Truth3.MAYBE if len(outcomes) == 2
                             else Truth3.TRUE if True in outcomes else Truth3.FALSE)
                     assert eval_cmp(op, a, b) is want
