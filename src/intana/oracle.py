@@ -9,6 +9,17 @@ soundness and rewrite equivalence are checked.
 Each enumeration compiles the program once: every CFG node becomes a
 tuple holding a Python closure for its statement or condition, so the
 executions walk those tuples instead of the AST.
+
+An enumeration may carry one monitor, which sees every point of every
+execution as it runs: each node's environment before the node runs, and
+each frame's environment at its exit.  A monitor has two methods.
+`watch(fname)` is called once per function when the program is compiled
+and returns a callable `(node, env)` that is called at each point of that
+function; it must not keep or change `env`.  `end(state)` is called with
+each finished `ConcreteState`.  Two monitors exist: `_TraceRecorder`
+copies every point into `ConcreteState.trace` (`record_trace=True`), and
+`_SoundnessMonitor` tests every point against the analysis states in
+place, so `check_soundness` needs no trace.
 """
 
 from __future__ import annotations
@@ -65,6 +76,7 @@ class ConcreteState:
     env: "dict[str, int]"  # entry function's final environment
     verdict: str
     verdict_node: "tuple[str, int] | None" = None
+    # (function, node, env copy) per point; empty unless record_trace was set.
     trace: "list[tuple[str, int, dict[str, int]]]" = field(default_factory=list)
 
 
@@ -213,39 +225,40 @@ def _compile_cfg(prog, fname, cfg, choose):
 class _Interpreter:
     """Runs the executions of one program, whose CFGs it compiles once."""
 
-    def __init__(self, prog: Program, step_limit: int, record_trace: bool):
+    def __init__(self, prog: Program, step_limit: int, monitor=None):
         self.chooser = _Chooser()
         choose = self.chooser.choose
         self.code = {}
         for fname, fn in prog.functions.items():
-            self.code[fname] = _compile_cfg(prog, fname, build_cfg(fn), choose)
+            watch = monitor.watch(fname) if monitor is not None else None
+            self.code[fname] = _compile_cfg(prog, fname, build_cfg(fn), choose) + (watch,)
         self.entry = prog.entry
         self.step_limit = step_limit
-        self.record_trace = record_trace
+        self.monitor = monitor
 
     def run(self, prefix) -> ConcreteState:
         """One execution that replays `prefix`, then takes each range minimum."""
         self.chooser.reset(prefix)
         self.steps = 0
-        self.trace = []
         env = {}
         verdict, node = OK, None
         try:
             self.run_function(self.entry, env)
         except _Halt as halt:
             verdict, node = halt.verdict, halt.node
-        return ConcreteState(
+        state = ConcreteState(
             choices=tuple(v for v, _, _ in self.chooser.taken),
             env=env,
             verdict=verdict,
             verdict_node=node,
-            trace=self.trace,
         )
+        if self.monitor is not None:
+            self.monitor.end(state)
+        return state
 
     def run_function(self, fname: str, env: "dict[str, int]") -> "int | None":
         """Run one function frame, mutating env in place."""
-        code, n, exit_node = self.code[fname]
-        trace = self.trace if self.record_trace else None
+        code, n, exit_node, watch = self.code[fname]
         limit = self.step_limit
         steps = self.steps
         value = None
@@ -256,8 +269,8 @@ class _Interpreter:
             steps += 1
             if steps > limit:
                 raise _Halt(STEP_LIMIT, (fname, n))
-            if trace is not None:
-                trace.append((fname, n, env.copy()))
+            if watch is not None:
+                watch(n, env)
             if kind == _ASSIGN:
                 env[other] = action(env)
                 n = succ
@@ -280,23 +293,44 @@ class _Interpreter:
                 value = action(env)
                 break
         self.steps = steps
-        if trace is not None:  # the frame's exit state, checked like any other
-            trace.append((fname, exit_node, env.copy()))
+        if watch is not None:  # the frame's exit state, checked like any other
+            watch(exit_node, env)
         return value
 
 
+class _TraceRecorder:
+    """The monitor that copies every point into `ConcreteState.trace`."""
+
+    def __init__(self):
+        self.trace = []
+
+    def watch(self, fname: str):
+        append = self.trace.append
+        return lambda n, env: append((fname, n, env.copy()))
+
+    def end(self, state: ConcreteState) -> None:
+        state.trace = self.trace.copy()
+        self.trace.clear()
+
+
 def enumerate_executions(prog: Program, step_limit: int = 10_000,
-                         cap: int = 1_000_000, record_trace: bool = True):
+                         cap: int = 1_000_000, record_trace: bool = True,
+                         monitor=None):
     """One ConcreteState per complete assignment of nondet choices.
 
     Deterministic: executions are produced in lexicographic choice order.
+    `monitor` (see the module docstring) sees every point of every
+    execution as it runs.  Without one, `record_trace` fills each state's
+    `trace` with a copy of every point; with one, no trace is recorded.
     """
     for nd in program_nondets(prog):
         if not nd.bounded:
             raise UnboundedNondetError("program contains unbounded nondet()")
     if prog.functions[prog.entry].params:
         raise UnboundedNondetError("entry function must not take parameters")
-    interp = _Interpreter(prog, step_limit, record_trace)
+    if monitor is None and record_trace:
+        monitor = _TraceRecorder()
+    interp = _Interpreter(prog, step_limit, monitor)
     results = []
     prefix = ()
     while True:
@@ -321,31 +355,88 @@ class SoundnessViolation:
     choices: "tuple[int, ...]"
 
 
-def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
-                    cap: int = 1_000_000, executions=None):
-    """Every concrete value at every trace point must lie in its interval."""
-    if executions is None:
-        executions = enumerate_executions(prog, step_limit, cap)
-    boxes = {}  # (function, node) -> its analysis state as a dict, or None
-    violations = []
-    for state in executions:
-        for fname, node, env in state.trace:
-            key = (fname, node)
-            if key in boxes:
-                abstract = boxes[key]
-            else:
-                before = analyses[fname].result.before.get(node)
-                abstract = boxes[key] = None if before is None else before.as_dict()
-            if abstract is None:
-                violations.append(SoundnessViolation(
-                    fname, node, "<missing>", 0, "no state", state.choices))
-                continue
+class _SoundnessMonitor:
+    """The monitor that tests every point against its analysis state.
+
+    Per function it holds a list, indexed by node id, of the node's
+    `(name, lo, hi)` bounds; unbounded intervals are left out, as no value
+    falls outside them.  A point is tested in place, only on the names its
+    environment has.  A node's entry is None until the node is first
+    reached, and stays None if its state is bottom or missing; such a
+    point, and any point that fails, takes the slow path, which walks the
+    environment against the state to build the violations.
+    """
+
+    def __init__(self, analyses):
+        self.analyses = analyses
+        self.violations = []
+        self.pending = []  # the running execution's violations, without choices
+
+    def watch(self, fname: str):
+        before = self.analyses[fname].result.before
+        bounds = [None] * (max(before, default=-1) + 1)
+        pending = self.pending
+
+        def slow(n, env):
+            state = before.get(n)
+            if state is None:
+                pending.append((fname, n, "<missing>", 0, "no state"))
+                return
+            abstract = state.as_dict()
+            if not any(iv.lo > iv.hi for iv in abstract.values()):
+                bounds[n] = tuple((name, iv.lo, iv.hi)
+                                  for name, iv in abstract.items() if not iv.is_top)
             for var, value in env.items():
                 iv = abstract[var]
                 if not iv.lo <= value <= iv.hi:  # a bottom has lo > hi
-                    violations.append(SoundnessViolation(
-                        fname, node, var, value, iv.render(), state.choices))
-    return violations
+                    pending.append((fname, n, var, value, iv.render()))
+
+        def check(n, env):
+            try:
+                node_bounds = bounds[n]
+            except IndexError:
+                node_bounds = None
+            if node_bounds is not None:
+                for name, lo, hi in node_bounds:
+                    if name in env and not lo <= env[name] <= hi:
+                        break
+                else:
+                    return
+            slow(n, env)
+        return check
+
+    def end(self, state: ConcreteState) -> None:
+        if self.pending:
+            self.violations.extend(SoundnessViolation(*found, state.choices)
+                                   for found in self.pending)
+            self.pending.clear()
+
+
+def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
+                    cap: int = 1_000_000, executions=None, runs=None):
+    """Every concrete value at every point must lie in its analysis interval.
+
+    Returns the violations in execution order, then point order, then the
+    order of the point's environment.  Without `executions`, the program
+    is enumerated once with a monitor that checks each point as it runs,
+    and no trace is recorded.  `executions` may instead hold runs
+    enumerated with `record_trace`; their recorded points are replayed
+    through the same monitor.  If `runs` is a list, the executions
+    checked are appended to it, so a caller can check them in other ways
+    without enumerating the program again.
+    """
+    monitor = _SoundnessMonitor(analyses)
+    if executions is None:
+        executions = enumerate_executions(prog, step_limit, cap, monitor=monitor)
+    else:
+        watchers = {fname: monitor.watch(fname) for fname in prog.functions}
+        for state in executions:
+            for fname, node, env in state.trace:
+                watchers[fname](node, env)
+            monitor.end(state)
+    if runs is not None:
+        runs.extend(executions)
+    return monitor.violations
 
 
 @dataclass

@@ -8,6 +8,7 @@ import intana.absint
 import intana.cli
 import intana.oracle
 from intana.cli import main
+from intana.lang import parse_program
 
 HERE = pathlib.Path(__file__).parent
 CORPUS = HERE.parent / "corpus"
@@ -229,6 +230,23 @@ class TestCheck:
             "result: incomplete",
         ]
 
+    def test_nondet_mismatch_is_a_violation(self, capsys, monkeypatch, tmp_path):
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int x = nondet(0, 2); }\n")
+        extra = parse_program("fn main() { int x = nondet(0, 2); int y = nondet(0, 1); }")
+        monkeypatch.setattr(intana.cli, "instrument_program",
+                            lambda prog, analyses, config: (extra, []))
+        code, out, err = run(capsys, "check", str(source))
+        assert code == 1
+        assert err == ""
+        assert out.splitlines() == [
+            "soundness: 0 violation(s)",
+            "optimize equivalence: ok",
+            "instrument invariance: FAILED (programs draw different nondet choice sequences)",
+            "step limit: 0 of 3 execution(s) truncated",
+            "result: violations found",
+        ]
+
 
 class TestAnalyzeOnce:
     @pytest.mark.parametrize("argv", [["check"], ["optimize", "--format", "json"]])
@@ -268,6 +286,24 @@ class TestEnumerateOnce:
         assert len(parsed) == 1
         assert len(calls) == 3  # the input, the optimized and the instrumented program
         assert sum(prog is parsed[0] for prog in calls) == 1
+
+    def test_check_records_no_trace(self, capsys, monkeypatch):
+        # Soundness is checked as the input runs, so no enumeration made by
+        # `check` copies its environments into a trace.
+        states = []
+        original = intana.oracle.enumerate_executions
+
+        def recording(*args, **kwargs):
+            result = original(*args, **kwargs)
+            states.extend(result)
+            return result
+
+        monkeypatch.setattr(intana.cli, "enumerate_executions", recording)
+        monkeypatch.setattr(intana.oracle, "enumerate_executions", recording)
+        code, _, _ = run(capsys, "check", str(CORPUS / "08_helper_call.mini"))
+        assert code == 0
+        assert states
+        assert all(state.trace == [] for state in states)
 
 
 class TestErrors:

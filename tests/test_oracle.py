@@ -1,6 +1,7 @@
 import pytest
 
 from intana.absint import AnalysisConfig, analyze_program
+from intana.fuzz import random_program
 from intana.interval import Interval
 from intana.lang import Nondet, build_cfg, parse_program
 from intana.oracle import (
@@ -11,6 +12,7 @@ from intana.oracle import (
     STEP_LIMIT,
     EnumerationCapError,
     NondetMismatchError,
+    SoundnessViolation,
     UnboundedNondetError,
     check_equivalence,
     check_soundness,
@@ -205,6 +207,94 @@ class TestSoundness:
         violations = check_soundness(prog, analyses)
         assert {(v.node, v.var, v.value) for v in violations} \
             == {(fa.cfg.exit, "x", value) for value in range(1, 5)}
+
+
+def _reference_violations(analyses, executions):
+    """The soundness check as a walk over recorded traces, for comparison."""
+    violations = []
+    for state in executions:
+        for fname, node, env in state.trace:
+            before = analyses[fname].result.before.get(node)
+            if before is None:
+                violations.append(SoundnessViolation(
+                    fname, node, "<missing>", 0, "no state", state.choices))
+                continue
+            abstract = before.as_dict()
+            for var, value in env.items():
+                iv = abstract[var]
+                if not iv.lo <= value <= iv.hi:
+                    violations.append(SoundnessViolation(
+                        fname, node, var, value, iv.render(), state.choices))
+    return violations
+
+
+def _both_paths(prog, analyses):
+    """Violations found while enumerating, after checking they equal those
+    found by replaying recorded traces, and those of the reference walk."""
+    streamed = check_soundness(prog, analyses)
+    traced = enumerate_executions(prog)
+    assert check_soundness(prog, analyses, executions=traced) == streamed
+    assert _reference_violations(analyses, traced) == streamed
+    return streamed
+
+
+def _shift_up(analyses):
+    """Move every bounded `before` interval up by one."""
+    for fa in analyses.values():
+        before = fa.result.before
+        for n, state in before.items():
+            if state.is_bottom:
+                continue
+            for name in state.names:
+                iv = state.get(name)
+                if not iv.is_top:
+                    state = state.set(name, iv.shift(1))
+            before[n] = state
+
+
+class TestSoundnessPaths:
+    @pytest.mark.parametrize("contractors", [True, False])
+    def test_streaming_equals_replay_on_corrupted_fuzz_analyses(self, contractors):
+        total = 0
+        for seed in range(50):
+            prog = parse_program(random_program(seed))
+            analyses = analyze_program(prog, AnalysisConfig(use_contractors=contractors))
+            assert _both_paths(prog, analyses) == []
+            _shift_up(analyses)
+            total += len(_both_paths(prog, analyses))
+        assert total > 1000
+
+    def test_bottom_state_reports_every_variable_in_env_order(self):
+        prog = parse_program(
+            "fn main() { int y = nondet(3, 4); int x = 1; int z; z = x + y; }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        fa = analyses["main"]
+        victim = fa.cfg.stmt_node[prog.main.body[3].sid]
+        fa.result.before[victim] = fa.result.before[victim].as_bottom()
+        assert [(v.node, v.var, v.value, v.interval, v.choices)
+                for v in _both_paths(prog, analyses)] == [
+            (victim, name, value, "bottom", (y,))
+            for y in (3, 4) for name, value in (("y", y), ("x", 1), ("z", 0))]
+
+    @pytest.mark.parametrize("which", ["statement", "highest id"])
+    def test_missing_state_is_reported(self, which):
+        prog = parse_program("fn main() { int x = nondet(0, 1); x = x + 1; }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        fa = analyses["main"]
+        victim = (fa.cfg.stmt_node[prog.main.body[1].sid] if which == "statement"
+                  else max(fa.result.before))
+        del fa.result.before[victim]
+        assert [(v.node, v.var, v.value, v.interval, v.choices)
+                for v in _both_paths(prog, analyses)] == [
+            (victim, "<missing>", 0, "no state", (x,)) for x in (0, 1)]
+
+    def test_undeclared_variable_is_not_checked(self):
+        prog = parse_program("fn main() { int x = nondet(0, 1); int y = x; }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        fa = analyses["main"]
+        decl = fa.cfg.stmt_node[prog.main.body[1].sid]
+        fa.result.before[decl] = fa.result.before[decl].set("y", Interval(7, 7))
+        assert _both_paths(prog, analyses) == []
 
 
 class TestEquivalence:
