@@ -21,7 +21,6 @@ from .absint import (
 from .contractor import (
     Classification,
     Constraint,
-    backward_prop,
     classify_condition,
     contract_fixpoint,
     hc4_revise,

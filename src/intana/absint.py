@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .contractor import contract_condition, eval_expr, nnf
+from .contractor import contract_condition, eval_expr, lower_condition, nnf
 from .interval import (AbstractState, eval_cmp, interval_binop, not3, and3, or3,
                        RELATION_RANGE, TOP, Truth3)
 from .lang import (
@@ -93,9 +93,13 @@ def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,
     config = config or AnalysisConfig()
     if state.is_bottom:
         return state
-    effective = nnf(cond, negated=not polarity)
     if config.use_contractors:
-        return contract_condition(effective, state)
+        # Lowered once per condition and polarity; an entry pins cond's id.
+        forms, key = state.forms, (id(cond), polarity)
+        if key not in forms:
+            forms[key] = cond, lower_condition(nnf(cond, negated=not polarity), state)
+        return contract_condition(forms[key][1], state)
+    effective = nnf(cond, negated=not polarity)
     verdict = eval_cond3(effective, state, config.interval_arith)
     if verdict is Truth3.FALSE:
         return state.as_bottom()
@@ -170,6 +174,7 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
     before = {n: bottom for n in cfg.nodes}
     after = {n: bottom for n in cfg.nodes}
     before[cfg.entry] = init
+    init.forms.clear()  # each analysis compiles its conditions anew
     head_updates = {}
     widened = set()
     updates = 0

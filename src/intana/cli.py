@@ -9,7 +9,7 @@ Exit codes: 0 success/clean, 1 property violation found, 2 usage or
 parse error, or input nested too deeply to process, 3 `check` incomplete
 because an execution of the input, or of a rewrite where the input ran to
 its end, hit `--step-limit` (its findings are still printed, but none of
-them decides the exit code).
+them decides the exit code), 4 unexpected internal error, one line on stderr.
 """
 
 from __future__ import annotations
@@ -304,6 +304,9 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nests too deeply", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault in intana, never a finding (exit 1)
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,20 +1,21 @@
 """Interval evaluation, and forward-backward contraction of boxes (AbstractStates).
 
-`eval_expr` is the one forward interval evaluator: the analyzer's
-transfer functions use it, and so does the contractor's forward stage.
-
-A constraint `lhs <rel> rhs` is rewritten as `lhs - rhs <rel> 0`, the
-expression tree is evaluated bottom-up over the box with each
-subexpression's interval noted (forward stage), the root is met with the
-relation's range from `interval.RELATION_RANGE`, and inverse projections
-push the requirement back down to the variables (backward stage).  Strict
-inequalities are tightened integer-wise (x < e becomes x <= e - 1).
+`eval_expr` walks an expression tree; the analyzer's transfer functions
+use it.  A constraint `lhs <rel> rhs` is lowered once over a box's names
+(`lower_condition` lowers a whole NNF condition) to `lhs - rhs` as a
+postorder slot array that reads variables by position, with
+variable-free subtrees folded.  HC4-revise sweeps it forward, meets the
+root with the relation's range from `interval.RELATION_RANGE`, and sweeps
+the inverse projections back to the variables; a variable against a
+constant K is one meet with K + range (K - range with the variable on
+the right).  Strict inequalities are integer-wise: x < e is x - e <= -1.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .interval import (
     interval_binop,
     is_finite,
 )
-from .lang import Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var
+from .lang import ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var
 
 # Sibling intervals at most this many values wide are projected by exact
 # enumeration; larger ones fall back to a sound rational hull.
@@ -86,30 +87,22 @@ def _bound(text: str):
 
 # --- forward evaluation ------------------------------------------------------
 
-def eval_expr(e: Expr, box: AbstractState, arith: bool = True, notes=None) -> Interval:
-    """Bottom-up interval evaluation of an arithmetic expression.
-
-    With a `notes` dict, each subexpression's interval is also recorded
-    under its id(); it depends only on the subexpression and the box.
-    """
+def eval_expr(e: Expr, box: AbstractState, arith: bool = True) -> Interval:
+    """Bottom-up interval evaluation of an arithmetic expression."""
     if box.is_bottom:
         return BOTTOM
     if isinstance(e, IntLit):
-        itv = Interval.singleton(e.value)
-    elif isinstance(e, Var):
-        itv = box[e.name]
-    elif isinstance(e, Nondet):
-        itv = Interval(e.lo, e.hi) if e.bounded else TOP
-    elif isinstance(e, Unary) and e.op == "neg":
-        itv = eval_expr(e.operand, box, arith, notes).negate()
-    elif isinstance(e, Binary):
-        itv = interval_binop(e.op, eval_expr(e.left, box, arith, notes),
-                             eval_expr(e.right, box, arith, notes), arith=arith)
-    else:
-        raise ValueError("not an arithmetic expression: %r" % (e,))
-    if notes is not None:
-        notes[id(e)] = itv
-    return itv
+        return Interval.singleton(e.value)
+    if isinstance(e, Var):
+        return box[e.name]
+    if isinstance(e, Nondet):
+        return Interval(e.lo, e.hi) if e.bounded else TOP
+    if isinstance(e, Unary) and e.op == "neg":
+        return eval_expr(e.operand, box, arith).negate()
+    if isinstance(e, Binary):
+        return interval_binop(e.op, eval_expr(e.left, box, arith),
+                              eval_expr(e.right, box, arith), arith=arith)
+    raise ValueError("not an arithmetic expression: %r" % (e,))
 
 
 # --- inverse projections -----------------------------------------------------
@@ -246,58 +239,6 @@ def inv_div_divisor(z: Interval, x: Interval, y: Interval) -> Interval:
     return _over_divisors(z, y, exact, lambda z, part: part)
 
 
-# --- backward propagation ----------------------------------------------------
-
-def backward_prop(e: Expr, required: Interval, box: AbstractState, notes) -> AbstractState:
-    """Push `required` down e, whose forward intervals over box are in
-    `notes` (see eval_expr); returns the refined box."""
-    ivs = list(box.intervals)
-    if _backward(e, required, box, notes, ivs):
-        return box.replaced(ivs)
-    return box.as_bottom()
-
-
-def _backward(e: Expr, required: Interval, box: AbstractState, notes, ivs: list) -> bool:
-    """Refine ivs, the box's intervals, in place; False once one is empty."""
-    itv = notes[id(e)].meet(required)
-    if itv.is_bottom:
-        return False
-    if isinstance(e, Var):
-        i = box.position(e.name)
-        refined = ivs[i].meet(itv)
-        if refined.is_bottom:
-            return False
-        ivs[i] = refined
-        return True
-    if isinstance(e, IntLit):
-        return True
-    if isinstance(e, Unary):
-        return _backward(e.operand, itv.negate(), box, notes, ivs)
-    left, right = e.left, e.right
-    x, y = notes[id(left)], notes[id(right)]
-    if e.op == "+":
-        lreq = interval_binop("-", itv, y)
-        rreq = interval_binop("-", itv, x)
-    elif e.op == "-":
-        lreq = interval_binop("+", itv, y)
-        rreq = interval_binop("-", x, itv)
-    elif e.op == "*":
-        if left == right:
-            # Syntactic square: both factors share one value in any point.
-            sq = _inv_square(itv, x)
-            return (_backward(left, sq, box, notes, ivs)
-                    and _backward(right, sq, box, notes, ivs))
-        lreq = inv_mul(itv, y)
-        rreq = inv_mul(itv, x)
-    elif e.op == "/":
-        lreq = inv_div_dividend(itv, y)
-        rreq = inv_div_divisor(itv, x, y)
-    else:
-        raise ValueError(e.op)
-    return (_backward(left, lreq, box, notes, ivs)
-            and _backward(right, rreq, box, notes, ivs))
-
-
 def _inv_square(z: Interval, x: Interval) -> Interval:
     """Hull of {x' : x'*x' in z}, restricted to x's sign when definite."""
     z = z.meet(Interval.make(0, POS_INF))
@@ -318,18 +259,103 @@ def _inv_square(z: Interval, x: Interval) -> Interval:
 
 # --- single-constraint contraction -------------------------------------------
 
+# A comparison lowered over one box's names, revised like a Constraint: a
+# `bound` on the variable at `position` if the other side is constant, else
+# `lhs - rhs` as postorder `slots` and one interval per slot in `vals`.
+_Code = namedtuple("_Code", "relation lhs rhs required position bound slots vals")
+
+
+def _push(slots: list, kind: str, a, b) -> int:
+    """Append slot (kind, a, b): a variable's position, a constant's interval, or an
+    operation on slots a and b, folded when both are constants; return its index."""
+    if kind not in ("var", "const") and slots[a][0] == slots[b][0] == "const":
+        value = interval_binop("*" if kind == "sq" else kind, slots[a][1], slots[b][1])
+        del slots[min(a, b):]
+        kind, a, b = "const", value, None
+    slots.append((kind, a, b))
+    return len(slots) - 1
+
+
+def _emit(e: Expr, box: AbstractState, slots: list) -> int:
+    """Append e's slots after those of its operands; e's slot."""
+    if isinstance(e, IntLit):
+        return _push(slots, "const", Interval.singleton(e.value), None)
+    if isinstance(e, Var):
+        return _push(slots, "var", box.position(e.name), None)
+    if isinstance(e, Unary) and e.op == "neg":  # as 0 - operand
+        return _push(slots, "-", _emit(IntLit(0), box, slots), _emit(e.operand, box, slots))
+    if isinstance(e, Binary) and e.op == "*" and e.left == e.right:
+        a = _emit(e.left, box, slots)  # both factors share one value
+        return _push(slots, "sq", a, a)
+    if isinstance(e, Binary) and e.op in ARITH_OPS:
+        return _push(slots, e.op, _emit(e.left, box, slots), _emit(e.right, box, slots))
+    raise ValueError("not an arithmetic expression: %r" % (e,))
+
+
+def _lower(relation: str, lhs: Expr, rhs: Expr, box: AbstractState) -> _Code:
+    """The comparison's code over box's names; reads RELATION_RANGE now."""
+    required = None if relation == "!=" else RELATION_RANGE[relation]
+    slots, position, bound = [], None, None
+    a, b = _emit(lhs, box, slots), _emit(rhs, box, slots)
+    if required is not None and len(slots) == 2 and slots[0][0] != slots[1][0]:
+        # x - K or K - x in range: x in K + range or K - range, one meet.
+        (_, position, _), (_, const, _) = slots if slots[0][0] == "var" else slots[::-1]
+        bound = interval_binop("+" if slots[0][0] == "var" else "-", const, required)
+    _push(slots, "-", a, b)
+    return _Code(relation, lhs, rhs, required, position, bound, slots, [BOTTOM] * len(slots))
+
+
+def _forward(code: _Code, ivs) -> Interval:
+    """Fill code.vals from the box intervals ivs; the root's value."""
+    vals = code.vals
+    for k, (kind, a, b) in enumerate(code.slots):
+        vals[k] = ivs[a] if kind == "var" else a if kind == "const" \
+            else interval_binop("*" if kind == "sq" else kind, vals[a], vals[b])
+    return vals[-1]
+
+
+# Per kind: (z, x, y) -> what x and y must lie in for `x kind y` to lie in z.
+_INVERSE = {
+    "+": lambda z, x, y: (interval_binop("-", z, y), interval_binop("-", z, x)),
+    "-": lambda z, x, y: (interval_binop("+", z, y), interval_binop("-", x, z)),
+    "*": lambda z, x, y: (inv_mul(z, y), inv_mul(z, x)),
+    "/": lambda z, x, y: (inv_div_dividend(z, y), inv_div_divisor(z, x, y)),
+    "sq": lambda z, x, y: (_inv_square(z, x), TOP),
+}
+
+
+def _backward(code: _Code, box: AbstractState) -> AbstractState:
+    """box narrowed to code's relation, after the forward sweep over box."""
+    if code.bound is not None:
+        old = box.intervals[code.position]
+        refined = old.meet(code.bound)
+        return box if refined is old else box.set(box.names[code.position], refined)
+    ivs, vals = list(box.intervals), code.vals
+    vals[-1] = vals[-1].meet(code.required)
+    # A slot's value is narrowed by its parent's before it is visited.
+    for k in range(len(vals) - 1, -1, -1):
+        kind, a, b = code.slots[k]
+        if kind == "var":
+            ivs[a] = vals[k] = ivs[a].meet(vals[k])
+        elif kind != "const" and not vals[k].is_bottom:
+            lreq, rreq = _INVERSE[kind](vals[k], vals[a], vals[b])
+            vals[a] = vals[a].meet(lreq)
+            vals[b] = vals[b].meet(rreq)
+        if vals[k].is_bottom:
+            return box.as_bottom()
+    return box.replaced(ivs)
+
+
 def hc4_revise(c: Constraint, box: AbstractState) -> AbstractState:
     """One forward-backward pass; contracts box, preserving all solutions."""
     if box.is_bottom:
         return box
-    diff = Binary("-", c.lhs, c.rhs)
-    notes = {}
-    itv = eval_expr(diff, box, notes=notes)
-    if c.relation == "!=":
-        if itv == Interval(0, 0):
-            return box.as_bottom()
-        return box
-    return backward_prop(diff, RELATION_RANGE[c.relation], box, notes)
+    code = c if type(c) is _Code else _lower(c.relation, c.lhs, c.rhs, box)
+    if code.bound is None:
+        root = _forward(code, box.intervals)
+        if c.relation == "!=":
+            return box.as_bottom() if root == Interval(0, 0) else box
+    return _backward(code, box)
 
 
 def _round_robin(revise, items, box: AbstractState, max_rounds: int) -> AbstractState:
@@ -380,28 +406,40 @@ def _flatten_and(e: Expr):
         yield e
 
 
-def _contract_conjunct(item: Expr, box: AbstractState) -> AbstractState:
-    if isinstance(item, Binary) and item.op in CMP_OPS:
-        return hc4_revise(Constraint.from_expr(item), box)
+def lower_condition(cond: Expr, box: AbstractState):
+    """An NNF condition lowered for boxes over box's names: a bool, a lowered
+    comparison, `||`'s (left, right) or the list of `&&`'s flattened conjuncts."""
+    if isinstance(cond, BoolLit):
+        return cond.value
+    if isinstance(cond, Binary) and cond.op in CMP_OPS:
+        return _lower(cond.op, cond.left, cond.right, box)
+    if isinstance(cond, Binary) and cond.op == "||":
+        return lower_condition(cond.left, box), lower_condition(cond.right, box)
+    if isinstance(cond, Binary) and cond.op == "&&":
+        return [lower_condition(item, box) for item in _flatten_and(cond)]
+    raise ValueError("not an NNF condition: %r" % (cond,))
+
+
+def _contract_conjunct(item, box: AbstractState) -> AbstractState:
+    if type(item) is _Code:
+        return hc4_revise(item, box)
     return contract_condition(item, box, 1)
 
 
-def contract_condition(cond: Expr, box: AbstractState, max_rounds: int = 10) -> AbstractState:
-    """Contract a condition already in NNF; disjunctions are hulled."""
+def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> AbstractState:
+    """Contract an NNF condition, or its lower_condition form; `||` is hulled."""
     if box.is_bottom:
         return box
-    if isinstance(cond, BoolLit):
-        return box if cond.value else box.as_bottom()
-    if isinstance(cond, Binary) and cond.op in CMP_OPS:
-        return hc4_revise(Constraint.from_expr(cond), box)
-    if isinstance(cond, Binary) and cond.op == "||":
-        left = contract_condition(cond.left, box, max_rounds)
-        right = contract_condition(cond.right, box, max_rounds)
+    if isinstance(cond, Expr):
+        cond = lower_condition(cond, box)
+    if cond is True or cond is False:
+        return box if cond else box.as_bottom()
+    if type(cond) is _Code:
+        return hc4_revise(cond, box)
+    if isinstance(cond, tuple):
+        left, right = (contract_condition(side, box, max_rounds) for side in cond)
         return left.join(right)
-    if isinstance(cond, Binary) and cond.op == "&&":
-        return _round_robin(_contract_conjunct, list(_flatten_and(cond)), box,
-                            max_rounds)
-    raise ValueError("not an NNF condition: %r" % (cond,))
+    return _round_robin(_contract_conjunct, cond, box, max_rounds)
 
 
 @dataclass

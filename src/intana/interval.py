@@ -196,9 +196,9 @@ TOP = Interval(NEG_INF, POS_INF)
 
 
 class _Space:
-    """The names shared by a family of states, their positions, and their bottom."""
+    """The names shared by a family of states, their positions, bottom and forms."""
 
-    __slots__ = ("names", "index", "bottom")
+    __slots__ = ("names", "index", "bottom", "forms")
 
     def __init__(self, names):
         self.names = tuple(names)
@@ -206,6 +206,7 @@ class _Space:
         self.bottom = AbstractState(self, (BOTTOM,) * len(self.names))
         # With no names no range can be empty, so this "bottom" is reachable.
         self.bottom.is_bottom = bool(self.names)
+        self.forms = {}
 
 
 class AbstractState:
@@ -240,6 +241,10 @@ class AbstractState:
     @property
     def names(self) -> "tuple[str, ...]":
         return self._space.names
+
+    @property
+    def forms(self) -> dict:  # compiled conditions, see absint.transfer_assume
+        return self._space.forms
 
     def as_bottom(self) -> "AbstractState":
         return self._space.bottom

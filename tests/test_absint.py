@@ -1,4 +1,5 @@
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -226,6 +227,28 @@ class TestLoopAnalysis:
                 counts.append(len(calls))
             assert counts[0] == counts[1], path.name
         assert loop_free == 21
+
+    def test_conditions_compile_once_per_analysis(self, monkeypatch):
+        # Each condition is put in negation normal form at most once per
+        # polarity in one analysis, and again in the next analysis.
+        calls = Counter()
+        original = intana.absint.nnf
+
+        def counting(cond, negated=False):
+            calls[id(cond)] += 1
+            return original(cond, negated)
+
+        monkeypatch.setattr(intana.absint, "nnf", counting)
+        prog = parse_program((CORPUS / "06_nested_loops.mini").read_text())
+        cfg = build_cfg(prog.main)
+        init = initial_state(prog.main)
+        conds = [node.cond for node in cfg.nodes.values() if node.kind == "cond"]
+        assert len(conds) == 2 and len(cfg.loop_heads) == 2
+        first = analyze(cfg, init)
+        assert all(1 <= calls[id(cond)] <= 2 for cond in conds), calls
+        once = sum(calls.values())
+        assert analyze(cfg, init).before == first.before
+        assert sum(calls.values()) == 2 * once
 
     def test_initial_state_is_top(self):
         prog = parse_program(LOOP)

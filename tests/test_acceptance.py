@@ -538,7 +538,7 @@ def build_mutants():
     def inv_square_broken(z, x):
         return Interval(-1, 1)
 
-    def backward_no_refine(e, required, box, notes):
+    def backward_no_refine(code, box):
         return box
 
     _orig_hc4 = contractor.hc4_revise
@@ -648,7 +648,7 @@ def build_mutants():
         ("square inverse constant", detect_contractor,
          [(contractor, "_inv_square", inv_square_broken)]),
         ("backward propagation dropped", detect_contractor,
-         [(contractor, "backward_prop", backward_no_refine)]),
+         [(contractor, "_backward", backward_no_refine)]),
         ("!= prunes non-singletons", detect_contractor,
          [(contractor, "hc4_revise", hc4_neq_overprunes)]),
         ("guard classifier optimistic", detect_equivalence,

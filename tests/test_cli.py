@@ -342,3 +342,13 @@ class TestErrors:
         code, _, err = run(capsys, command, str(source))
         assert code == 2
         assert err.strip() == "error: input nests too deeply"
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(intana.cli._COMMANDS, "analyze", broken)
+        code, out, err = run(capsys, "analyze", loop_path())
+        assert code == 4
+        assert err == "internal error: TypeError: unsupported operand\n"
+        assert "Traceback" not in out + err

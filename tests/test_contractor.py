@@ -1,10 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from intana.contractor import (
     Constraint,
-    backward_prop,
     box_render,
     classify_condition,
     contract_fixpoint,
@@ -13,6 +13,9 @@ from intana.contractor import (
     inv_div_dividend,
     nnf,
     parse_box,
+    _backward,
+    _forward,
+    _lower,
     _tdiv_preimage,
 )
 from intana.fuzz import random_constraint_box
@@ -26,6 +29,11 @@ def iv(lo, hi):
 
 def constraint(source, varnames):
     return Constraint.from_expr(parse_condition(source, varnames))
+
+
+def lowered(source, box):
+    c = constraint(source, list(box))
+    return _lower(c.relation, c.lhs, c.rhs, box)
 
 
 def tdiv(a, b):
@@ -95,20 +103,43 @@ class TestBoxHelpers:
 
 
 class TestForwardBackward:
-    def test_forward_annotates_tree(self):
+    def test_forward_sweep_fills_slots(self):
         box = AbstractState.of({"x": iv(1, 3), "y": iv(10, 20)})
-        e = parse_condition("x + y == 5", list(box)).left
-        notes = {}
-        assert eval_expr(e, box, notes=notes) == iv(11, 23)
-        assert notes == {id(e): iv(11, 23), id(e.left): iv(1, 3), id(e.right): iv(10, 20)}
+        code = lowered("x + y == 5", box)
+        assert code.slots == [("var", 0, None), ("var", 1, None), ("+", 0, 1),
+                              ("const", iv(5, 5), None), ("-", 2, 3)]
+        assert _forward(code, box.intervals) == iv(6, 18)
+        assert code.vals == [iv(1, 3), iv(10, 20), iv(11, 23), iv(5, 5), iv(6, 18)]
 
-    def test_backward_projects_onto_variables(self):
+    def test_backward_sweep_projects_onto_variables(self):
         box = AbstractState.of({"x": iv(0, 10), "y": iv(2, 4)})
-        e = Binary("+", Var("x"), Var("y"))
-        notes = {}
-        eval_expr(e, box, notes=notes)
-        refined = backward_prop(e, iv(5, 5), box, notes)
+        code = lowered("x + y == 5", box)
+        _forward(code, box.intervals)
+        refined = _backward(code, box)
         assert refined.as_dict() == {"x": iv(1, 3), "y": iv(2, 4)}
+
+    def test_constant_subtrees_fold(self):
+        box = parse_box("x:[0,10], y:[0,10]")
+        code = lowered("x * y <= -(2 * 3) + 10 / 3", box)
+        assert [kind for kind, _, _ in code.slots] == ["var", "var", "*", "const", "-"]
+        assert code.slots[3][1] == iv(-3, -3)
+        assert code.bound is None
+
+    @pytest.mark.parametrize("source, bound", [
+        ("x <= 3", iv(float("-inf"), 3)),
+        ("x > 2 - 5", iv(-2, float("inf"))),
+        ("3 < x", iv(4, float("inf"))),
+        ("-4 >= x", iv(float("-inf"), -4)),
+        ("x == 1 / 0", BOTTOM),
+    ])
+    def test_variable_against_constant_is_one_bound(self, source, bound):
+        box = parse_box("y:[0,1], x:[-10,10]")
+        code = lowered(source, box)
+        assert (code.position, code.bound) == (1, bound)
+
+    def test_not_equal_keeps_the_sweep(self):
+        box = parse_box("x:[0,10]")
+        assert lowered("x != 3", box).bound is None
 
 
 class TestHc4Revise:
@@ -255,3 +286,44 @@ class TestRandomizedProperties:
                 for name in box:
                     values = [env[name] for env in sols]
                     assert (out[name].lo, out[name].hi) == (min(values), max(values))
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_variable_against_constant_is_exact(self, seed):
+        # x <rel> e or e <rel> x for a variable-free e: the contracted box
+        # is exactly the hull of the solutions, and empty when none exist.
+        rng = random.Random(seed)
+
+        def constant(depth):
+            if depth <= 0 or rng.random() < 0.3:
+                k = rng.randint(-6, 6)
+                return rng.choice(["%d" % k, "(0 - %d)" % -k]) if k < 0 else str(k)
+            if rng.random() < 0.1:
+                return "(1 / 0)"
+            return "(%s %s %s)" % (constant(depth - 1), rng.choice("+-*/"),
+                                   constant(depth - 1))
+
+        e = constant(3)
+        try:
+            center = eval_point(parse_condition("0 == %s" % e, []).right, {})
+        except ZeroDivisionError:
+            center = 0
+        # x's range lies around e's value, so many cases have solutions.
+        lo = center + rng.randint(-8, 3)
+        ranges = {"x": iv(lo, lo + rng.randint(0, 10))}
+        if rng.random() < 0.5:
+            ranges["y"] = iv(-2, rng.randint(-2, 3))
+        box = AbstractState.of(ranges)
+        relation = rng.choice(["==", "<", "<=", ">", ">="])
+        if rng.random() < 0.5:
+            source = "x %s %s" % (relation, e)
+        else:
+            source = "%s %s x" % (e, relation)
+        cond = parse_condition(source, list(box))
+        out = hc4_revise(Constraint.from_expr(cond), box)
+        sols = list(solutions(cond, box))
+        if not sols:
+            assert out.is_bottom
+        else:
+            for name in box:
+                values = [env[name] for env in sols]
+                assert (out[name].lo, out[name].hi) == (min(values), max(values))
