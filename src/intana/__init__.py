@@ -20,10 +20,10 @@ from .absint import (
 )
 from .contractor import (
     Classification,
-    Constraint,
     classify_condition,
     contract_fixpoint,
     hc4_revise,
+    lower_comparison,
     parse_box,
 )
 from .instrument import InstrumentationPoint, instrument_program, intervals_to_assume_expr

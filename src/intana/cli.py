@@ -20,7 +20,7 @@ import json
 import sys
 
 from .absint import AnalysisConfig, analyze_program
-from .contractor import Constraint, box_render, contract_fixpoint, parse_box
+from .contractor import box_render, contract_fixpoint, lower_comparison, parse_box
 from .instrument import instrument_program
 from .lang import Assert, BoolLit, ParseError, parse_condition, parse_program, \
     program_to_source, expr_to_source, walk_stmts
@@ -32,7 +32,6 @@ from .oracle import (
     UnboundedNondetError,
     check_equivalence,
     check_soundness,
-    enumerate_executions,  # noqa: F401  re-exported; check enumerates via check_soundness
 )
 
 
@@ -173,9 +172,8 @@ def cmd_instrument(args) -> int:
 
 def cmd_contract(args) -> int:
     box = parse_box(args.box)
-    cond = parse_condition(args.constraint, list(box))
-    result = contract_fixpoint([Constraint.from_expr(cond)], box,
-                               max_rounds=args.max_rounds)
+    code = lower_comparison(parse_condition(args.constraint, list(box)), box)
+    result = contract_fixpoint([code], box, max_rounds=args.max_rounds)
     if args.format == "json":
         _emit(json.dumps({
             "constraint": args.constraint,

@@ -1,14 +1,17 @@
 """Interval evaluation, and forward-backward contraction of boxes (AbstractStates).
 
 `eval_expr` walks an expression tree; the analyzer's transfer functions
-use it.  A constraint `lhs <rel> rhs` is lowered once over a box's names
-(`lower_condition` lowers a whole NNF condition) to `lhs - rhs` as a
-postorder slot array that reads variables by position, with
-variable-free subtrees folded.  HC4-revise sweeps it forward, meets the
-root with the relation's range from `interval.RELATION_RANGE`, and sweeps
-the inverse projections back to the variables; a variable against a
-constant K is one meet with K + range (K - range with the variable on
-the right).  Strict inequalities are integer-wise: x < e is x - e <= -1.
+use it.  The contractors take one input form only: a condition lowered
+once over a box's names.  `lower_comparison` lowers `lhs <rel> rhs` to
+`lhs - rhs` as a postorder slot array that reads variables by position,
+with variable-free subtrees folded, and `lower_condition` lowers a whole
+NNF condition.  HC4-revise sweeps a comparison forward, meets the root
+with the relation's range from `interval.RELATION_RANGE`, and sweeps the
+inverse projections back to the variables; a variable against a constant
+K is one meet with K + range (K - range with the variable on the right).
+Strict inequalities are integer-wise: x < e is x - e <= -1.  The one
+round-robin loop is the `&&` branch of `contract_condition`;
+`contract_fixpoint` runs it over a list of comparisons.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .interval import (
     RELATION_RANGE,
     TOP,
     Truth3,
+    _parse_bound,
     divisor_parts,
     ext_add,
     ext_mul,
@@ -41,19 +45,6 @@ from .lang import ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Una
 ENUM_LIMIT = 2048
 
 _NEGATED_CMP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
-
-
-@dataclass(frozen=True)
-class Constraint:
-    relation: str
-    lhs: Expr
-    rhs: Expr
-
-    @staticmethod
-    def from_expr(e: Expr) -> "Constraint":
-        if not (isinstance(e, Binary) and e.op in CMP_OPS):
-            raise ValueError("not a comparison: %r" % (e,))
-        return Constraint(e.op, e.left, e.right)
 
 
 def box_render(box: AbstractState) -> str:
@@ -72,17 +63,11 @@ def parse_box(text: str) -> AbstractState:
     box = {}
     for m in _BOX_ENTRY_RE.finditer(text):
         box[m.group("name")] = Interval.make(
-            _bound(m.group("lo")), _bound(m.group("hi")))
+            _parse_bound(m.group("lo")), _parse_bound(m.group("hi")))
     rest = _BOX_ENTRY_RE.sub("", text).replace(",", "").strip()
     if rest or not box:
         raise ValueError("bad box syntax: %r" % text)
     return AbstractState.of(box)
-
-
-def _bound(text: str):
-    if text.endswith("inf"):
-        return NEG_INF if text.startswith("-") else POS_INF
-    return int(text)
 
 
 # --- forward evaluation ------------------------------------------------------
@@ -128,8 +113,6 @@ def _mul_preimage_exact(z: Interval, yv: int) -> Interval:
 
 def _ratio_corner(zb, yb):
     """Candidate endpoint of z/y at a corner; infinities by sign limit."""
-    if isinstance(zb, float) and isinstance(yb, float):
-        return POS_INF if (zb > 0) == (yb > 0) else NEG_INF
     if isinstance(zb, float):
         return POS_INF if (zb > 0) == (yb > 0) else NEG_INF
     if isinstance(yb, float):
@@ -202,14 +185,14 @@ def _tdiv_preimage_hull(z: Interval, part: Interval) -> Interval:
             return NEG_INF
         if z.lo > 0:
             return ext_mul(z.lo, yv)
-        return ext_add(ext_mul(z.lo - 1, yv), 1) if isinstance(yv, float) else z.lo * yv - (yv - 1)
+        return ext_add(ext_mul(z.lo - 1, yv), 1)
 
     def hi_at(yv):
         if not is_finite(z.hi):
             return POS_INF
         if z.hi < 0:
             return ext_mul(z.hi, yv)
-        return ext_add(ext_mul(z.hi + 1, yv), -1) if isinstance(yv, float) else z.hi * yv + (yv - 1)
+        return ext_add(ext_mul(z.hi + 1, yv), -1)
 
     if part.lo > 0:
         los = [lo_at(part.lo), lo_at(part.hi)]
@@ -259,7 +242,7 @@ def _inv_square(z: Interval, x: Interval) -> Interval:
 
 # --- single-constraint contraction -------------------------------------------
 
-# A comparison lowered over one box's names, revised like a Constraint: a
+# A comparison lowered over one box's names (see lower_comparison): a
 # `bound` on the variable at `position` if the other side is constant, else
 # `lhs - rhs` as postorder `slots` and one interval per slot in `vals`.
 _Code = namedtuple("_Code", "relation lhs rhs required position bound slots vals")
@@ -292,8 +275,11 @@ def _emit(e: Expr, box: AbstractState, slots: list) -> int:
     raise ValueError("not an arithmetic expression: %r" % (e,))
 
 
-def _lower(relation: str, lhs: Expr, rhs: Expr, box: AbstractState) -> _Code:
-    """The comparison's code over box's names; reads RELATION_RANGE now."""
+def lower_comparison(e: Expr, box: AbstractState) -> _Code:
+    """The comparison e's code over box's names; reads RELATION_RANGE now."""
+    if not (isinstance(e, Binary) and e.op in CMP_OPS):
+        raise ValueError("not a comparison: %r" % (e,))
+    relation, lhs, rhs = e.op, e.left, e.right
     required = None if relation == "!=" else RELATION_RANGE[relation]
     slots, position, bound = [], None, None
     a, b = _emit(lhs, box, slots), _emit(rhs, box, slots)
@@ -346,38 +332,16 @@ def _backward(code: _Code, box: AbstractState) -> AbstractState:
     return box.replaced(ivs)
 
 
-def hc4_revise(c: Constraint, box: AbstractState) -> AbstractState:
-    """One forward-backward pass; contracts box, preserving all solutions."""
+def hc4_revise(code: _Code, box: AbstractState) -> AbstractState:
+    """One forward-backward pass of a lower_comparison code; contracts box,
+    preserving all solutions."""
     if box.is_bottom:
         return box
-    code = c if type(c) is _Code else _lower(c.relation, c.lhs, c.rhs, box)
     if code.bound is None:
         root = _forward(code, box.intervals)
-        if c.relation == "!=":
+        if code.relation == "!=":
             return box.as_bottom() if root == Interval(0, 0) else box
     return _backward(code, box)
-
-
-def _round_robin(revise, items, box: AbstractState, max_rounds: int) -> AbstractState:
-    """Apply revise(item, box) to each item in turn until the box is stable,
-    empty, or max_rounds rounds have run."""
-    current = box
-    for _ in range(max_rounds):
-        previous = current
-        for item in items:
-            current = revise(item, current)
-            if current.is_bottom:
-                return current
-        if current == previous:
-            break
-    return current
-
-
-def contract_fixpoint(cs, box: AbstractState, max_rounds: int = 10) -> AbstractState:
-    """Round-robin single-constraint contraction until stable."""
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    return _round_robin(hc4_revise, cs, box, max_rounds)
 
 
 # --- condition classification ------------------------------------------------
@@ -411,27 +375,19 @@ def lower_condition(cond: Expr, box: AbstractState):
     comparison, `||`'s (left, right) or the list of `&&`'s flattened conjuncts."""
     if isinstance(cond, BoolLit):
         return cond.value
-    if isinstance(cond, Binary) and cond.op in CMP_OPS:
-        return _lower(cond.op, cond.left, cond.right, box)
     if isinstance(cond, Binary) and cond.op == "||":
         return lower_condition(cond.left, box), lower_condition(cond.right, box)
     if isinstance(cond, Binary) and cond.op == "&&":
         return [lower_condition(item, box) for item in _flatten_and(cond)]
-    raise ValueError("not an NNF condition: %r" % (cond,))
-
-
-def _contract_conjunct(item, box: AbstractState) -> AbstractState:
-    if type(item) is _Code:
-        return hc4_revise(item, box)
-    return contract_condition(item, box, 1)
+    return lower_comparison(cond, box)
 
 
 def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> AbstractState:
-    """Contract an NNF condition, or its lower_condition form; `||` is hulled."""
+    """Contract box by a lower_condition form.  `||` is hulled; `&&` contracts
+    its conjuncts in turn until the box is stable, empty, or max_rounds
+    rounds have run."""
     if box.is_bottom:
         return box
-    if isinstance(cond, Expr):
-        cond = lower_condition(cond, box)
     if cond is True or cond is False:
         return box if cond else box.as_bottom()
     if type(cond) is _Code:
@@ -439,7 +395,23 @@ def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> Abstra
     if isinstance(cond, tuple):
         left, right = (contract_condition(side, box, max_rounds) for side in cond)
         return left.join(right)
-    return _round_robin(_contract_conjunct, cond, box, max_rounds)
+    current = box
+    for _ in range(max_rounds):
+        previous = current
+        for item in cond:
+            current = contract_condition(item, current, 1)
+            if current.is_bottom:
+                return current
+        if current == previous:
+            break
+    return current
+
+
+def contract_fixpoint(codes, box: AbstractState, max_rounds: int = 10) -> AbstractState:
+    """Round-robin contraction by lower_comparison codes until stable."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    return contract_condition(list(codes), box, max_rounds)  # a list is `&&`
 
 
 @dataclass
@@ -456,8 +428,8 @@ def classify_condition(cond: Expr, box: AbstractState) -> Classification:
     condition's box is empty, MAYBE otherwise (including an empty input
     box, which must never drive a rewrite).
     """
-    box_in = contract_condition(nnf(cond), box)
-    box_out = contract_condition(nnf(cond, negated=True), box)
+    box_in = contract_condition(lower_condition(nnf(cond), box), box)
+    box_out = contract_condition(lower_condition(nnf(cond, negated=True), box), box)
     if box.is_bottom:
         verdict = Truth3.MAYBE
     elif box_out.is_bottom:

@@ -19,8 +19,8 @@ import numpy as np
 
 from intana.absint import AnalysisConfig, analyze_program
 from intana.contractor import (
-    Constraint,
     classify_condition,
+    lower_comparison,
     parse_box,
 )
 from intana.fuzz import random_constraint_box, random_program
@@ -167,7 +167,7 @@ def contractor_violations(pairs):
     hull_checked = 0
     for seed, (source, box, hull_checkable) in pairs:
         cond = parse_condition(source, list(box))
-        c = Constraint.from_expr(cond)
+        c = lower_comparison(cond, box)
         out = contractor.hc4_revise(c, box)
         if not out.leq(box):
             issues.append((seed, "contraction"))

@@ -6,6 +6,7 @@ import pytest
 
 import intana.absint
 import intana.cli
+import intana.contractor
 import intana.oracle
 from intana.cli import main
 from intana.lang import parse_program
@@ -183,6 +184,34 @@ class TestContract:
                            "--constraint", "x + z == 1", "--box", "x:[0,1]")
         assert code == 2 and err
 
+    def test_non_comparison_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "contract",
+                           "--constraint", "x > 0 && x < 3", "--box", "x:[0,5]")
+        assert code == 2
+        assert err.startswith("error: not a comparison:")
+
+    def test_nonpositive_rounds_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "contract", "--max-rounds", "0",
+                           "--constraint", "x == 1", "--box", "x:[0,5]")
+        assert code == 2
+        assert err.startswith("error: max_rounds must be >= 1")
+
+    def test_constraint_is_lowered_once(self, capsys, monkeypatch):
+        # Each revise reuses the one lowered form: 7 slots, pushed once.
+        pushes = []
+        original = intana.contractor._push
+
+        def counting(*args):
+            pushes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(intana.contractor, "_push", counting)
+        code, out, _ = run(capsys, "contract",
+                           "--constraint", "x / 2 + x == 7", "--box", "x:[-50,50]")
+        assert code == 0
+        assert out.strip() == "x:[5,5]"
+        assert len(pushes) == 7
+
 
 class TestCheck:
     def test_clean_program(self, capsys):
@@ -279,7 +308,6 @@ class TestEnumerateOnce:
             return original(prog, *args, **kwargs)
 
         monkeypatch.setattr(intana.cli, "parse_program", parsing)
-        monkeypatch.setattr(intana.cli, "enumerate_executions", counting)
         monkeypatch.setattr(intana.oracle, "enumerate_executions", counting)
         code, _, _ = run(capsys, "check", str(CORPUS / "08_helper_call.mini"))
         assert code == 0
@@ -298,7 +326,6 @@ class TestEnumerateOnce:
             states.extend(result)
             return result
 
-        monkeypatch.setattr(intana.cli, "enumerate_executions", recording)
         monkeypatch.setattr(intana.oracle, "enumerate_executions", recording)
         code, _, _ = run(capsys, "check", str(CORPUS / "08_helper_call.mini"))
         assert code == 0

@@ -4,18 +4,17 @@ import random
 import pytest
 
 from intana.contractor import (
-    Constraint,
     box_render,
     classify_condition,
     contract_fixpoint,
     eval_expr,
     hc4_revise,
     inv_div_dividend,
+    lower_comparison,
     nnf,
     parse_box,
     _backward,
     _forward,
-    _lower,
     _tdiv_preimage,
 )
 from intana.fuzz import random_constraint_box
@@ -27,13 +26,8 @@ def iv(lo, hi):
     return Interval(lo, hi)
 
 
-def constraint(source, varnames):
-    return Constraint.from_expr(parse_condition(source, varnames))
-
-
 def lowered(source, box):
-    c = constraint(source, list(box))
-    return _lower(c.relation, c.lhs, c.rhs, box)
+    return lower_comparison(parse_condition(source, list(box)), box)
 
 
 def tdiv(a, b):
@@ -145,49 +139,49 @@ class TestForwardBackward:
 class TestHc4Revise:
     def test_addition_example(self):
         box = parse_box("x:[0,10], y:[2,4]")
-        out = hc4_revise(constraint("x + y == 5", ["x", "y"]), box)
+        out = hc4_revise(lowered("x + y == 5", box), box)
         assert out.as_dict() == {"x": iv(1, 3), "y": iv(2, 4)}
 
     def test_contradiction_empties_box(self):
         box = parse_box("x:[0,10]")
-        out = hc4_revise(constraint("x + 1 <= 0", ["x"]), box)
+        out = hc4_revise(lowered("x + 1 <= 0", box), box)
         assert out.is_bottom
 
     def test_strict_inequality_is_integer_aware(self):
         box = parse_box("x:[0,10]")
-        out = hc4_revise(constraint("x < 4", ["x"]), box)
+        out = hc4_revise(lowered("x < 4", box), box)
         assert out["x"] == iv(0, 3)
 
     def test_square_constraint(self):
         box = parse_box("x:[-10,10]")
-        out = hc4_revise(constraint("x * x <= 4", ["x"]), box)
+        out = hc4_revise(lowered("x * x <= 4", box), box)
         assert out["x"] == iv(-2, 2)
         box = parse_box("x:[1,10]")
-        out = hc4_revise(constraint("x * x >= 9", ["x"]), box)
+        out = hc4_revise(lowered("x * x >= 9", box), box)
         assert out["x"] == iv(3, 10)
 
     def test_not_equal_prunes_only_singleton_gap(self):
         box = parse_box("x:[5,5]")
-        out = hc4_revise(constraint("x != 5", ["x"]), box)
+        out = hc4_revise(lowered("x != 5", box), box)
         assert out.is_bottom
         box = parse_box("x:[5,9]")
-        out = hc4_revise(constraint("x != 5", ["x"]), box)
+        out = hc4_revise(lowered("x != 5", box), box)
         assert out["x"] == iv(5, 9)  # hull cannot exclude an interior point
 
     def test_division_truncation_preimage(self):
         box = parse_box("x:[-20,20]")
-        out = hc4_revise(constraint("x / 3 == 2", ["x"]), box)
+        out = hc4_revise(lowered("x / 3 == 2", box), box)
         assert out["x"] == iv(6, 8)
 
     def test_negative_divisor(self):
         box = parse_box("x:[-20,20]")
-        out = hc4_revise(constraint("x / -2 == 3", ["x"]), box)
+        out = hc4_revise(lowered("x / -2 == 3", box), box)
         assert out["x"] == iv(-7, -6)
 
     def test_negative_divisor_range_keeps_solutions(self):
         # a=1, b=-1 gives 1 < 2, so the box must not be emptied.
         box = parse_box("a:[0,2], b:[-inf,-1]")
-        out = hc4_revise(constraint("a < (-2 / b)", ["a", "b"]), box)
+        out = hc4_revise(lowered("a < (-2 / b)", box), box)
         assert box_render(out) == "a:[0,1], b:[-inf,-1]"
 
     def test_wide_negative_divisor_hull_matches_enumeration(self):
@@ -202,14 +196,14 @@ class TestHc4Revise:
 
     def test_multiplication_gap_detected_by_enumeration(self):
         box = parse_box("x:[0,10], y:[2,2]")
-        out = hc4_revise(constraint("x * y == 5", ["x", "y"]), box)
+        out = hc4_revise(lowered("x * y == 5", box), box)
         assert out.is_bottom  # 5 is odd, y is exactly 2
 
 
 class TestContractFixpoint:
     def test_single_constraint_matches_hc4(self):
         box = parse_box("x:[0,10], y:[2,4]")
-        c = constraint("x + y == 5", ["x", "y"])
+        c = lowered("x + y == 5", box)
         assert contract_fixpoint([c], box) == hc4_revise(c, box)
 
     def test_round_robin_stabilizes_soundly(self):
@@ -217,8 +211,8 @@ class TestContractFixpoint:
         # {x:[2,2], y:[2,2]}: [0,4]^2 is a genuine fixpoint of both
         # individual contractors, and every joint solution is inside it.
         box = parse_box("x:[0,10], y:[0,10]")
-        cs = [constraint("x == y", ["x", "y"]),
-              constraint("x + y == 4", ["x", "y"])]
+        cs = [lowered("x == y", box),
+              lowered("x + y == 4", box)]
         out = contract_fixpoint(cs, box, max_rounds=50)
         assert out.as_dict() == {"x": iv(0, 4), "y": iv(0, 4)}
         assert contract_fixpoint(cs, out, max_rounds=50) == out
@@ -273,7 +267,7 @@ class TestRandomizedProperties:
     def test_contraction_and_correctness(self, seed):
         source, box, hull_checkable = random_constraint_box(seed)
         cond = parse_condition(source, list(box))
-        out = hc4_revise(Constraint.from_expr(cond), box)
+        out = hc4_revise(lower_comparison(cond, box), box)
         assert out.leq(box)
         sols = list(solutions(cond, box))
         for env in sols:
@@ -319,7 +313,7 @@ class TestRandomizedProperties:
         else:
             source = "%s %s x" % (e, relation)
         cond = parse_condition(source, list(box))
-        out = hc4_revise(Constraint.from_expr(cond), box)
+        out = hc4_revise(lower_comparison(cond, box), box)
         sols = list(solutions(cond, box))
         if not sols:
             assert out.is_bottom
