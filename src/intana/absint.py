@@ -28,7 +28,6 @@ from .lang import (
     Expr,
     free_vars,
     Program,
-    reverse_postorder,
     Return,
     Skip,
     Unary,
@@ -168,7 +167,7 @@ def _edge_state(node, after: AbstractState, label: str, config: AnalysisConfig) 
 def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = None) -> AnalysisResult:
     config = config or AnalysisConfig()
     bottom = init.as_bottom()
-    rpo = reverse_postorder(cfg)
+    rpo = cfg.rpo
     rpo_index = {n: i for i, n in enumerate(rpo)}
 
     before = {n: bottom for n in cfg.nodes}

@@ -29,7 +29,6 @@ from .oracle import (
     STEP_LIMIT,
     EnumerationCapError,
     NondetMismatchError,
-    UnboundedNondetError,
     check_equivalence,
     check_soundness,
 )
@@ -237,9 +236,8 @@ def cmd_check(args) -> int:
     return code
 
 
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        parser.add_argument("input", help="program file in the mini language")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", help="program file in the mini language")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--output", help="write output to this file (default stdout)")
     parser.add_argument("--widening-delay", type=int, default=2)
@@ -293,10 +291,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 2
-    except (UnboundedNondetError, EnumerationCapError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EnumerationCapError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:

@@ -62,7 +62,10 @@ def parse_box(text: str) -> AbstractState:
     """Parse the dump syntax `x:[0,10], y:[2,4]` (with inf keywords), in order."""
     box = {}
     for m in _BOX_ENTRY_RE.finditer(text):
-        box[m.group("name")] = Interval.make(
+        name = m.group("name")
+        if name in box:
+            raise ValueError("duplicate variable %r in box" % name)
+        box[name] = Interval.make(
             _parse_bound(m.group("lo")), _parse_bound(m.group("hi")))
     rest = _BOX_ENTRY_RE.sub("", text).replace(",", "").strip()
     if rest or not box:

@@ -19,7 +19,6 @@ from .lang import (
     Call,
     Expr,
     FALSE,
-    Function,
     If,
     IntLit,
     Program,
@@ -27,8 +26,9 @@ from .lang import (
     Var,
     While,
     free_vars,
-    map_block,
     map_children,
+    map_program,
+    walk_stmts,
 )
 
 LOOP_BEFORE = "loop-before"
@@ -71,49 +71,49 @@ def intervals_to_assume_expr(varnames, state: AbstractState) -> "Expr | None":
 
 
 class _Instrumenter:
-    def __init__(self, fname: str, analysis, config: AnalysisConfig):
-        self.fname = fname
-        self.analysis = analysis
-        self.cfg = analysis.cfg
+    def __init__(self, prog: Program, analyses, config: AnalysisConfig):
+        self.analyses = analyses
         self.config = config
         self.points: "list[InstrumentationPoint]" = []
-        self.next_sid = 1 + max(
-            (n.stmt.sid for n in self.cfg.nodes.values() if n.stmt is not None),
-            default=0)
+        # New statements are numbered past every sid of the input program.
+        self.next_sid = 1 + max((s.sid for fn in prog.functions.values()
+                                 for s in walk_stmts(fn.body)), default=0)
 
-    def _assume(self, varnames, state, node: int, kind: str) -> "list[Stmt]":
+    def _assume(self, varnames, state, where: "tuple[str, int]",
+                kind: str) -> "list[Stmt]":
         expr = intervals_to_assume_expr(varnames, state)
         if expr is None:
             return []
         self.points.append(InstrumentationPoint(
-            self.fname, node, kind, frozenset(varnames), expr))
+            *where, kind, frozenset(varnames), expr))
         stmt = Assume(cond=expr, sid=self.next_sid)
         self.next_sid += 1
         return [stmt]
 
-    def stmt(self, stmt: Stmt, walk) -> "list[Stmt]":
-        node = self.cfg.stmt_node.get(stmt.sid)
-        state = self.analysis.state_before(stmt)
+    def stmt(self, fname: str, stmt: Stmt, walk) -> "list[Stmt]":
+        analysis = self.analyses[fname]
+        state = analysis.state_before(stmt)
         if state is None:
             return [stmt]
+        where = (fname, analysis.cfg.stmt_node[stmt.sid])
         if isinstance(stmt, While):
-            head = self._assume(free_vars(stmt.cond), state, node, LOOP_BEFORE)
+            head = self._assume(free_vars(stmt.cond), state, where, LOOP_BEFORE)
             inside_state = transfer_assume(state, stmt.cond, True, self.config)
-            inside = self._assume(free_vars(stmt.cond), inside_state, node,
+            inside = self._assume(free_vars(stmt.cond), inside_state, where,
                                   LOOP_INSIDE)
             loop = map_children(stmt, walk)
             return head + [replace(loop, body=inside + loop.body)]
         if isinstance(stmt, If):
-            pre = self._assume(free_vars(stmt.cond), state, node, CONDITIONAL)
+            pre = self._assume(free_vars(stmt.cond), state, where, CONDITIONAL)
             return pre + [map_children(stmt, walk)]
         if isinstance(stmt, Assert):
-            return self._assume(free_vars(stmt.cond), state, node,
+            return self._assume(free_vars(stmt.cond), state, where,
                                 ASSERTION) + [stmt]
         if isinstance(stmt, Call):
             varnames = set()
             for a in stmt.args:
                 varnames |= free_vars(a)
-            return self._assume(varnames, state, node, CALL) + [stmt]
+            return self._assume(varnames, state, where, CALL) + [stmt]
         return [stmt]
 
 
@@ -121,11 +121,5 @@ def instrument_program(prog: Program, analyses,
                        config: "AnalysisConfig | None" = None
                        ) -> "tuple[Program, list[InstrumentationPoint]]":
     config = config or AnalysisConfig()
-    points: "list[InstrumentationPoint]" = []
-    functions = {}
-    for name, fn in prog.functions.items():
-        worker = _Instrumenter(name, analyses[name], config)
-        body = map_block(fn.body, worker.stmt)
-        functions[name] = Function(fn.name, fn.params, body, fn.locals)
-        points.extend(worker.points)
-    return Program(functions, prog.entry), points
+    worker = _Instrumenter(prog, analyses, config)
+    return map_program(prog, worker.stmt), worker.points

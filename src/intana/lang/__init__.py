@@ -6,7 +6,6 @@ from .ast import (
     Assign,
     Assume,
     Binary,
-    BOOL_OPS,
     BoolLit,
     Call,
     CMP_OPS,
@@ -20,6 +19,7 @@ from .ast import (
     map_block,
     map_children,
     map_exprs,
+    map_program,
     Nondet,
     Program,
     program_nondets,
@@ -35,7 +35,7 @@ from .ast import (
     walk_stmts,
     While,
 )
-from .cfg import BRANCH_FALSE, BRANCH_TRUE, build_cfg, Cfg, FALLTHROUGH, Node, reverse_postorder
+from .cfg import BRANCH_FALSE, BRANCH_TRUE, build_cfg, Cfg, FALLTHROUGH, Node
 from .parser import parse_condition, parse_program, ParseError
 from .pretty import expr_to_source, function_to_source, program_to_source
 

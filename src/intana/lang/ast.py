@@ -8,10 +8,10 @@ results can be mapped back onto rewritten trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 ARITH_OPS = frozenset({"+", "-", "*", "/"})
 CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-BOOL_OPS = frozenset({"&&", "||"})
 
 
 # --- expressions -----------------------------------------------------------
@@ -159,7 +159,11 @@ class Function:
     name: str
     params: "tuple[str, ...]"
     body: "list[Stmt]"
-    locals: "tuple[str, ...]" = ()
+
+    @property
+    def locals(self) -> "tuple[str, ...]":
+        """Declared names in source order, which is walk_stmts order."""
+        return tuple(s.name for s in walk_stmts(self.body) if isinstance(s, Decl))
 
     @property
     def variables(self) -> "tuple[str, ...]":
@@ -244,6 +248,12 @@ def map_block(block, fn) -> "list[Stmt]":
             out.extend(fn(s, walk))
         return out
     return walk(block)
+
+
+def map_program(prog: Program, fn) -> Program:
+    """Rewrite every function body with map_block(body, fn(name, stmt, walk))."""
+    return Program({name: replace(f, body=map_block(f.body, partial(fn, name)))
+                    for name, f in prog.functions.items()}, prog.entry)
 
 
 def program_nondets(prog: Program):

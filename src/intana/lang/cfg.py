@@ -1,8 +1,9 @@
 """Control-flow graph construction for one function.
 
 Structured statements are lowered to nodes and labeled edges; `while`
-produces a back edge to its condition node.  Loop heads are the targets
-of depth-first back edges from the entry.
+produces a back edge to its condition node.  One depth-first search from
+the entry then drops the nodes it does not reach, and gives the loop
+heads (the targets of its back edges) and the reverse postorder.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ class Node:
 
 @dataclass
 class Cfg:
-    func: Function
     nodes: "dict[int, Node]" = field(default_factory=dict)
-    edges: "list[tuple[int, int, str]]" = field(default_factory=list)
     entry: int = 0
     exit: int = 0
     loop_heads: "set[int]" = field(default_factory=set)
+    # Reached node ids in reverse postorder, the entry first.
+    rpo: "list[int]" = field(default_factory=list)
     # Statement sid -> node id (condition node for if/while).
     stmt_node: "dict[int, int]" = field(default_factory=dict)
+    # (node, label) pairs in edge-creation order.
     succs: "dict[int, list[tuple[int, str]]]" = field(default_factory=dict)
     preds: "dict[int, list[tuple[int, str]]]" = field(default_factory=dict)
 
@@ -58,17 +60,20 @@ class Cfg:
 class _Builder:
     def __init__(self, func: Function):
         self.func = func
-        self.cfg = Cfg(func=func)
+        self.cfg = Cfg()
         self.next_id = 0
 
     def new_node(self, kind, stmt=None, cond=None) -> Node:
         node = Node(id=self.next_id, kind=kind, stmt=stmt, cond=cond)
         self.next_id += 1
         self.cfg.nodes[node.id] = node
+        self.cfg.succs[node.id] = []
+        self.cfg.preds[node.id] = []
         return node
 
     def edge(self, src: int, dst: int, label: str):
-        self.cfg.edges.append((src, dst, label))
+        self.cfg.succs[src].append((dst, label))
+        self.cfg.preds[dst].append((src, label))
 
     def build(self) -> Cfg:
         entry = self.new_node("entry")
@@ -76,12 +81,18 @@ class _Builder:
         self.cfg.entry = entry.id
         self.cfg.exit = exit_.id
         dangling = self.lower_block(self.func.body, [(entry.id, FALLTHROUGH)])
-        for src, label in dangling:
-            self.edge(src, exit_.id, label)
-        self._prune_unreachable()
-        self._index_edges()
-        self.cfg.loop_heads = self._back_edge_targets()
-        return self.cfg
+        self.connect(dangling, exit_.id)
+        cfg = self.cfg
+        postorder, cfg.loop_heads = _depth_first(cfg)
+        cfg.rpo = postorder[::-1]
+        reached = set(postorder)
+        # A reached node's successors are reached; its predecessors need not be.
+        cfg.nodes = {i: n for i, n in cfg.nodes.items() if i in reached}
+        cfg.succs = {i: cfg.succs[i] for i in cfg.nodes}
+        cfg.preds = {i: [(p, label) for p, label in cfg.preds[i] if p in reached]
+                     for i in cfg.nodes}
+        cfg.stmt_node = {sid: i for sid, i in cfg.stmt_node.items() if i in reached}
+        return cfg
 
     def lower_block(self, block, incoming):
         """Lower a statement list; returns the dangling out-edges."""
@@ -124,33 +135,6 @@ class _Builder:
             return [(cond.id, BRANCH_FALSE)]
         raise TypeError(stmt)
 
-    def _prune_unreachable(self):
-        succs = {}
-        for src, dst, _ in self.cfg.edges:
-            succs.setdefault(src, []).append(dst)
-        seen = set()
-        stack = [self.cfg.entry]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(succs.get(n, []))
-        seen.add(self.cfg.exit)
-        self.cfg.nodes = {i: n for i, n in self.cfg.nodes.items() if i in seen}
-        self.cfg.edges = [(s, d, l) for s, d, l in self.cfg.edges if s in seen and d in seen]
-        self.cfg.stmt_node = {sid: n for sid, n in self.cfg.stmt_node.items() if n in seen}
-
-    def _index_edges(self):
-        self.cfg.succs = {i: [] for i in self.cfg.nodes}
-        self.cfg.preds = {i: [] for i in self.cfg.nodes}
-        for src, dst, label in self.cfg.edges:
-            self.cfg.succs[src].append((dst, label))
-            self.cfg.preds[dst].append((src, label))
-
-    def _back_edge_targets(self):
-        return _depth_first(self.cfg)[1]
-
 
 def build_cfg(func: Function) -> Cfg:
     return _Builder(func).build()
@@ -181,7 +165,3 @@ def _depth_first(cfg: Cfg):
             on_stack.discard(n)
             postorder.append(n)
     return postorder, heads
-
-
-def reverse_postorder(cfg: Cfg):
-    return _depth_first(cfg)[0][::-1]

@@ -32,7 +32,6 @@ from .ast import (
     Var,
     While,
     sort_of,
-    walk_stmts,
 )
 
 
@@ -56,48 +55,45 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>==|!=|<=|>=|&&|\|\||[-+*/<>=!(){},;])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "offset", "source")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, offset, source):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.offset = offset
+        self.source = source
 
     def __repr__(self):
         return "Token(%s, %r)" % (self.kind, self.text)
 
+    def error(self, message: str) -> ParseError:
+        """A ParseError at this token's 1-based line and column."""
+        line = self.source.count("\n", 0, self.offset) + 1
+        col = self.offset - self.source.rfind("\n", 0, self.offset)
+        return ParseError(message, line, col)
+
 
 def tokenize(source: str):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % source[pos], line, col)
-        text = m.group(0)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            if kind == "ident" and text in _KEYWORDS:
-                kind = text
-            elif kind == "op" and text in "(){},;":
-                kind = text
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws" or kind == "comment":
+            continue
+        text = m.group()
+        if kind == "ident" and text in _KEYWORDS or kind == "op" and text in "(){},;":
+            kind = text
+        tok = Token(kind, text, m.start(), source)
+        if kind == "bad":
+            raise tok.error("unexpected character %r" % text)
+        tokens.append(tok)
+    tokens.append(Token("eof", "", len(source), source))
     return tokens
 
 
@@ -116,7 +112,9 @@ class Parser:
         self.pos = 0
         self.next_sid = 0
         self.declared: "set[str]" = set()
-        self.decl_order: "list[str]" = []
+        self.function = None  # name of the function being parsed
+        # (function, call, token of its callee) per call, in source order.
+        self.calls: "list[tuple[str, Call, Token]]" = []
 
     # --- token plumbing ---
 
@@ -132,13 +130,11 @@ class Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok.text or "end of input"),
-                             tok.line, tok.col)
+            self.error("expected %r, found %r" % (kind, tok.text or "end of input"), tok)
         return self.advance()
 
     def error(self, message: str, tok: "Token | None" = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise (tok or self.peek()).error(message)
 
     def fresh_sid(self) -> int:
         self.next_sid += 1
@@ -155,8 +151,7 @@ class Parser:
                 self.error("duplicate function %r" % fn.name, tok)
             functions[fn.name] = fn
         if "main" not in functions:
-            tok = self.peek()
-            raise ParseError("no entry function 'main'", tok.line, tok.col)
+            self.error("no entry function 'main'")
         prog = Program(functions=functions, entry="main")
         self._validate_calls(prog)
         return prog
@@ -177,10 +172,8 @@ class Parser:
                 self.advance()
         self.expect(")")
         self.declared = set(params)
-        self.decl_order = []
-        body = self.parse_block()
-        return Function(name=name, params=tuple(params), body=body,
-                        locals=tuple(self.decl_order))
+        self.function = name
+        return Function(name=name, params=tuple(params), body=self.parse_block())
 
     def parse_block(self) -> "list[Stmt]":
         self.expect("{")
@@ -208,7 +201,6 @@ class Parser:
             init = self.parse_rhs()
         self.expect(";")
         self.declared.add(name)
-        self.decl_order.append(name)
         return Decl(name=name, init=init, sid=self.fresh_sid())
 
     def parse_rhs(self) -> Expr:
@@ -248,20 +240,12 @@ class Parser:
             return self.parse_if()
         if tok.kind == "while":
             return self.parse_while()
-        if tok.kind == "assert":
+        if tok.kind in ("assert", "assume"):
             self.advance()
-            self.expect("(")
-            cond = self.parse_cond()
-            self.expect(")")
+            cond = self.parse_paren_cond()
             self.expect(";")
-            return Assert(cond=cond, sid=self.fresh_sid())
-        if tok.kind == "assume":
-            self.advance()
-            self.expect("(")
-            cond = self.parse_cond()
-            self.expect(")")
-            self.expect(";")
-            return Assume(cond=cond, sid=self.fresh_sid())
+            check = Assert if tok.kind == "assert" else Assume
+            return check(cond=cond, sid=self.fresh_sid())
         if tok.kind == "return":
             self.advance()
             rtok = self.peek()
@@ -312,14 +296,12 @@ class Parser:
         self.expect(")")
         self.expect(";")
         call = Call(callee=callee, args=tuple(args), result=result, sid=self.fresh_sid())
-        call._loc = (tok.line, tok.col)
+        self.calls.append((self.function, call, tok))
         return call
 
     def parse_if(self) -> If:
         self.expect("if")
-        self.expect("(")
-        cond = self.parse_cond()
-        self.expect(")")
+        cond = self.parse_paren_cond()
         then = self.parse_block()
         orelse = None
         if self.peek().kind == "else":
@@ -329,11 +311,15 @@ class Parser:
 
     def parse_while(self) -> While:
         self.expect("while")
+        cond = self.parse_paren_cond()
+        body = self.parse_block()
+        return While(cond=cond, body=body, sid=self.fresh_sid())
+
+    def parse_paren_cond(self) -> Expr:
         self.expect("(")
         cond = self.parse_cond()
         self.expect(")")
-        body = self.parse_block()
-        return While(cond=cond, body=body, sid=self.fresh_sid())
+        return cond
 
     def parse_cond(self) -> Expr:
         tok = self.peek()
@@ -394,7 +380,7 @@ class Parser:
         try:
             actual = _deep_sort(e)
         except _SortError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            raise tok.error(str(exc)) from None
         if actual != expected:
             self.error("expected %s expression, found %s expression" % (expected, actual), tok)
 
@@ -402,29 +388,24 @@ class Parser:
 
     def _validate_calls(self, prog: Program):
         calls = {name: [] for name in prog.functions}
-        for fname, fn in prog.functions.items():
-            for s in walk_stmts(fn.body):
-                if isinstance(s, Call):
-                    line, col = getattr(s, "_loc", (0, 0))
-                    callee = prog.functions.get(s.callee)
-                    if callee is None:
-                        raise ParseError("call to undefined function %r" % s.callee, line, col)
-                    if len(s.args) != len(callee.params):
-                        raise ParseError(
-                            "arity mismatch: %s takes %d arguments, got %d"
-                            % (s.callee, len(callee.params), len(s.args)), line, col)
-                    if s.result is not None and not callee.has_return:
-                        raise ParseError(
-                            "function %r does not return a value" % s.callee, line, col)
-                    calls[fname].append((s.callee, line, col))
+        for fname, call, tok in self.calls:
+            callee = prog.functions.get(call.callee)
+            if callee is None:
+                self.error("call to undefined function %r" % call.callee, tok)
+            if len(call.args) != len(callee.params):
+                self.error("arity mismatch: %s takes %d arguments, got %d"
+                           % (call.callee, len(callee.params), len(call.args)), tok)
+            if call.result is not None and not callee.has_return:
+                self.error("function %r does not return a value" % call.callee, tok)
+            calls[fname].append((call.callee, tok))
         # Reject recursion (including mutual) with a simple cycle check.
         state = {}
 
         def visit(name):
             state[name] = "active"
-            for callee, line, col in calls[name]:
+            for callee, tok in calls[name]:
                 if state.get(callee) == "active":
-                    raise ParseError("recursive call via %r" % callee, line, col)
+                    self.error("recursive call via %r" % callee, tok)
                 if callee not in state:
                     visit(callee)
             state[name] = "done"
@@ -470,7 +451,6 @@ def parse_condition(source: str, varnames) -> Expr:
     parser = Parser(tokenize(source))
     parser.declared = set(varnames)
     cond = parser.parse_cond()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input after condition", tok.line, tok.col)
+    if parser.peek().kind != "eof":
+        parser.error("trailing input after condition")
     return cond

@@ -14,7 +14,6 @@ zero is never folded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 from .absint import (
     AbstractState,
@@ -33,10 +32,8 @@ from .lang import (
     Binary,
     BoolLit,
     CMP_OPS,
-    Decl,
     Expr,
     FALSE,
-    Function,
     If,
     IntLit,
     Program,
@@ -45,11 +42,10 @@ from .lang import (
     Unary,
     Var,
     While,
-    map_block,
     map_children,
     map_exprs,
+    map_program,
     subexprs,
-    walk_stmts,
 )
 
 
@@ -91,16 +87,6 @@ def division_safe(e: Expr, state: AbstractState, arith: bool) -> bool:
             if divisor.is_bottom or 0 in divisor:
                 return False
     return True
-
-
-def _rewrite_functions(prog: Program, rewrite) -> Program:
-    """Map every function body with rewrite(function_name, stmt, walk)."""
-    functions = {}
-    for name, fn in prog.functions.items():
-        body = map_block(fn.body, partial(rewrite, name))
-        locals_ = tuple(s.name for s in walk_stmts(body) if isinstance(s, Decl))
-        functions[name] = Function(fn.name, fn.params, body, locals_)
-    return Program(functions, prog.entry)
 
 
 def _prune(stmt: Stmt, walk, report: RewriteReport) -> "list[Stmt]":
@@ -146,7 +132,7 @@ def singleton_propagate(prog: Program, analyses) -> "tuple[Program, RewriteRepor
             stmt = map_exprs(stmt, lambda e: _subst_singletons(e, state, report))
         return [map_children(stmt, walk)]
 
-    return _rewrite_functions(prog, propagate), report
+    return map_program(prog, propagate), report
 
 
 # --- guard elimination -------------------------------------------------------
@@ -213,7 +199,7 @@ def guard_eliminate(prog: Program, analyses,
             stmt = replace(stmt, cond=_resolve_cond(stmt.cond, state, config, report))
         return _prune(stmt, walk, report)
 
-    return _rewrite_functions(prog, eliminate), report
+    return map_program(prog, eliminate), report
 
 
 # --- constant folding --------------------------------------------------------
@@ -291,7 +277,7 @@ def const_fold(prog: Program) -> "tuple[Program, RewriteReport]":
     def fold(name, stmt, walk):
         return _prune(map_exprs(stmt, lambda e: _fold_expr(e, report)), walk, report)
 
-    return _rewrite_functions(prog, fold), report
+    return map_program(prog, fold), report
 
 
 # --- pipeline ----------------------------------------------------------------

@@ -323,6 +323,8 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
     execution as it runs.  Without one, `record_trace` fills each state's
     `trace` with a copy of every point; with one, no trace is recorded.
     """
+    if step_limit < 1:
+        raise ValueError("step_limit must be >= 1")
     for nd in program_nondets(prog):
         if not nd.bounded:
             raise UnboundedNondetError("program contains unbounded nondet()")
@@ -462,22 +464,20 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
     `truncated` instead.
 
     `executions` may hold `a`'s executions, enumerated with the same
-    step limit, so a caller that already has them does not enumerate `a`
-    again.
+    step limit and in the order `enumerate_executions` returned them, so
+    a caller that already has them does not enumerate `a` again.
     """
     runs_a = executions
     if runs_a is None:
         runs_a = enumerate_executions(a, step_limit, cap, record_trace=False)
     runs_b = enumerate_executions(b, step_limit, cap, record_trace=False)
-    by_choice_a = {r.choices: r for r in runs_a}
-    by_choice_b = {r.choices: r for r in runs_b}
-    if set(by_choice_a) != set(by_choice_b):
+    # Both lists are in lexicographic choice order, which is sorted order.
+    if [r.choices for r in runs_a] != [r.choices for r in runs_b]:
         raise NondetMismatchError(
             "programs draw different nondet choice sequences")
     common = (set(a.main.variables) & set(b.main.variables))
     counterexample, truncated = None, 0
-    for choices in sorted(by_choice_a):
-        ra, rb = by_choice_a[choices], by_choice_b[choices]
+    for ra, rb in zip(runs_a, runs_b):
         if rb.verdict == STEP_LIMIT and ra.verdict != STEP_LIMIT:
             # `b` may only take more steps, so this run decides nothing.
             truncated += 1
@@ -486,5 +486,5 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
             ea = {v: ra.env[v] for v in common if v in ra.env}
             eb = {v: rb.env[v] for v in common if v in rb.env}
             if ra.verdict != rb.verdict or ea != eb:
-                counterexample = (choices, (ra.verdict, ea), (rb.verdict, eb))
+                counterexample = (ra.choices, (ra.verdict, ea), (rb.verdict, eb))
     return EquivalenceResult(counterexample, truncated)

@@ -196,6 +196,12 @@ class TestContract:
         assert code == 2
         assert err.startswith("error: max_rounds must be >= 1")
 
+    def test_repeated_box_variable_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "contract",
+                             "--constraint", "x == 1", "--box", "x:[0,1], x:[2,3]")
+        assert code == 2 and not out
+        assert err == "error: duplicate variable 'x' in box\n"
+
     def test_constraint_is_lowered_once(self, capsys, monkeypatch):
         # Each revise reuses the one lowered form: 7 slots, pushed once.
         pushes = []
@@ -243,6 +249,12 @@ class TestCheck:
         assert code == 3
         assert out.splitlines()[-2:] == ["step limit: 1 of 1 execution(s) truncated",
                                          "result: incomplete"]
+
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_nonpositive_step_limit_is_usage_error(self, capsys, limit):
+        code, out, err = run(capsys, "check", loop_path(), "--step-limit", limit)
+        assert code == 2 and not out
+        assert err == "error: step_limit must be >= 1\n"
 
     def test_truncated_rewrite_is_incomplete(self, capsys, tmp_path):
         # 9982 steps for the input, but one more `assume` per iteration in

@@ -122,6 +122,20 @@ class TestInstrumentProgram:
         kinds = [type(s).__name__ for s in out.main.body]
         assert kinds == ["Decl", "Assume", "While"]
 
+    @pytest.mark.parametrize("source", [
+        "fn helper(p) { int h = 0; while (h < p) { h = h + 1; } return h; }"
+        " fn main() { int x = nondet(0, 3); int y = 0; y = helper(x);"
+        " if (y > 1) { y = 1; } }",
+        # The new assume must not take the sid of the pruned declaration.
+        "fn f(a) { while (a < 3) { a = a + 1; } return a; int d = 1; }"
+        " fn main() { int y; y = f(1); }",
+    ], ids=["two-functions", "code-after-return"])
+    def test_new_statements_get_program_unique_sids(self, source):
+        prog, out, points = instrumented(source)
+        assert points
+        sids = [s.sid for fn in out.functions.values() for s in walk_stmts(fn.body)]
+        assert len(sids) == len(set(sids))
+
     @pytest.mark.parametrize("seed", range(40))
     def test_invariance_on_fuzzed_programs(self, seed):
         from intana.fuzz import random_program

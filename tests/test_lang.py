@@ -16,7 +16,6 @@ from intana.lang import (
     parse_condition,
     parse_program,
     program_to_source,
-    reverse_postorder,
     walk_stmts,
 )
 
@@ -104,9 +103,50 @@ class TestParserErrors:
             parse_program("fn main() {\n    y = 1;\n}")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("source,message", [
+        ("fn main() {\n    int y;\n    y = g(1);\n}",
+         "3:9: call to undefined function 'g'"),
+        ("fn f(a) { return a; }\nfn main() {\n    int y;\n    y = f(1, 2);\n}",
+         "4:9: arity mismatch: f takes 1 arguments, got 2"),
+        ("fn f(a) { a = a; }\nfn main() {\n    int y;\n      y = f(1);\n}",
+         "4:11: function 'f' does not return a value"),
+        ("fn main() {\n  f(1);\n}\n", "2:3: call to undefined function 'f'"),
+        ("fn f(a) {\n    int y;\n    y = g(a);\n    return y;\n}\n"
+         "fn g(b) {\n  int z;\n  z = f(b);\n  return z;\n}\nfn main() { skip; }",
+         "8:7: recursive call via 'f'"),
+        ("fn main() {\n  int x = 0;\n  x = x + 1;\n",
+         "4:1: expected a statement, found 'end of input'"),
+        ("fn main() { int x = 0;\n  x = x +", "2:10: expected an expression, found 'end of input'"),
+    ])
+    def test_exact_message_and_position(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert str(err.value) == message
+
+    def test_unexpected_character_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_condition("x >\n 1 &", ["x"])
+        assert str(err.value) == "2:4: unexpected character '&'"
+        assert (err.value.line, err.value.col) == (2, 4)
+
     def test_missing_main_rejected(self):
         with pytest.raises(ParseError):
             parse_program("fn helper(p) { return p; }")
+
+
+class TestLocals:
+    def test_declarations_in_source_order(self):
+        prog = parse_program("""
+            fn main(p) {
+                int a = 0;
+                if (a < p) { int b = 1; while (b < 3) { int c = b; b = b + 1; } }
+                else { int d = 2; }
+                int e;
+                while (a < 2) { int f = a; a = a + 1; }
+            }
+        """)
+        assert prog.main.locals == ("a", "b", "c", "d", "e", "f")
+        assert prog.main.variables == ("p", "a", "b", "c", "d", "e", "f")
 
 
 class TestParseCondition:
@@ -175,9 +215,19 @@ class TestCfg:
         kinds = [n.kind for n in cfg.nodes.values()]
         assert kinds.count("stmt") == 1  # only the return remains
 
+    def test_pruned_nodes_leave_no_edges_or_order(self):
+        prog = parse_program(
+            "fn f(a) { while (a < 3) { a = a + 1; } return a; int d = 1; }"
+            " fn main() { int y; y = f(1); }")
+        cfg = build_cfg(prog.functions["f"])
+        preds = cfg.predecessors(cfg.exit)
+        assert preds and all(p in cfg.nodes for p, _ in preds)
+        assert cfg.rpo[0] == cfg.entry
+        assert sorted(cfg.rpo) == sorted(cfg.nodes)
+
     def test_reverse_postorder_starts_at_entry(self):
         prog = parse_program(LOOP)
         cfg = build_cfg(prog.main)
-        order = reverse_postorder(cfg)
+        order = cfg.rpo
         assert order[0] == cfg.entry
         assert set(order) == set(cfg.nodes)
