@@ -160,7 +160,7 @@ def _transfer_node(node, state: AbstractState, config: AnalysisConfig) -> Abstra
 
 def _edge_state(node, after: AbstractState, label: str, config: AnalysisConfig) -> AbstractState:
     if node.kind == "cond":
-        return transfer_assume(after, node.cond, label == BRANCH_TRUE, config)
+        return transfer_assume(after, node.stmt.cond, label == BRANCH_TRUE, config)
     return after
 
 
@@ -184,7 +184,7 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
     # refines only the condition's variables: it is recomputed only when
     # one of those changed since its last computation, and otherwise takes
     # that result's ranges for them and after[p]'s for the rest.
-    reads = {n: [init.position(v) for v in free_vars(node.cond)]
+    reads = {n: [init.position(v) for v in free_vars(node.stmt.cond)]
              for n, node in cfg.nodes.items() if node.kind == "cond"}
     edges = {}  # (p, label) -> (after[p] it was computed from, edge state)
 

@@ -9,6 +9,7 @@ from .ast import (
     BoolLit,
     Call,
     CMP_OPS,
+    CONCRETE,
     Decl,
     Expr,
     FALSE,
@@ -21,11 +22,11 @@ from .ast import (
     map_exprs,
     map_program,
     Nondet,
+    PRECEDENCE,
     Program,
     program_nondets,
     Return,
     Skip,
-    sort_of,
     Stmt,
     stmt_exprs,
     subexprs,

@@ -7,11 +7,43 @@ results can be mapped back onto rewritten trees.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 ARITH_OPS = frozenset({"+", "-", "*", "/"})
 CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+
+# Binding strength of each binary operator, weakest first; all of them are
+# left-associative.  Unary '-' and '!' bind tighter than any of them.
+PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6,
+}
+
+
+def tdiv(a: int, b: int) -> int:
+    """Integer division truncating toward zero, as in C; b must not be 0."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+# The integer function of each arithmetic and comparison operator.
+CONCRETE = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": tdiv,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 # --- expressions -----------------------------------------------------------
@@ -60,19 +92,6 @@ class Nondet(Expr):
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
-
-
-def sort_of(e: Expr) -> str:
-    """'int' or 'bool'; the two expression sorts are disjoint."""
-    if isinstance(e, (IntLit, Var, Nondet)):
-        return "int"
-    if isinstance(e, BoolLit):
-        return "bool"
-    if isinstance(e, Unary):
-        return "int" if e.op == "neg" else "bool"
-    if isinstance(e, Binary):
-        return "int" if e.op in ARITH_OPS else "bool"
-    raise TypeError(e)
 
 
 def free_vars(e: Expr) -> frozenset:

@@ -21,8 +21,7 @@ BRANCH_FALSE = "branch-false"
 class Node:
     id: int
     kind: str  # 'entry' | 'exit' | 'stmt' | 'cond'
-    stmt: "Stmt | None" = None
-    cond: "Expr | None" = None
+    stmt: "Stmt | None" = None  # for a 'cond' node, the If or While
 
     def describe(self) -> str:
         from .pretty import expr_to_source, stmt_to_lines
@@ -32,7 +31,7 @@ class Node:
         if self.kind == "exit":
             return "<exit>"
         if self.kind == "cond":
-            return "cond %s" % expr_to_source(self.cond)
+            return "cond %s" % expr_to_source(self.stmt.cond)
         return next(iter(stmt_to_lines(self.stmt, 0)))
 
 
@@ -63,8 +62,8 @@ class _Builder:
         self.cfg = Cfg()
         self.next_id = 0
 
-    def new_node(self, kind, stmt=None, cond=None) -> Node:
-        node = Node(id=self.next_id, kind=kind, stmt=stmt, cond=cond)
+    def new_node(self, kind, stmt=None) -> Node:
+        node = Node(id=self.next_id, kind=kind, stmt=stmt)
         self.next_id += 1
         self.cfg.nodes[node.id] = node
         self.cfg.succs[node.id] = []
@@ -117,7 +116,7 @@ class _Builder:
             self.edge(node.id, self.cfg.exit, FALLTHROUGH)
             return []
         if isinstance(stmt, If):
-            cond = self.new_node("cond", stmt=stmt, cond=stmt.cond)
+            cond = self.new_node("cond", stmt=stmt)
             self.cfg.stmt_node[stmt.sid] = cond.id
             self.connect(incoming, cond.id)
             out = self.lower_block(stmt.then, [(cond.id, BRANCH_TRUE)])
@@ -127,7 +126,7 @@ class _Builder:
                 out = out + self.lower_block(stmt.orelse, [(cond.id, BRANCH_FALSE)])
             return out
         if isinstance(stmt, While):
-            cond = self.new_node("cond", stmt=stmt, cond=stmt.cond)
+            cond = self.new_node("cond", stmt=stmt)
             self.cfg.stmt_node[stmt.sid] = cond.id
             self.connect(incoming, cond.id)
             back = self.lower_block(stmt.body, [(cond.id, BRANCH_TRUE)])

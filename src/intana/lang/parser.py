@@ -24,6 +24,7 @@ from .ast import (
     If,
     IntLit,
     Nondet,
+    PRECEDENCE,
     Program,
     Return,
     Skip,
@@ -31,7 +32,6 @@ from .ast import (
     Unary,
     Var,
     While,
-    sort_of,
 )
 
 
@@ -52,9 +52,9 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>//[^\n]*)
-  | (?P<int>\d+)
+  | (?P<number>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>==|!=|<=|>=|&&|\|\||[-+*/<>=!(){},;])
+  | (?P<symbol>==|!=|<=|>=|&&|\|\||[-+*/<>=!(){},;])
   | (?P<bad>.)
     """,
     re.VERBOSE,
@@ -87,7 +87,8 @@ def tokenize(source: str):
         if kind == "ws" or kind == "comment":
             continue
         text = m.group()
-        if kind == "ident" and text in _KEYWORDS or kind == "op" and text in "(){},;":
+        # A keyword, operator or punctuation token's kind is its text.
+        if kind == "symbol" or kind == "ident" and text in _KEYWORDS:
             kind = text
         tok = Token(kind, text, m.start(), source)
         if kind == "bad":
@@ -95,15 +96,6 @@ def tokenize(source: str):
         tokens.append(tok)
     tokens.append(Token("eof", "", len(source), source))
     return tokens
-
-
-# Precedence-climbing table over the unified expression grammar; sorts
-# are checked after construction so arithmetic and boolean never mix.
-_BINOPS = {
-    "||": 1, "&&": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5, "*": 6, "/": 6,
-}
 
 
 class Parser:
@@ -196,7 +188,7 @@ class Parser:
         if name in self.declared:
             self.error("redeclaration of %r" % name, nametok)
         init = None
-        if self.peek().kind == "op" and self.peek().text == "=":
+        if self.peek().kind == "=":
             self.advance()
             init = self.parse_rhs()
         self.expect(";")
@@ -227,10 +219,10 @@ class Parser:
 
     def parse_int_bound(self) -> int:
         neg = False
-        if self.peek().kind == "op" and self.peek().text == "-":
+        if self.peek().kind == "-":
             self.advance()
             neg = True
-        tok = self.expect("int")
+        tok = self.expect("number")
         v = int(tok.text)
         return -v if neg else v
 
@@ -268,7 +260,7 @@ class Parser:
         if nxt.kind == "(":
             call = self.parse_call_tail(name, result=None, tok=nametok)
             return call
-        if not (nxt.kind == "op" and nxt.text == "="):
+        if nxt.kind != "=":
             self.error("expected '=' or '(' after %r" % name, nxt)
         self.advance()
         if name not in self.declared:
@@ -330,12 +322,12 @@ class Parser:
     # --- unified expressions (sorts checked afterwards) ---
 
     def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over PRECEDENCE; sorts are checked after
+        construction so arithmetic and boolean never mix."""
         left = self.parse_unary()
         while True:
             tok = self.peek()
-            if tok.kind != "op" or tok.text not in _BINOPS:
-                break
-            prec = _BINOPS[tok.text]
+            prec = PRECEDENCE.get(tok.kind, 0)
             if prec < min_prec:
                 break
             self.advance()
@@ -345,17 +337,17 @@ class Parser:
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if tok.kind == "-":
             self.advance()
             return Unary("neg", self.parse_unary())
-        if tok.kind == "op" and tok.text == "!":
+        if tok.kind == "!":
             self.advance()
             return Unary("not", self.parse_unary())
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.kind == "number":
             self.advance()
             return IntLit(int(tok.text))
         if tok.kind == "true":
@@ -439,7 +431,7 @@ def _deep_sort(e: Expr) -> str:
         if ls != "bool" or rs != "bool":
             raise _SortError("logical operator %r needs boolean operands" % e.op)
         return "bool"
-    return sort_of(e)
+    return "bool" if isinstance(e, BoolLit) else "int"
 
 
 def parse_program(source: str) -> Program:

@@ -15,6 +15,7 @@ from .ast import (
     If,
     IntLit,
     Nondet,
+    PRECEDENCE,
     Program,
     Return,
     Skip,
@@ -24,17 +25,10 @@ from .ast import (
     While,
 )
 
-# Binding strength; children with strictly lower strength get parentheses.
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
-}
-# '!' binds tighter than comparisons in the grammar, so its operand is
-# parenthesized unless it is a literal or another unary.
-_UNARY_PREC = {"not": 7, "neg": 7}
+# Children with strictly lower binding strength get parentheses.  Unary
+# operators bind tighter than every binary one, so their operand is
+# parenthesized unless it is a literal, a variable or another unary.
+_UNARY_PREC = max(PRECEDENCE.values()) + 1
 
 
 def expr_to_source(e: Expr) -> str:
@@ -53,7 +47,7 @@ def _expr(e: Expr, parent_prec: int) -> str:
             return "nondet()"
         return "nondet(%d, %d)" % (e.lo, e.hi)
     if isinstance(e, Unary):
-        prec = _UNARY_PREC[e.op]
+        prec = _UNARY_PREC
         sym = "!" if e.op == "not" else "-"
         inner = _expr(e.operand, prec)
         # Guard "- -x" from lexing as a decrement-like token soup.
@@ -62,7 +56,7 @@ def _expr(e: Expr, parent_prec: int) -> str:
         text = sym + inner
         return text if prec >= parent_prec else "(%s)" % text
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = PRECEDENCE[e.op]
         # Left-associative: the right child needs parens at equal strength.
         left = _expr(e.left, prec)
         right = _expr(e.right, prec + 1)

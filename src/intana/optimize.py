@@ -31,7 +31,7 @@ from .lang import (
     Assume,
     Binary,
     BoolLit,
-    CMP_OPS,
+    CONCRETE,
     Expr,
     FALSE,
     If,
@@ -60,12 +60,6 @@ class RewriteReport:
     @property
     def guards_eliminated(self) -> int:
         return self.guards_true + self.guards_false
-
-    @property
-    def changed(self) -> bool:
-        return any((self.singletons_propagated, self.guards_true,
-                    self.guards_false, self.constants_folded,
-                    self.dead_branches_removed))
 
     def absorb(self, other: "RewriteReport") -> None:
         self.singletons_propagated += other.singletons_propagated
@@ -219,16 +213,11 @@ def _fold_expr(e: Expr, report: RewriteReport) -> Expr:
     left = _fold_expr(e.left, report)
     right = _fold_expr(e.right, report)
     op = e.op
-    if isinstance(left, IntLit) and isinstance(right, IntLit):
-        if op in ARITH_OPS:
-            if op == "/" and right.value == 0:
-                pass  # left for the concrete checker to trap
-            else:
-                report.constants_folded += 1
-                return IntLit(_fold_arith(op, left.value, right.value))
-        elif op in CMP_OPS:
-            report.constants_folded += 1
-            return BoolLit(_fold_cmp(op, left.value, right.value))
+    # A division by a literal zero is left for the concrete checker to trap.
+    if isinstance(left, IntLit) and isinstance(right, IntLit) and (op != "/" or right.value):
+        report.constants_folded += 1
+        value = CONCRETE[op](left.value, right.value)
+        return IntLit(value) if op in ARITH_OPS else BoolLit(value)
     if op in ("&&", "||"):
         folded = _fold_bool(op, left, right, report)
         if folded is not None:
@@ -236,22 +225,6 @@ def _fold_expr(e: Expr, report: RewriteReport) -> Expr:
     if left is not e.left or right is not e.right:
         return Binary(op, left, right)
     return e
-
-
-def _fold_arith(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-def _fold_cmp(op: str, a: int, b: int) -> bool:
-    return {"==": a == b, "!=": a != b, "<": a < b,
-            "<=": a <= b, ">": a > b, ">=": a >= b}[op]
 
 
 def _fold_bool(op: str, left: Expr, right: Expr,

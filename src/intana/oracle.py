@@ -24,7 +24,6 @@ place, so `check_soundness` needs no trace.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 from .lang import (
@@ -36,6 +35,7 @@ from .lang import (
     BRANCH_FALSE,
     BRANCH_TRUE,
     Call,
+    CONCRETE,
     Decl,
     FALLTHROUGH,
     IntLit,
@@ -103,24 +103,6 @@ class _Chooser:
         return value
 
 
-def _tdiv(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
-_BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 def _compile_expr(e, choose, where):
     """A closure env -> value; `where` is the (function, node) a halt names."""
     if isinstance(e, (IntLit, BoolLit)):
@@ -140,14 +122,6 @@ def _compile_expr(e, choose, where):
     if isinstance(e, Binary):
         left = _compile_expr(e.left, choose, where)
         right = _compile_expr(e.right, choose, where)
-        if e.op == "/":
-            def divide(env):
-                a = left(env)
-                b = right(env)
-                if b == 0:
-                    raise _Halt(DIV_BY_ZERO, where)
-                return _tdiv(a, b)
-            return divide
         if e.op in ("&&", "||"):
             # Strict connectives: both operands always evaluate.
             conj = e.op == "&&"
@@ -157,7 +131,15 @@ def _compile_expr(e, choose, where):
                 b = bool(right(env))
                 return a and b if conj else a or b
             return connective
-        op = _BINARY[e.op]
+        op = CONCRETE[e.op]
+        if e.op == "/":
+            def divide(env):
+                a = left(env)
+                b = right(env)
+                if b == 0:
+                    raise _Halt(DIV_BY_ZERO, where)
+                return op(a, b)
+            return divide
         # Variable and literal operands are read in place: most conditions
         # and updates are of these shapes, and each saves a call.
         if isinstance(e.left, Var) and isinstance(e.right, Var):
@@ -186,7 +168,7 @@ def _compile_node(prog, fname, n, node, succ, choose):
     if node.kind == "exit":
         return _EXIT, None, None, None
     if node.kind == "cond":
-        return (_COND, _compile_expr(node.cond, choose, where),
+        return (_COND, _compile_expr(stmt.cond, choose, where),
                 succ[BRANCH_TRUE], succ[BRANCH_FALSE])
     if isinstance(stmt, Decl):
         value = (_compile_expr(stmt.init, choose, where) if stmt.init is not None
@@ -415,7 +397,7 @@ class _SoundnessMonitor:
 
 
 def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
-                    cap: int = 1_000_000, executions=None, runs=None):
+                    executions=None, runs=None):
     """Every concrete value at every point must lie in its analysis interval.
 
     Returns the violations in execution order, then point order, then the
@@ -429,7 +411,7 @@ def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
     """
     monitor = _SoundnessMonitor(analyses)
     if executions is None:
-        executions = enumerate_executions(prog, step_limit, cap, monitor=monitor)
+        executions = enumerate_executions(prog, step_limit, monitor=monitor)
     else:
         watchers = {fname: monitor.watch(fname) for fname in prog.functions}
         for state in executions:
@@ -456,7 +438,7 @@ class EquivalenceResult:
 
 
 def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
-                      cap: int = 1_000_000, executions=None) -> EquivalenceResult:
+                      executions=None) -> EquivalenceResult:
     """Compare final entry-function states and verdicts across all choices.
 
     The counterexample is the first choice, in sorted order, on which they
@@ -469,8 +451,8 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
     """
     runs_a = executions
     if runs_a is None:
-        runs_a = enumerate_executions(a, step_limit, cap, record_trace=False)
-    runs_b = enumerate_executions(b, step_limit, cap, record_trace=False)
+        runs_a = enumerate_executions(a, step_limit, record_trace=False)
+    runs_b = enumerate_executions(b, step_limit, record_trace=False)
     # Both lists are in lexicographic choice order, which is sorted order.
     if [r.choices for r in runs_a] != [r.choices for r in runs_b]:
         raise NondetMismatchError(

@@ -242,7 +242,7 @@ class TestLoopAnalysis:
         prog = parse_program((CORPUS / "06_nested_loops.mini").read_text())
         cfg = build_cfg(prog.main)
         init = initial_state(prog.main)
-        conds = [node.cond for node in cfg.nodes.values() if node.kind == "cond"]
+        conds = [node.stmt.cond for node in cfg.nodes.values() if node.kind == "cond"]
         assert len(conds) == 2 and len(cfg.loop_heads) == 2
         first = analyze(cfg, init)
         assert all(1 <= calls[id(cond)] <= 2 for cond in conds), calls

@@ -11,6 +11,7 @@ Budgets (wall clock, generous hardware-independent ceilings):
 import glob
 import itertools
 import json
+import operator
 import pathlib
 import random
 import time
@@ -572,9 +573,6 @@ def build_mutants():
             return e
         return _orig_subst(e, state, rep)
 
-    def fold_arith_floor(op, a, b):
-        return {"+": a + b, "-": a - b, "*": a * b}.get(op, a // b)
-
     def fold_bool_reckless(op, left, right, rep):
         neutral = op == "&&"
         for lit, other in ((left, right), (right, left)):
@@ -660,7 +658,7 @@ def build_mutants():
         ("division safety check disabled", detect_equivalence,
          [(optimize, "division_safe", lambda e, state, arith: True)]),
         ("constant folding floors division", detect_equivalence,
-         [(optimize, "_fold_arith", fold_arith_floor)]),
+         [(optimize, "CONCRETE", {**optimize.CONCRETE, "/": operator.floordiv})]),
         ("boolean folding drops divisions", detect_equivalence,
          [(optimize, "_fold_bool", fold_bool_reckless)]),
         ("assumed lower bounds too tight", detect_invariance,

@@ -1,12 +1,16 @@
 import pytest
 
 from intana.lang import (
+    ARITH_OPS,
     Binary,
+    BoolLit,
     Call,
+    CMP_OPS,
     Decl,
     IntLit,
     Nondet,
     ParseError,
+    PRECEDENCE,
     Unary,
     Var,
     While,
@@ -117,6 +121,9 @@ class TestParserErrors:
         ("fn main() {\n  int x = 0;\n  x = x + 1;\n",
          "4:1: expected a statement, found 'end of input'"),
         ("fn main() { int x = 0;\n  x = x +", "2:10: expected an expression, found 'end of input'"),
+        ("fn main() { 5 x; x = 7; }", "1:13: expected a statement, found '5'"),
+        ("fn main() { int x = 0; 5; }", "1:24: expected a statement, found '5'"),
+        ("fn main() { int x = nondet(y, 3); }", "1:28: expected 'number', found 'y'"),
     ])
     def test_exact_message_and_position(self, source, message):
         with pytest.raises(ParseError) as err:
@@ -183,6 +190,39 @@ class TestPretty:
     def test_not_operand_parenthesized(self):
         e = Unary("not", Binary("<", Var("a"), IntLit(5)))
         assert expr_to_source(e) == "!(a < 5)"
+
+    @pytest.mark.parametrize("outer", sorted(PRECEDENCE))
+    def test_operator_pairs_round_trip(self, outer):
+        def sort(op):
+            return "int" if op in ARITH_OPS else "bool"
+
+        def operand_sort(op):
+            return "int" if op in ARITH_OPS or op in CMP_OPS else "bool"
+
+        leaves = {"int": (Var("a"), Var("b"), Var("c")),
+                  "bool": (BoolLit(True), BoolLit(False), BoolLit(True))}
+        unary = {"int": "neg", "bool": "not"}
+
+        def reparse(e, expr_sort):
+            text = expr_to_source(e)
+            if expr_sort == "bool":
+                return parse_condition(text, ["a", "b", "c"])
+            return parse_program("fn main(a, b, c) { int r = %s; }" % text).main.body[0].init
+
+        want = operand_sort(outer)
+        x, y, z = leaves[want]
+        trees = [Binary(outer, Unary(unary[want], x), y),
+                 Binary(outer, x, Unary(unary[want], y))]
+        for inner in PRECEDENCE:
+            if sort(inner) != want:
+                continue
+            p, q, _ = leaves[operand_sort(inner)]
+            pair = Binary(inner, p, q)
+            trees += [Binary(outer, pair, z), Binary(outer, z, pair)]
+        for tree in trees:
+            assert reparse(tree, sort(outer)) == tree, expr_to_source(tree)
+            over = Unary(unary[sort(outer)], tree)
+            assert reparse(over, sort(outer)) == over, expr_to_source(over)
 
 
 class TestCfg:
