@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .absint import AnalysisConfig, analyze_program
 from .contractor import box_render, contract_fixpoint, lower_comparison, parse_box
@@ -56,36 +57,43 @@ def _config(args) -> AnalysisConfig:
     )
 
 
-def _state_json(state) -> "dict[str, str]":
-    return {name: iv.render() for name, iv in state.items()}
-
-
 def _state_text(state) -> str:
     return "bottom" if state.is_bottom else box_render(state) or "(no variables)"
 
 
-def _nodes_json(analyses) -> "list[dict]":
+def _document(program_source: str, config: AnalysisConfig, analyses, report) -> str:
+    """The bytes of `json.dumps(doc, indent=2)`, each state and interval rendered once.
+
+    The analyses keep every state alive, so renderings are cached by `id`;
+    a function's states share one names tuple, and so their key prefixes.
+    """
+    quote, ivs, keys, blocks = encode_basestring_ascii, {}, {}, {}
+
+    def block(state) -> str:
+        text = blocks.get(id(state))
+        if text is None:
+            prefixes = keys.get(id(state.names)) or keys.setdefault(
+                id(state.names), ["\n        %s: " % quote(name) for name in state.names])
+            for iv in state.intervals:
+                if id(iv) not in ivs:
+                    ivs[id(iv)] = quote(iv.render())
+            parts = ",".join([k + ivs[id(iv)] for k, iv in zip(prefixes, state.intervals)])
+            text = blocks[id(state)] = "{%s\n      }" % parts if parts else "{}"
+        return text
+
     nodes = []
     for fname in sorted(analyses):
         fa = analyses[fname]
         for nid in sorted(fa.cfg.nodes):
-            nodes.append({
-                "id": "%s:%d" % (fname, nid),
-                "stmt": fa.cfg.nodes[nid].describe(),
-                "before": _state_json(fa.result.before[nid]),
-                "after": _state_json(fa.result.after[nid]),
-            })
-    return nodes
-
-
-def _document(program_source: str, config: AnalysisConfig, analyses, report) -> str:
-    doc = {
-        "program": program_source,
-        "config": dataclasses.asdict(config),
-        "nodes": _nodes_json(analyses),
-        "report": report,
-    }
-    return json.dumps(doc, indent=2)
+            nodes.append('    {\n      "id": %s,\n      "stmt": %s,\n      "before": %s,'
+                         '\n      "after": %s\n    }'
+                         % (quote("%s:%d" % (fname, nid)), quote(fa.cfg.nodes[nid].describe()),
+                            block(fa.result.before[nid]), block(fa.result.after[nid])))
+    return '{\n  "program": %s,\n  "config": %s,\n  "nodes": %s,\n  "report": %s\n}' % (
+        quote(program_source),
+        json.dumps(dataclasses.asdict(config), indent=2).replace("\n", "\n  "),
+        "[\n%s\n  ]" % ",\n".join(nodes) if nodes else "[]",
+        json.dumps(report, indent=2).replace("\n", "\n  "))
 
 
 def cmd_analyze(args) -> int:
@@ -185,6 +193,8 @@ def cmd_contract(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.format == "json":
+        raise ValueError("check has no JSON output")
     prog = _read_program(args.input)
     config = _config(args)
     optimized, _, analyses = optimize_program(prog, config)

@@ -16,6 +16,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .lang.ast import tdiv
+
 NEG_INF = -math.inf
 POS_INF = math.inf
 
@@ -50,10 +52,7 @@ def ext_tdiv(a, b):
     """a / b truncated toward zero on extended ints, b != 0."""
     if isinstance(a, float):
         return POS_INF if _sign(a) == _sign(b) else NEG_INF
-    if isinstance(b, float):
-        return 0
-    q = abs(a) // abs(b)
-    return q if _sign(a) == _sign(b) else -q
+    return 0 if isinstance(b, float) else tdiv(a, b)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -7,8 +8,11 @@ import pytest
 import intana.absint
 import intana.cli
 import intana.contractor
+import intana.lang.cfg
 import intana.oracle
 from intana.cli import main
+from intana.fuzz import random_program
+from intana.interval import Interval
 from intana.lang import parse_program
 
 HERE = pathlib.Path(__file__).parent
@@ -250,6 +254,11 @@ class TestCheck:
         assert out.splitlines()[-2:] == ["step limit: 1 of 1 execution(s) truncated",
                                          "result: incomplete"]
 
+    def test_json_format_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "check", loop_path(), "--format", "json")
+        assert code == 2 and not out
+        assert err == "error: check has no JSON output\n"
+
     @pytest.mark.parametrize("limit", ["0", "-5"])
     def test_nonpositive_step_limit_is_usage_error(self, capsys, limit):
         code, out, err = run(capsys, "check", loop_path(), "--step-limit", limit)
@@ -287,6 +296,90 @@ class TestCheck:
             "step limit: 0 of 3 execution(s) truncated",
             "result: violations found",
         ]
+
+
+# A variable-free function (`{}` states), a dead branch (bottom states), two functions.
+MIXED_PROGRAM = """fn f() { assert(true); }
+fn main() { int x = nondet(0, 2); f(); if (x > 5) { x = 1; } }
+"""
+
+
+def reference_document(program_source, config, analyses, report):
+    """The document built as a dict and dumped whole by `json.dumps`."""
+    nodes = []
+    for fname in sorted(analyses):
+        fa = analyses[fname]
+        for nid in sorted(fa.cfg.nodes):
+            nodes.append({
+                "id": "%s:%d" % (fname, nid),
+                "stmt": fa.cfg.nodes[nid].describe(),
+                "before": {name: iv.render() for name, iv in fa.result.before[nid].items()},
+                "after": {name: iv.render() for name, iv in fa.result.after[nid].items()},
+            })
+    return json.dumps({
+        "program": program_source,
+        "config": dataclasses.asdict(config),
+        "nodes": nodes,
+        "report": report,
+    }, indent=2)
+
+
+class TestDocument:
+    @pytest.mark.parametrize("flags", [[], ["--no-contractors"], ["--no-interval-arith"]],
+                             ids=["default", "no-contractors", "no-interval-arith"])
+    @pytest.mark.parametrize("command", ["analyze", "optimize", "instrument"])
+    def test_bytes_equal_json_dumps(self, capsys, monkeypatch, tmp_path, command, flags):
+        references = []
+        original = intana.cli._document
+
+        def recording(*args):
+            references.append(reference_document(*args))
+            return original(*args)
+
+        monkeypatch.setattr(intana.cli, "_document", recording)
+        source = tmp_path / "p.mini"
+        for text in [MIXED_PROGRAM] + [random_program(seed) for seed in range(50)]:
+            source.write_text(text)
+            code, out, err = run(capsys, command, str(source), "--format", "json", *flags)
+            assert code in (0, 1) and not err, text
+            assert out == references[-1] + "\n", text
+
+    def test_mixed_program_has_empty_and_bottom_states(self, capsys, tmp_path):
+        source = tmp_path / "p.mini"
+        source.write_text(MIXED_PROGRAM)
+        _, out, _ = run(capsys, "analyze", str(source), "--format", "json")
+        states = [node[key] for node in json.loads(out)["nodes"] for key in ("before", "after")]
+        assert {} in states and {"x": "bottom"} in states
+
+    def test_each_interval_object_rendered_once(self, capsys, monkeypatch):
+        renders, described, seen = [], [], []
+        render, describe = Interval.render, intana.lang.cfg.Node.describe
+        original = intana.cli._document
+
+        def counting_render(iv):
+            renders.append(iv)
+            return render(iv)
+
+        def counting_describe(node):
+            described.append(node)
+            return describe(node)
+
+        def writing(program_source, config, analyses, report):
+            seen.append(analyses)
+            monkeypatch.setattr(Interval, "render", counting_render)
+            monkeypatch.setattr(intana.lang.cfg.Node, "describe", counting_describe)
+            return original(program_source, config, analyses, report)
+
+        monkeypatch.setattr(intana.cli, "_document", writing)
+        code, _, _ = run(capsys, "analyze", str(CORPUS / "08_helper_call.mini"),
+                         "--format", "json")
+        assert code == 0
+        (analyses,) = seen
+        states = [state for fa in analyses.values()
+                  for table in (fa.result.before, fa.result.after) for state in table.values()]
+        distinct = {id(iv) for state in states for iv in state.intervals}
+        assert 0 < len(renders) <= len(distinct) < sum(len(state.names) for state in states)
+        assert len(described) == sum(len(fa.cfg.nodes) for fa in analyses.values())
 
 
 class TestAnalyzeOnce:

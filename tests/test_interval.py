@@ -12,10 +12,12 @@ from intana.interval import (
     and3,
     divisor_parts,
     eval_cmp,
+    ext_tdiv,
     interval_binop,
     not3,
     or3,
 )
+from intana.lang.ast import tdiv
 
 
 def iv(lo, hi):
@@ -163,6 +165,24 @@ class TestArithmetic:
                 else:
                     v = eval(f"{x} {op} {y}")
                 assert v in got
+
+
+class TestExtTdiv:
+    def test_finite_case_is_concrete_division(self):
+        for a in range(-6, 7):
+            for b in range(-6, 7):
+                if b != 0:
+                    assert ext_tdiv(a, b) == tdiv(a, b), (a, b)
+
+    @pytest.mark.parametrize("a,b,quotient", [
+        (POS_INF, 3, POS_INF), (POS_INF, -3, NEG_INF),
+        (NEG_INF, 3, NEG_INF), (NEG_INF, -3, POS_INF),
+        (POS_INF, POS_INF, POS_INF), (POS_INF, NEG_INF, NEG_INF),
+        (NEG_INF, POS_INF, NEG_INF), (NEG_INF, NEG_INF, POS_INF),
+        (5, POS_INF, 0), (-5, POS_INF, 0), (5, NEG_INF, 0), (0, NEG_INF, 0),
+    ])
+    def test_infinite_cases(self, a, b, quotient):
+        assert ext_tdiv(a, b) == quotient
 
 
 class TestNegateShift:
