@@ -230,7 +230,7 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
                     widened.add(m)
             before[m] = merged
             updates += 1
-            if m not in queued and m in rpo_index:
+            if m not in queued:
                 heapq.heappush(pending, (rpo_index[m], m))
                 queued.add(m)
 

@@ -20,7 +20,6 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .interval import (
     AbstractState,
@@ -38,10 +37,11 @@ from .interval import (
     interval_binop,
     is_finite,
 )
-from .lang import ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var
+from .lang import (
+    ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var, expr_to_source)
 
-# Sibling intervals at most this many values wide are projected by exact
-# enumeration; larger ones fall back to a sound rational hull.
+# Divisor parts at most this many values wide are projected member by
+# member; a wider part is projected as one hull.
 ENUM_LIMIT = 2048
 
 _NEGATED_CMP = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
@@ -54,22 +54,24 @@ def box_render(box: AbstractState) -> str:
 
 
 _BOX_ENTRY_RE = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*:\s*"
-    r"\[\s*(?P<lo>[+-]?(?:\d+|inf))\s*,\s*(?P<hi>[+-]?(?:\d+|inf))\s*\]")
+    r"([A-Za-z_][A-Za-z_0-9]*)\s*:\s*"
+    r"\[\s*([+-]?(?:\d+|inf))\s*,\s*([+-]?(?:\d+|inf))\s*\]")
+# Entries separated by single commas, nothing else.
+_BOX_RE = re.compile(r"\s*%s(?:\s*,\s*%s)*\s*" % ((_BOX_ENTRY_RE.pattern,) * 2))
 
 
 def parse_box(text: str) -> AbstractState:
     """Parse the dump syntax `x:[0,10], y:[2,4]` (with inf keywords), in order."""
+    if not _BOX_RE.fullmatch(text):
+        raise ValueError("bad box syntax: %r" % text)
     box = {}
     for m in _BOX_ENTRY_RE.finditer(text):
-        name = m.group("name")
+        name, lo, hi = m.group(1), _parse_bound(m.group(2)), _parse_bound(m.group(3))
         if name in box:
             raise ValueError("duplicate variable %r in box" % name)
-        box[name] = Interval.make(
-            _parse_bound(m.group("lo")), _parse_bound(m.group("hi")))
-    rest = _BOX_ENTRY_RE.sub("", text).replace(",", "").strip()
-    if rest or not box:
-        raise ValueError("bad box syntax: %r" % text)
+        if lo > hi:
+            raise ValueError("reversed interval bounds in box entry %r" % m.group(0))
+        box[name] = Interval.make(lo, hi)
     return AbstractState.of(box)
 
 
@@ -95,54 +97,66 @@ def eval_expr(e: Expr, box: AbstractState, arith: bool = True) -> Interval:
 
 # --- inverse projections -----------------------------------------------------
 
-def _floor_div(a, b: int):
+def _floor_div(a, b):
+    """floor(a / b) on extended ints, b != 0; a finite a over an infinite b is 0."""
     if isinstance(a, float):
         return a if b > 0 else -a
-    return a // b
+    return 0 if isinstance(b, float) else a // b
 
 
-def _ceil_div(a, b: int):
+def _ceil_div(a, b):
+    """ceil(a / b) on extended ints, b != 0; a finite a over an infinite b is 0."""
     if isinstance(a, float):
         return a if b > 0 else -a
-    return -((-a) // b)
+    return 0 if isinstance(b, float) else -((-a) // b)
 
 
-def _mul_preimage_exact(z: Interval, yv: int) -> Interval:
-    """Hull of {x : x*yv in z} for a fixed nonzero yv."""
-    if yv > 0:
-        return Interval.make(_ceil_div(z.lo, yv), _floor_div(z.hi, yv))
-    return Interval.make(_ceil_div(z.hi, yv), _floor_div(z.lo, yv))
+def _mul_preimage(z: Interval, part: Interval) -> Interval:
+    """Hull of {x : x*y' in z} over y' in part, a one-signed nonzero interval;
+    exact at a singleton part."""
+    zlo, zhi, a, b = z.lo, z.hi, part.lo, part.hi
+    if a < 0:  # x*y' in z iff x*(-y') in -z
+        zlo, zhi, a, b = -zhi, -zlo, -b, -a
+    # Over 0 < a <= y' <= b, zlo / y' is least at b if zlo >= 0, else at a,
+    # and zhi / y' greatest at a if zhi >= 0, else at b.  ceil and floor
+    # are monotone, so rounding those two ratios inward gives the hull.
+    return Interval.make(_ceil_div(zlo, b if zlo >= 0 else a),
+                         _floor_div(zhi, a if zhi >= 0 else b))
 
 
-def _ratio_corner(zb, yb):
-    """Candidate endpoint of z/y at a corner; infinities by sign limit."""
-    if isinstance(zb, float):
-        return POS_INF if (zb > 0) == (yb > 0) else NEG_INF
-    if isinstance(yb, float):
-        return Fraction(0)
-    return Fraction(zb, yb)
-
-
-def _mul_preimage_hull(z: Interval, part: Interval) -> Interval:
-    corners = [_ratio_corner(zb, yb)
-               for zb in (z.lo, z.hi) for yb in (part.lo, part.hi)]
-    lo, hi = min(corners), max(corners)
-    lo = NEG_INF if lo == NEG_INF else math.ceil(lo)
-    hi = POS_INF if hi == POS_INF else math.floor(hi)
+def _tdiv_preimage(z: Interval, part: Interval) -> Interval:
+    """Hull of {x : trunc(x / y') in z} over y' in part, a one-signed nonzero
+    interval; exact at a singleton part."""
+    zlo, zhi, a, b = z.lo, z.hi, part.lo, part.hi
+    if a < 0:  # trunc(x / -m) = -trunc(x / m): mirror z; the dividend is the same
+        zlo, zhi, a, b = -zhi, -zlo, -b, -a
+    # For y' > 0 the preimage is lo(y')..hi(y'), each end monotone in y'.
+    if not is_finite(zlo):
+        lo = NEG_INF
+    elif zlo > 0:
+        lo = zlo * a
+    else:
+        lo = ext_add(ext_mul(zlo - 1, b), 1)
+    if not is_finite(zhi):
+        hi = POS_INF
+    elif zhi < 0:
+        hi = zhi * a
+    else:
+        hi = ext_add(ext_mul(zhi + 1, b), -1)
     return Interval.make(lo, hi)
 
 
-def _over_divisors(z: Interval, y: Interval, exact, hull) -> Interval:
-    """Join over y's nonzero parts: exact(z, yv) for each member of a part
-    at most ENUM_LIMIT values wide, hull(z, part) for a wider one."""
+def _over_divisors(z: Interval, y: Interval, preimage) -> Interval:
+    """Join of preimage(z, part) over y's nonzero parts, taken member by
+    member (as singleton parts) in a part at most ENUM_LIMIT values wide."""
     out = BOTTOM
     for part in divisor_parts(y):
         n = part.count()
         if n is not None and n <= ENUM_LIMIT:
             for yv in part.values():
-                out = out.join(exact(z, yv))
+                out = out.join(preimage(z, Interval(yv, yv)))
         else:
-            out = out.join(hull(z, part))
+            out = out.join(preimage(z, part))
     return out
 
 
@@ -152,65 +166,14 @@ def inv_mul(z: Interval, y: Interval) -> Interval:
         return BOTTOM
     if 0 in y and 0 in z:
         return TOP  # y' = 0 works for every x
-    return _over_divisors(z, y, _mul_preimage_exact, _mul_preimage_hull)
-
-
-def _tdiv_preimage_pos(z: Interval, yv: int) -> Interval:
-    """Hull of {x : trunc(x / yv) in z} for a fixed yv > 0."""
-    if z.is_bottom:
-        return BOTTOM
-    if not is_finite(z.lo):
-        lo = NEG_INF
-    elif z.lo > 0:
-        lo = z.lo * yv
-    else:
-        lo = z.lo * yv - (yv - 1)
-    if not is_finite(z.hi):
-        hi = POS_INF
-    elif z.hi < 0:
-        hi = z.hi * yv
-    else:
-        hi = z.hi * yv + (yv - 1)
-    return Interval.make(lo, hi)
-
-
-def _tdiv_preimage(z: Interval, yv: int) -> Interval:
-    # trunc(x / -m) = -trunc(x / m): mirror through negation of z.
-    if yv > 0:
-        return _tdiv_preimage_pos(z, yv)
-    return _tdiv_preimage_pos(z.negate(), -yv)
-
-
-def _tdiv_preimage_hull(z: Interval, part: Interval) -> Interval:
-    # The preimage endpoints are linear in yv, so part corners suffice.
-    def lo_at(yv):
-        if not is_finite(z.lo):
-            return NEG_INF
-        if z.lo > 0:
-            return ext_mul(z.lo, yv)
-        return ext_add(ext_mul(z.lo - 1, yv), 1)
-
-    def hi_at(yv):
-        if not is_finite(z.hi):
-            return POS_INF
-        if z.hi < 0:
-            return ext_mul(z.hi, yv)
-        return ext_add(ext_mul(z.hi + 1, yv), -1)
-
-    if part.lo > 0:
-        los = [lo_at(part.lo), lo_at(part.hi)]
-        his = [hi_at(part.lo), hi_at(part.hi)]
-        return Interval.make(min(los), max(his))
-    # Negative part: trunc(x / -m) = -trunc(x / m), so mirror the target
-    # range; the dividend is the same.
-    return _tdiv_preimage_hull(z.negate(), part.negate())
+    return _over_divisors(z, y, _mul_preimage)
 
 
 def inv_div_dividend(z: Interval, y: Interval) -> Interval:
     """Hull of {x : exists nonzero y' in y with trunc(x/y') in z}."""
     if z.is_bottom or y.is_bottom:
         return BOTTOM
-    return _over_divisors(z, y, _tdiv_preimage, _tdiv_preimage_hull)
+    return _over_divisors(z, y, _tdiv_preimage)
 
 
 def inv_div_divisor(z: Interval, x: Interval, y: Interval) -> Interval:
@@ -218,11 +181,12 @@ def inv_div_divisor(z: Interval, x: Interval, y: Interval) -> Interval:
     if z.is_bottom or x.is_bottom or y.is_bottom:
         return BOTTOM
 
-    def exact(z, yv):
-        return BOTTOM if _tdiv_preimage(z, yv).meet(x).is_bottom else Interval.singleton(yv)
+    def members(z, part):
+        if part.lo != part.hi:
+            return part  # a part too wide to enumerate is kept whole
+        return BOTTOM if _tdiv_preimage(z, part).meet(x).is_bottom else part
 
-    # A part too wide to enumerate is kept whole.
-    return _over_divisors(z, y, exact, lambda z, part: part)
+    return _over_divisors(z, y, members)
 
 
 def _inv_square(z: Interval, x: Interval) -> Interval:
@@ -281,7 +245,7 @@ def _emit(e: Expr, box: AbstractState, slots: list) -> int:
 def lower_comparison(e: Expr, box: AbstractState) -> _Code:
     """The comparison e's code over box's names; reads RELATION_RANGE now."""
     if not (isinstance(e, Binary) and e.op in CMP_OPS):
-        raise ValueError("not a comparison: %r" % (e,))
+        raise ValueError("not a comparison: %s" % expr_to_source(e))
     relation, lhs, rhs = e.op, e.left, e.right
     required = None if relation == "!=" else RELATION_RANGE[relation]
     slots, position, bound = [], None, None

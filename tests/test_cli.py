@@ -179,9 +179,11 @@ class TestContract:
         assert doc["result"] == "x:[1,3], y:[2,4]"
 
     def test_bad_box_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "contract",
-                           "--constraint", "x == 1", "--box", "x=[0,1]")
-        assert code == 2 and err
+        for box in ("x=[0,1]", "x:[0,5],,,"):
+            code, out, err = run(capsys, "contract",
+                                 "--constraint", "x == 1", "--box", box)
+            assert code == 2 and not out
+            assert err == "error: bad box syntax: %r\n" % box
 
     def test_unknown_variable_is_usage_error(self, capsys):
         code, _, err = run(capsys, "contract",
@@ -189,10 +191,17 @@ class TestContract:
         assert code == 2 and err
 
     def test_non_comparison_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "contract",
-                           "--constraint", "x > 0 && x < 3", "--box", "x:[0,5]")
-        assert code == 2
-        assert err.startswith("error: not a comparison:")
+        for constraint in ("x > 0 && x < 3", "true"):
+            code, out, err = run(capsys, "contract",
+                                 "--constraint", constraint, "--box", "x:[0,5]")
+            assert code == 2 and not out
+            assert err == "error: not a comparison: %s\n" % constraint
+
+    def test_reversed_box_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "contract",
+                             "--constraint", "x < 3", "--box", "x:[5,1]")
+        assert code == 2 and not out
+        assert err == "error: reversed interval bounds in box entry 'x:[5,1]'\n"
 
     def test_nonpositive_rounds_is_usage_error(self, capsys):
         code, _, err = run(capsys, "contract", "--max-rounds", "0",

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import intana.contractor as contractor
 from intana.contractor import (
     box_render,
     classify_condition,
@@ -10,11 +11,14 @@ from intana.contractor import (
     eval_expr,
     hc4_revise,
     inv_div_dividend,
+    inv_div_divisor,
+    inv_mul,
     lower_comparison,
     nnf,
     parse_box,
     _backward,
     _forward,
+    _mul_preimage,
     _tdiv_preimage,
 )
 from intana.fuzz import random_constraint_box
@@ -78,8 +82,14 @@ class TestBoxHelpers:
         assert box["x"].lo == float("-inf") and box["y"].hi == float("inf")
 
     def test_parse_box_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_box("x=[0,10]")
+        for text in ("x=[0,10]", "x:[0,5],,,", ",x:[0,5]", "x:[0,5],, y:[1,2]",
+                     "x:[0,5] y:[1,2]", ""):
+            with pytest.raises(ValueError, match="bad box syntax"):
+                parse_box(text)
+
+    def test_parse_box_rejects_reversed_bounds(self):
+        with pytest.raises(ValueError, match=r"reversed interval bounds in box entry 'y:\[5,1\]'"):
+            parse_box("x:[0,1], y:[5,1]")
 
     def test_render_round_trips(self):
         box = AbstractState.of({"x": iv(1, 3), "y": iv(-2, 4)})
@@ -190,7 +200,7 @@ class TestHc4Revise:
         z, y = iv(1, 2), iv(-5000, -1)
         expected = BOTTOM
         for yv in range(-5000, 0):
-            expected = expected.join(_tdiv_preimage(z, yv))
+            expected = expected.join(_tdiv_preimage(z, iv(yv, yv)))
         assert expected == iv(-14999, -1)
         assert inv_div_dividend(z, y) == expected
 
@@ -198,6 +208,95 @@ class TestHc4Revise:
         box = parse_box("x:[0,10], y:[2,2]")
         out = hc4_revise(lowered("x * y == 5", box), box)
         assert out.is_bottom  # 5 is odd, y is exactly 2
+
+
+def grid(lo, hi):
+    """Every nonempty interval with both ends in lo..hi."""
+    return [iv(a, b) for a in range(lo, hi + 1) for b in range(a, hi + 1)]
+
+
+def hull_of(values):
+    return iv(min(values), max(values)) if values else BOTTOM
+
+
+class TestInverseProjections:
+    """Each projection against the integer solutions on a small grid: equal
+    to their hull where the divisor parts are enumerated (the default
+    ENUM_LIMIT), and containing it where ENUM_LIMIT = 0 takes every part's
+    hull."""
+
+    @staticmethod
+    def check(got, solutions, limit):
+        if limit:
+            assert got == hull_of(solutions)
+        else:
+            assert hull_of(solutions).leq(got)
+
+    @pytest.mark.parametrize("limit", [contractor.ENUM_LIMIT, 0])
+    def test_inv_mul(self, monkeypatch, limit):
+        monkeypatch.setattr(contractor, "ENUM_LIMIT", limit)
+        for z in grid(-4, 4):
+            for y in grid(-3, 3):
+                got = inv_mul(z, y)
+                if 0 in y and 0 in z:
+                    assert got.is_top
+                    continue
+                # |x| <= |x * y'| for y' != 0, so every solution is in -4..4.
+                sols = [x for x in range(-4, 5) if any(x * yv in z for yv in y.values())]
+                self.check(got, sols, limit)
+
+    @pytest.mark.parametrize("limit", [contractor.ENUM_LIMIT, 0])
+    def test_inv_div_dividend(self, monkeypatch, limit):
+        monkeypatch.setattr(contractor, "ENUM_LIMIT", limit)
+        for z in grid(-4, 4):
+            for y in grid(-3, 3):
+                # |trunc(x / y')| >= 5 once |x| >= 15 and |y'| <= 3.
+                sols = [x for x in range(-15, 16)
+                        if any(yv and tdiv(x, yv) in z for yv in y.values())]
+                self.check(inv_div_dividend(z, y), sols, limit)
+
+    @pytest.mark.parametrize("limit", [contractor.ENUM_LIMIT, 0])
+    def test_inv_div_divisor(self, monkeypatch, limit):
+        monkeypatch.setattr(contractor, "ENUM_LIMIT", limit)
+        for z in grid(-3, 3):
+            for x in grid(-3, 3):
+                for y in grid(-3, 3):
+                    sols = [yv for yv in y.values()
+                            if yv and any(tdiv(xv, yv) in z for xv in x.values())]
+                    self.check(inv_div_divisor(z, x, y), sols, limit)
+
+    def test_inv_mul_unbounded_divisor_contains_solutions(self):
+        # An infinite part is always hulled; a finite z over an infinite end
+        # is the corner 0, and every finite end stays an int.
+        inf = float("inf")
+        for z in grid(-4, 4):
+            for y in (iv(1, inf), iv(3, inf), iv(-inf, -1), iv(-inf, -2), iv(-inf, 2)):
+                got = inv_mul(z, y)
+                if 0 in y and 0 in z:
+                    assert got.is_top
+                    continue
+                # A solution x != 0 has |y'| <= |x * y'| <= 4.
+                sols = [x for x in range(-4, 5)
+                        if any(x * yv in z for yv in range(-5, 6) if yv in y)]
+                assert hull_of(sols).leq(got)
+                assert all(type(b) is int or abs(b) == inf for b in (got.lo, got.hi))
+
+    def test_singleton_preimage_is_exact(self):
+        # Every bounded solution lies in -100..100, so one at the window's
+        # edge stands for an infinite end.
+        inf = float("inf")
+        window = range(-100, 101)
+        zs = [iv(a, b) for a in [-inf, *range(-6, 7)] for b in [*range(-6, 7), inf] if a <= b]
+        for z in zs:
+            for yv in [-4, -3, -2, -1, 1, 2, 3, 4]:
+                for preimage, op in ((_mul_preimage, lambda x: x * yv),
+                                     (_tdiv_preimage, lambda x: tdiv(x, yv))):
+                    sols = [x for x in window if op(x) in z]
+                    expected = hull_of(sols)
+                    if sols:
+                        expected = iv(-inf if sols[0] == window[0] else sols[0],
+                                      inf if sols[-1] == window[-1] else sols[-1])
+                    assert preimage(z, iv(yv, yv)) == expected, (z, yv, preimage)
 
 
 class TestContractFixpoint:
