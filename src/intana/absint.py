@@ -93,11 +93,7 @@ def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,
     if state.is_bottom:
         return state
     if config.use_contractors:
-        # Lowered once per condition and polarity; an entry pins cond's id.
-        forms, key = state.forms, (id(cond), polarity)
-        if key not in forms:
-            forms[key] = cond, lower_condition(nnf(cond, negated=not polarity), state)
-        return contract_condition(forms[key][1], state)
+        return contract_condition(lower_condition(cond, polarity, state), state)
     effective = nnf(cond, negated=not polarity)
     verdict = eval_cond3(effective, state, config.interval_arith)
     if verdict is Truth3.FALSE:

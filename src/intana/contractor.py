@@ -5,13 +5,14 @@ use it.  The contractors take one input form only: a condition lowered
 once over a box's names.  `lower_comparison` lowers `lhs <rel> rhs` to
 `lhs - rhs` as a postorder slot array that reads variables by position,
 with variable-free subtrees folded, and `lower_condition` lowers a whole
-NNF condition.  HC4-revise sweeps a comparison forward, meets the root
-with the relation's range from `interval.RELATION_RANGE`, and sweeps the
-inverse projections back to the variables; a variable against a constant
-K is one meet with K + range (K - range with the variable on the right).
-Strict inequalities are integer-wise: x < e is x - e <= -1.  The one
-round-robin loop is the `&&` branch of `contract_condition`;
-`contract_fixpoint` runs it over a list of comparisons.
+condition or its negation, once per analysis.  HC4-revise sweeps a
+comparison forward, meets the root with the relation's range from
+`interval.RELATION_RANGE`, and sweeps the inverse projections back to the
+variables; a variable against a constant K is one meet with K + range
+(K - range with the variable on the right).  Strict inequalities are
+integer-wise: x < e is x - e <= -1.  The one round-robin loop is the
+`&&` branch of `contract_condition`; `contract_fixpoint` runs it over a
+list of comparisons.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .interval import (
     RELATION_RANGE,
     TOP,
     Truth3,
-    _parse_bound,
     divisor_parts,
     ext_add,
     ext_mul,
     interval_binop,
     is_finite,
+    parse_range,
 )
 from .lang import (
     ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var, expr_to_source)
@@ -66,12 +67,10 @@ def parse_box(text: str) -> AbstractState:
         raise ValueError("bad box syntax: %r" % text)
     box = {}
     for m in _BOX_ENTRY_RE.finditer(text):
-        name, lo, hi = m.group(1), _parse_bound(m.group(2)), _parse_bound(m.group(3))
+        name = m.group(1)
         if name in box:
             raise ValueError("duplicate variable %r in box" % name)
-        if lo > hi:
-            raise ValueError("reversed interval bounds in box entry %r" % m.group(0))
-        box[name] = Interval.make(lo, hi)
+        box[name] = parse_range(m.group(2), m.group(3), " in box entry %r" % m.group(0))
     return AbstractState.of(box)
 
 
@@ -242,11 +241,12 @@ def _emit(e: Expr, box: AbstractState, slots: list) -> int:
     raise ValueError("not an arithmetic expression: %r" % (e,))
 
 
-def lower_comparison(e: Expr, box: AbstractState) -> _Code:
-    """The comparison e's code over box's names; reads RELATION_RANGE now."""
+def lower_comparison(e: Expr, box: AbstractState, polarity: bool = True) -> _Code:
+    """The code of comparison e, or of its negation when polarity is False,
+    over box's names; reads RELATION_RANGE now."""
     if not (isinstance(e, Binary) and e.op in CMP_OPS):
         raise ValueError("not a comparison: %s" % expr_to_source(e))
-    relation, lhs, rhs = e.op, e.left, e.right
+    relation, lhs, rhs = e.op if polarity else _NEGATED_CMP[e.op], e.left, e.right
     required = None if relation == "!=" else RELATION_RANGE[relation]
     slots, position, bound = [], None, None
     a, b = _emit(lhs, box, slots), _emit(rhs, box, slots)
@@ -329,24 +329,32 @@ def nnf(e: Expr, negated: bool = False) -> Expr:
     raise ValueError("not a condition: %r" % (e,))
 
 
-def _flatten_and(e: Expr):
-    if isinstance(e, Binary) and e.op == "&&":
-        yield from _flatten_and(e.left)
-        yield from _flatten_and(e.right)
-    else:
-        yield e
-
-
-def lower_condition(cond: Expr, box: AbstractState):
-    """An NNF condition lowered for boxes over box's names: a bool, a lowered
-    comparison, `||`'s (left, right) or the list of `&&`'s flattened conjuncts."""
+def lower_condition(cond: Expr, polarity: bool, box: AbstractState):
+    """cond, or its negation when polarity is False, lowered for boxes over
+    box's names: a bool, a lowered comparison, `||`'s (left, right) or the
+    list of `&&`'s flattened conjuncts.  Negation flips comparisons and
+    swaps the connectives.  Each sub-condition's form is kept in box.forms
+    under (id, polarity), the sub-condition pinned, until the next analysis
+    over these names clears it."""
+    forms, key = box.forms, (id(cond), polarity)
+    if key in forms:
+        return forms[key][1]
     if isinstance(cond, BoolLit):
-        return cond.value
-    if isinstance(cond, Binary) and cond.op == "||":
-        return lower_condition(cond.left, box), lower_condition(cond.right, box)
-    if isinstance(cond, Binary) and cond.op == "&&":
-        return [lower_condition(item, box) for item in _flatten_and(cond)]
-    return lower_comparison(cond, box)
+        form = cond.value == polarity
+    elif isinstance(cond, Unary) and cond.op == "not":
+        form = lower_condition(cond.operand, not polarity, box)
+    elif isinstance(cond, Binary) and cond.op in ("&&", "||"):
+        left = lower_condition(cond.left, polarity, box)
+        right = lower_condition(cond.right, polarity, box)
+        if (cond.op == "&&") == polarity:  # a conjunction: flatten
+            form = ((left if isinstance(left, list) else [left])
+                    + (right if isinstance(right, list) else [right]))
+        else:
+            form = left, right
+    else:
+        form = lower_comparison(cond, box, polarity)
+    forms[key] = cond, form
+    return form
 
 
 def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> AbstractState:
@@ -395,8 +403,8 @@ def classify_condition(cond: Expr, box: AbstractState) -> Classification:
     condition's box is empty, MAYBE otherwise (including an empty input
     box, which must never drive a rewrite).
     """
-    box_in = contract_condition(lower_condition(nnf(cond), box), box)
-    box_out = contract_condition(lower_condition(nnf(cond, negated=True), box), box)
+    box_in = contract_condition(lower_condition(cond, True, box), box)
+    box_out = contract_condition(lower_condition(cond, False, box), box)
     if box.is_bottom:
         verdict = Truth3.MAYBE
     elif box_out.is_bottom:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
 from .lang.ast import tdiv
 
@@ -55,12 +54,29 @@ def ext_tdiv(a, b):
     return 0 if isinstance(b, float) else tdiv(a, b)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; lo > hi encodes bottom (use BOTTOM)."""
+    """Closed interval [lo, hi]; lo > hi encodes bottom (use BOTTOM).
 
-    lo: object
-    hi: object
+    A value: instances are never mutated after construction, so they are
+    shared freely, compared by bounds and usable as dict keys.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return "Interval(lo=%r, hi=%r)" % (self.lo, self.hi)
 
     @staticmethod
     def make(lo, hi) -> "Interval":
@@ -184,10 +200,7 @@ class Interval:
         m = re.fullmatch(r"\[\s*([^,\s]+)\s*,\s*([^,\s\]]+)\s*\]", text)
         if not m:
             raise ValueError("bad interval syntax: %r" % text)
-        lo, hi = _parse_bound(m.group(1)), _parse_bound(m.group(2))
-        if lo > hi:
-            raise ValueError("reversed interval bounds: %r" % text)
-        return Interval.make(lo, hi)
+        return parse_range(m.group(1), m.group(2), ": %r" % text)
 
 
 BOTTOM = Interval(1, 0)
@@ -339,6 +352,17 @@ def _parse_bound(text: str):
     if text in ("inf", "+inf"):
         return POS_INF
     return int(text)
+
+
+def parse_range(lo_text: str, hi_text: str, where: str) -> Interval:
+    """The written range [lo_text, hi_text], which must hold an integer;
+    `where` ends the error message.  Only `bottom` writes an empty interval."""
+    lo, hi = _parse_bound(lo_text), _parse_bound(hi_text)
+    if lo > hi:
+        raise ValueError("reversed interval bounds%s" % where)
+    if lo == POS_INF or hi == NEG_INF:
+        raise ValueError("interval bounds hold no integer%s" % where)
+    return Interval(lo, hi)
 
 
 def _add_iv(a: Interval, b: Interval) -> Interval:

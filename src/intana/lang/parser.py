@@ -100,7 +100,8 @@ def tokenize(source: str):
 
 class Parser:
     def __init__(self, tokens):
-        self.tokens = tokens
+        # A second eof lets peek(1) at the end read eof with no bounds check.
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.next_sid = 0
         self.declared: "set[str]" = set()
@@ -111,7 +112,7 @@ class Parser:
     # --- token plumbing ---
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]

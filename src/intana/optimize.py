@@ -109,11 +109,15 @@ def _subst_singletons(e: Expr, state: AbstractState, report: RewriteReport) -> E
             report.singletons_propagated += 1
             return IntLit(iv.lo)
         return e
+    # An unchanged subtree is returned as it is, so guard classification
+    # meets the analysis's own condition objects and their lowered forms.
     if isinstance(e, Unary):
-        return Unary(e.op, _subst_singletons(e.operand, state, report))
+        operand = _subst_singletons(e.operand, state, report)
+        return Unary(e.op, operand) if operand is not e.operand else e
     if isinstance(e, Binary):
-        return Binary(e.op, _subst_singletons(e.left, state, report),
-                      _subst_singletons(e.right, state, report))
+        left = _subst_singletons(e.left, state, report)
+        right = _subst_singletons(e.right, state, report)
+        return Binary(e.op, left, right) if left is not e.left or right is not e.right else e
     return e
 
 

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import intana.absint
+import intana.contractor
 from intana.absint import (
     AbstractState,
     AnalysisConfig,
@@ -20,7 +21,7 @@ from intana.absint import (
 )
 from intana.fuzz import random_program
 from intana.interval import BOTTOM, Interval, TOP, Truth3
-from intana.lang import build_cfg, parse_condition, parse_program
+from intana.lang import Binary, CMP_OPS, build_cfg, parse_condition, parse_program, subexprs
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -229,26 +230,30 @@ class TestLoopAnalysis:
         assert loop_free == 21
 
     def test_conditions_compile_once_per_analysis(self, monkeypatch):
-        # Each condition is put in negation normal form at most once per
-        # polarity in one analysis, and again in the next analysis.
+        # Each comparison is lowered at most once per polarity in one
+        # analysis, and again in the next analysis.
         calls = Counter()
-        original = intana.absint.nnf
+        original = intana.contractor.lower_comparison
 
-        def counting(cond, negated=False):
-            calls[id(cond)] += 1
-            return original(cond, negated)
+        def counting(e, box, polarity=True):
+            calls[id(e), polarity] += 1
+            return original(e, box, polarity)
 
-        monkeypatch.setattr(intana.absint, "nnf", counting)
-        prog = parse_program((CORPUS / "06_nested_loops.mini").read_text())
-        cfg = build_cfg(prog.main)
-        init = initial_state(prog.main)
-        conds = [node.stmt.cond for node in cfg.nodes.values() if node.kind == "cond"]
-        assert len(conds) == 2 and len(cfg.loop_heads) == 2
-        first = analyze(cfg, init)
-        assert all(1 <= calls[id(cond)] <= 2 for cond in conds), calls
-        once = sum(calls.values())
-        assert analyze(cfg, init).before == first.before
-        assert sum(calls.values()) == 2 * once
+        monkeypatch.setattr(intana.contractor, "lower_comparison", counting)
+        for name in ("06_nested_loops.mini", "23_boolean_mix.mini"):
+            calls.clear()
+            prog = parse_program((CORPUS / name).read_text())
+            cfg = build_cfg(prog.main)
+            init = initial_state(prog.main)
+            comparisons = [sub for node in cfg.nodes.values() if node.kind == "cond"
+                           for sub in subexprs(node.stmt.cond)
+                           if isinstance(sub, Binary) and sub.op in CMP_OPS]
+            first = analyze(cfg, init)
+            assert comparisons and all(calls[id(e), True] or calls[id(e), False]
+                                       for e in comparisons)
+            assert set(calls.values()) == {1}, (name, calls)
+            assert analyze(cfg, init).before == first.before
+            assert set(calls.values()) == {2}, (name, calls)
 
     def test_initial_state_is_top(self):
         prog = parse_program(LOOP)

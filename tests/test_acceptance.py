@@ -515,6 +515,11 @@ def build_mutants():
     def nnf_no_flip(e, negated=False):
         return e
 
+    orig_lower = contractor.lower_condition
+
+    def lower_ignores_polarity(cond, polarity, box):
+        return orig_lower(cond, True, box)
+
     def contract_always_empty(cond, box, max_rounds=10):
         return box.as_bottom()
 
@@ -626,8 +631,13 @@ def build_mutants():
          [(absint, "_edge_state", edge_swapped)]),
         ("three-valued comparison optimistic", detect_equivalence_plain_intervals,
          [(absint, "eval_cmp", cmp_optimistic)]),
+        # absint calls nnf only on the contractor-free path (eval_cond3 and
+        # _simple_prune), which detect_soundness also runs.
         ("negation normal form disabled", detect_soundness,
          [(absint, "nnf", nnf_no_flip)]),
+        ("lowering ignores polarity", detect_soundness,
+         [(contractor, "lower_condition", lower_ignores_polarity),
+          (absint, "lower_condition", lower_ignores_polarity)]),
         ("condition contraction empties everything", detect_soundness,
          [(absint, "contract_condition", contract_always_empty)]),
         ("simple pruning off by one", detect_soundness,
@@ -672,7 +682,7 @@ def build_mutants():
 
 def test_criterion_8_mutation_detection(capfd, monkeypatch):
     mutants = build_mutants()
-    assert len(mutants) >= 20
+    assert len(mutants) >= 25
     missed = []
     for name, detector, patches in mutants:
         with monkeypatch.context() as patcher:

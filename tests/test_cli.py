@@ -203,6 +203,12 @@ class TestContract:
         assert code == 2 and not out
         assert err == "error: reversed interval bounds in box entry 'x:[5,1]'\n"
 
+    def test_box_without_an_integer_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "contract",
+                             "--constraint", "x < 3", "--box", "x:[inf,inf], y:[0,1]")
+        assert code == 2 and not out
+        assert err == "error: interval bounds hold no integer in box entry 'x:[inf,inf]'\n"
+
     def test_nonpositive_rounds_is_usage_error(self, capsys):
         code, _, err = run(capsys, "contract", "--max-rounds", "0",
                            "--constraint", "x == 1", "--box", "x:[0,5]")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -90,6 +91,11 @@ class TestBoxHelpers:
     def test_parse_box_rejects_reversed_bounds(self):
         with pytest.raises(ValueError, match=r"reversed interval bounds in box entry 'y:\[5,1\]'"):
             parse_box("x:[0,1], y:[5,1]")
+
+    @pytest.mark.parametrize("entry", ["x:[inf,inf]", "x:[-inf,-inf]", "x:[+inf, inf]"])
+    def test_parse_box_rejects_bounds_without_an_integer(self, entry):
+        with pytest.raises(ValueError, match=re.escape("hold no integer in box entry %r" % entry)):
+            parse_box(entry + ", y:[0,1]")
 
     def test_render_round_trips(self):
         box = AbstractState.of({"x": iv(1, 3), "y": iv(-2, 4)})

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -211,6 +214,40 @@ class TestRenderParse:
     def test_parse_infinities(self):
         assert Interval.parse("[-inf,+inf]") == TOP
         assert Interval.parse("bottom").is_bottom
+
+    @pytest.mark.parametrize("text", ["[inf,inf]", "[+inf,+inf]", "[-inf,-inf]"])
+    def test_parse_rejects_bounds_without_an_integer(self, text):
+        # Only `bottom` writes the empty interval.
+        with pytest.raises(ValueError, match=re.escape("hold no integer: %r" % text)):
+            Interval.parse(text)
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenInterval:
+    """Reference for Interval's value semantics."""
+
+    lo: object
+    hi: object
+
+
+class TestValueSemantics:
+    @given(intervals(), intervals())
+    def test_eq_hash_repr_match_a_frozen_dataclass(self, a, b):
+        ra, rb = FrozenInterval(a.lo, a.hi), FrozenInterval(b.lo, b.hi)
+        assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+        assert hash(a) == hash(ra)
+        assert repr(a) == repr(ra).replace("FrozenInterval", "Interval")
+
+    def test_equal_only_to_intervals(self):
+        assert Interval(1, 2) != (1, 2)
+        assert not Interval(1, 2) == FrozenInterval(1, 2)
+        assert Interval(1, 2) == Interval(1, 2) and Interval(1, 2) != Interval(1, 3)
+        assert repr(TOP) == "Interval(lo=-inf, hi=inf)"
+        assert {Interval(0, 0): "zero"}[Interval(0, 0)] == "zero"
+
+    def test_no_attributes_beyond_the_bounds(self):
+        with pytest.raises(AttributeError):
+            Interval(1, 2).width = 1
 
 
 class TestTruth3:

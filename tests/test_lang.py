@@ -124,6 +124,10 @@ class TestParserErrors:
         ("fn main() { 5 x; x = 7; }", "1:13: expected a statement, found '5'"),
         ("fn main() { int x = 0; 5; }", "1:24: expected a statement, found '5'"),
         ("fn main() { int x = nondet(y, 3); }", "1:28: expected 'number', found 'y'"),
+        # The lookahead past the last token reads end of input.
+        ("fn main() { int x; x", "1:21: expected '=' or '(' after 'x'"),
+        ("fn", "1:3: expected 'ident', found 'end of input'"),
+        ("", "1:1: no entry function 'main'"),
     ])
     def test_exact_message_and_position(self, source, message):
         with pytest.raises(ParseError) as err:

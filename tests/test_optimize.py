@@ -1,5 +1,9 @@
+import pathlib
+
 import pytest
 
+import intana.contractor
+import intana.optimize
 from intana.absint import AnalysisConfig, analyze_program
 from intana.lang import Assert, BoolLit, If, While, parse_program, program_to_source, walk_stmts
 from intana.optimize import (
@@ -11,6 +15,8 @@ from intana.optimize import (
     singleton_propagate,
 )
 from intana.oracle import check_equivalence
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
 
 def optimized(source, **kwargs):
@@ -57,6 +63,15 @@ class TestSingletonPropagation:
         analyses = analyze_program(prog, AnalysisConfig())
         singleton_propagate(prog, analyses)
         assert program_to_source(prog) == before
+
+    def test_unchanged_condition_is_kept_as_is(self):
+        prog = parse_program("fn main() { int x = 5; int y = nondet(0, 3);"
+                             " if (y < 2 && !(y == 1)) { y = x; } }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        out, report = singleton_propagate(prog, analyses)
+        assert out.main.body[2].cond is prog.main.body[2].cond
+        assert out.main.body[2].then[0].rhs != prog.main.body[2].then[0].rhs
+        assert report.singletons_propagated == 1
 
 
 class TestGuardElimination:
@@ -218,6 +233,29 @@ class TestPipeline:
         prog = parse_program(random_program(seed))
         out, _, _ = optimize_program(prog, AnalysisConfig())
         assert check_equivalence(prog, out, step_limit=100_000)
+
+    @pytest.mark.parametrize("name", ["12_compound_or.mini", "23_boolean_mix.mini"])
+    def test_guard_classification_reuses_the_analysis_forms(self, monkeypatch, name):
+        # (relation, left, right) of each comparison lowered, per phase.
+        lowered = {"analysis": set(), "guards": set()}
+        phase = ["analysis"]
+        original_lower = intana.contractor.lower_comparison
+        original_eliminate = intana.optimize.guard_eliminate
+
+        def counting(e, box, *polarity):
+            code = original_lower(e, box, *polarity)
+            lowered[phase[0]].add((code.relation, id(e.left), id(e.right)))
+            return code
+
+        def eliminate(*args):
+            phase[0] = "guards"
+            return original_eliminate(*args)
+
+        monkeypatch.setattr(intana.contractor, "lower_comparison", counting)
+        monkeypatch.setattr(intana.optimize, "guard_eliminate", eliminate)
+        optimize_program(parse_program((CORPUS / name).read_text()))
+        assert phase == ["guards"] and lowered["analysis"]
+        assert not lowered["guards"] & lowered["analysis"]
 
 
 class TestReport:
