@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 from json.encoder import encode_basestring_ascii
@@ -294,9 +295,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # intana's objects form no reference cycles, so reference counting frees
+    # all they leave behind, and a collection pass would only walk the live
+    # ones.  The collector is paused for the command; the caller's setting
+    # is restored on every exit, argparse's SystemExit included.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
@@ -310,6 +316,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # a fault in intana, never a finding (exit 1)
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 4
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -186,21 +186,24 @@ def random_constraint_box(seed: int) -> "tuple[str, AbstractState, bool]":
         return source, box, True
 
     counts = {name: 0 for name in names}
-
-    def term(depth: int) -> str:
-        if depth <= 0 or rng.random() < 0.45:
-            if rng.random() < 0.65:
-                name = rng.choice(names)
-                counts[name] += 1
-                return name
-            return str(rng.randint(-10, 10))
-        op = rng.choices(["+", "-", "*", "/"], weights=[4, 4, 2, 1])[0]
-        return "(%s %s %s)" % (term(depth - 1), op, term(depth - 1))
-
     relation = rng.choice(["==", "!=", "<", "<=", ">", ">="])
-    source = "%s %s %s" % (term(2), relation, term(1))
+    source = "%s %s %s" % (_random_term(rng, names, counts, 2), relation,
+                           _random_term(rng, names, counts, 1))
     if all(c == 0 for c in counts.values()):
         name = rng.choice(names)
         counts[name] = 1
         source = "%s %s %s" % (name, relation, rng.randint(-10, 10))
     return source, box, False
+
+
+def _random_term(rng: random.Random, names, counts, depth: int) -> str:
+    """A random arithmetic term; `counts` tallies each name it uses."""
+    if depth <= 0 or rng.random() < 0.45:
+        if rng.random() < 0.65:
+            name = rng.choice(names)
+            counts[name] += 1
+            return name
+        return str(rng.randint(-10, 10))
+    op = rng.choices(["+", "-", "*", "/"], weights=[4, 4, 2, 1])[0]
+    return "(%s %s %s)" % (_random_term(rng, names, counts, depth - 1), op,
+                           _random_term(rng, names, counts, depth - 1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+import weakref
 
 from .lang.ast import tdiv
 
@@ -208,17 +209,29 @@ TOP = Interval(NEG_INF, POS_INF)
 
 
 class _Space:
-    """The names shared by a family of states, their positions, bottom and forms."""
+    """The names shared by a family of states, their positions, bottom and forms.
 
-    __slots__ = ("names", "index", "bottom", "forms")
+    The space holds its bottom state weakly, as the state refers to the
+    space, and no object of intana's is part of a reference cycle.  While a
+    bottom state is alive it is the space's one bottom.
+    """
+
+    __slots__ = ("names", "index", "_bottom", "forms")
 
     def __init__(self, names):
         self.names = tuple(names)
         self.index = {name: i for i, name in enumerate(self.names)}
-        self.bottom = AbstractState(self, (BOTTOM,) * len(self.names))
-        # With no names no range can be empty, so this "bottom" is reachable.
-        self.bottom.is_bottom = bool(self.names)
+        self._bottom = None  # a weak reference, once a bottom was asked for
         self.forms = {}
+
+    def bottom(self) -> "AbstractState":
+        state = self._bottom() if self._bottom is not None else None
+        if state is None:
+            state = AbstractState(self, (BOTTOM,) * len(self.names))
+            # With no names no range can be empty, so this "bottom" is reachable.
+            state.is_bottom = bool(self.names)
+            self._bottom = weakref.ref(state)
+        return state
 
 
 class AbstractState:
@@ -229,7 +242,7 @@ class AbstractState:
     over the same names.
     """
 
-    __slots__ = ("_space", "intervals", "is_bottom")
+    __slots__ = ("_space", "intervals", "is_bottom", "__weakref__")
 
     def __init__(self, space: _Space, intervals: tuple):
         self._space, self.intervals, self.is_bottom = space, intervals, False
@@ -239,7 +252,7 @@ class AbstractState:
         """The state of a name -> interval mapping, in the mapping's order."""
         space = _Space(env)
         if any(iv.is_bottom for iv in env.values()):
-            return space.bottom
+            return space.bottom()
         return AbstractState(space, tuple(env.values()))
 
     @staticmethod
@@ -259,7 +272,7 @@ class AbstractState:
         return self._space.forms
 
     def as_bottom(self) -> "AbstractState":
-        return self._space.bottom
+        return self._space.bottom()
 
     def position(self, name: str) -> int:
         return self._space.index[name]
@@ -285,7 +298,7 @@ class AbstractState:
     def set(self, name: str, iv: Interval) -> "AbstractState":
         # As per variable: bottom stays bottom unless its only range is replaced.
         if iv.is_bottom or (self.is_bottom and len(self.intervals) > 1):
-            return self._space.bottom
+            return self._space.bottom()
         ivs = list(self.intervals)
         ivs[self._space.index[name]] = iv
         return AbstractState(self._space, tuple(ivs))
@@ -316,7 +329,7 @@ class AbstractState:
         # A bottom operand's components are all bottom, and so is the result.
         ivs = tuple(map(Interval.narrow, self.intervals, new.intervals))
         if any(iv.is_bottom for iv in ivs):
-            return self._space.bottom
+            return self._space.bottom()
         return AbstractState(self._space, ivs)
 
     def leq(self, other: "AbstractState") -> bool:

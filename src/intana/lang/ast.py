@@ -261,12 +261,11 @@ def map_block(block, fn) -> "list[Stmt]":
     walk rewrites a nested block the same way; fn decides which sub-blocks
     to visit, usually through map_children.
     """
-    def walk(stmts):
-        out = []
-        for s in stmts:
-            out.extend(fn(s, walk))
-        return out
-    return walk(block)
+    walk = partial(map_block, fn=fn)
+    out = []
+    for s in block:
+        out.extend(fn(s, walk))
+    return out
 
 
 def map_program(prog: Program, fn) -> Program:

@@ -48,14 +48,19 @@ _KEYWORDS = {
     "return", "skip", "nondet", "true", "false",
 }
 
+# One match per token, taking the whitespace and comments before it.  The
+# token alternatives always match where the skipped text ends (`.` takes any
+# character that is not whitespace), so the skip is never backtracked into.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<number>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<symbol>==|!=|<=|>=|&&|\|\||[-+*/<>=!(){},;])
-  | (?P<bad>.)
+    (?:\s+|//[^\n]*)*
+    (?:
+      (?P<number>\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<symbol>==|!=|<=|>=|&&|\|\||[-+*/<>=!(){},;])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -81,21 +86,20 @@ class Token:
 
 
 def tokenize(source: str):
+    """The tokens of `source`, ending with one of kind "eof"."""
     tokens = []
     for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        text = m.group()
+        text, offset = m.group(kind), m.start(kind)
         # A keyword, operator or punctuation token's kind is its text.
         if kind == "symbol" or kind == "ident" and text in _KEYWORDS:
             kind = text
-        tok = Token(kind, text, m.start(), source)
+        tok = Token(kind, text, offset, source)
         if kind == "bad":
             raise tok.error("unexpected character %r" % text)
         tokens.append(tok)
-    tokens.append(Token("eof", "", len(source), source))
-    return tokens
+        if kind == "eof":
+            return tokens
 
 
 class Parser:
@@ -393,19 +397,22 @@ class Parser:
             calls[fname].append((call.callee, tok))
         # Reject recursion (including mutual) with a simple cycle check.
         state = {}
-
-        def visit(name):
-            state[name] = "active"
-            for callee, tok in calls[name]:
-                if state.get(callee) == "active":
-                    self.error("recursive call via %r" % callee, tok)
-                if callee not in state:
-                    visit(callee)
-            state[name] = "done"
-
         for name in prog.functions:
             if name not in state:
-                visit(name)
+                _reject_recursion(name, calls, state)
+
+
+def _reject_recursion(name: str, calls, state) -> None:
+    """Depth-first search of the call graph from `name`; raises at the first
+    call that closes a cycle.  `state` maps each function visited to
+    "active" while it is on the search path and to "done" after."""
+    state[name] = "active"
+    for callee, tok in calls[name]:
+        if state.get(callee) == "active":
+            raise tok.error("recursive call via %r" % callee)
+        if callee not in state:
+            _reject_recursion(callee, calls, state)
+    state[name] = "done"
 
 
 class _SortError(Exception):

@@ -87,20 +87,29 @@ class _Halt(Exception):
 
 
 class _Chooser:
-    """Replays a prefix of choices, then extends with each range minimum."""
+    """Replays a prefix of choices, then extends with each range minimum.
+
+    `values` holds the prefix, then each value drawn past it; `highs` holds
+    the high end of each range drawn from so far.  A prefix is a previous
+    run's values with the last one changed, so a run draws at least as many
+    values as its prefix holds, and `values` ends as the run's choices.
+    """
 
     def __init__(self):
-        self.reset(())
+        self.reset([])
 
-    def reset(self, prefix) -> None:
-        self.prefix = prefix
-        self.taken = []  # (value, lo, hi)
+    def reset(self, prefix: "list[int]") -> None:
+        self.values = prefix
+        self.highs = []
 
     def choose(self, lo: int, hi: int) -> int:
-        i = len(self.taken)
-        value = self.prefix[i] if i < len(self.prefix) else lo
-        self.taken.append((value, lo, hi))
-        return value
+        highs = self.highs
+        i = len(highs)
+        highs.append(hi)
+        if i < len(self.values):
+            return self.values[i]
+        self.values.append(lo)
+        return lo
 
 
 def _compile_expr(e, choose, where):
@@ -229,7 +238,7 @@ class _Interpreter:
         except _Halt as halt:
             verdict, node = halt.verdict, halt.node
         state = ConcreteState(
-            choices=tuple(v for v, _, _ in self.chooser.taken),
+            choices=tuple(self.chooser.values),
             env=env,
             verdict=verdict,
             verdict_node=node,
@@ -316,17 +325,21 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
         monitor = _TraceRecorder()
     interp = _Interpreter(prog, step_limit, monitor)
     results = []
-    prefix = ()
+    chooser = interp.chooser
+    prefix = []
     while True:
         results.append(interp.run(prefix))
         if len(results) > cap:
             raise EnumerationCapError("more than %d executions" % cap)
-        taken = interp.chooser.taken
-        while taken and taken[-1][0] >= taken[-1][2]:
-            taken.pop()
-        if not taken:
+        # The next prefix: drop the trailing choices at their range's high
+        # end, then take the next value of the last one left.
+        prefix, highs = chooser.values, chooser.highs
+        while prefix and prefix[-1] >= highs[-1]:
+            prefix.pop()
+            highs.pop()
+        if not prefix:
             return results
-        prefix = [v for v, _, _ in taken[:-1]] + [taken[-1][0] + 1]
+        prefix[-1] += 1
 
 
 @dataclass(frozen=True)
@@ -454,17 +467,22 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
         runs_a = enumerate_executions(a, step_limit, record_trace=False)
     runs_b = enumerate_executions(b, step_limit, record_trace=False)
     # Both lists are in lexicographic choice order, which is sorted order.
-    if [r.choices for r in runs_a] != [r.choices for r in runs_b]:
+    if len(runs_a) != len(runs_b):
         raise NondetMismatchError(
             "programs draw different nondet choice sequences")
     common = (set(a.main.variables) & set(b.main.variables))
     counterexample, truncated = None, 0
     for ra, rb in zip(runs_a, runs_b):
+        if ra.choices != rb.choices:
+            raise NondetMismatchError(
+                "programs draw different nondet choice sequences")
         if rb.verdict == STEP_LIMIT and ra.verdict != STEP_LIMIT:
             # `b` may only take more steps, so this run decides nothing.
             truncated += 1
             continue
-        if counterexample is None:
+        # Equal whole environments are equal on `common`, so only runs that
+        # differ somewhere need the restricted ones.
+        if counterexample is None and (ra.verdict != rb.verdict or ra.env != rb.env):
             ea = {v: ra.env[v] for v in common if v in ra.env}
             eb = {v: rb.env[v] for v in common if v in rb.env}
             if ra.verdict != rb.verdict or ea != eb:

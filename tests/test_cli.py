@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import pathlib
 
@@ -499,3 +500,43 @@ class TestErrors:
         assert code == 4
         assert err == "internal error: TypeError: unsupported operand\n"
         assert "Traceback" not in out + err
+
+
+class TestCollector:
+    """A command runs with the cyclic collector paused, and `main` leaves
+    the caller's setting as it found it on every exit."""
+
+    CASES = {
+        "clean": (0, ["check"], "fn main() { int x = nondet(0, 2); }\n"),
+        "violation": (1, ["optimize"], "fn main() { int x = nondet(1, 5); assert(x < 0); }\n"),
+        "parse-error": (2, ["analyze"], "fn main() { int x = }\n"),
+        "usage": (2, ["analyze", "--no-such-flag"], "fn main() { skip; }\n"),
+        "internal": (4, ["analyze"], "fn main() { skip; }\n"),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_caller_setting_is_restored(self, capsys, monkeypatch, tmp_path, enabled, case):
+        expected, command, text = self.CASES[case]
+        source = tmp_path / "p.mini"
+        source.write_text(text)
+        paused = []
+        if case == "internal":
+            def broken(args):
+                paused.append(not gc.isenabled())
+                raise TypeError("unsupported operand")
+            monkeypatch.setitem(intana.cli._COMMANDS, "analyze", broken)
+        argv = [command[0], str(source), *command[1:]]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert code == expected
+        assert paused == ([True] if case == "internal" else [])  # paused while it ran

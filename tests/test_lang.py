@@ -1,5 +1,10 @@
+import pathlib
+import random
+import re
+
 import pytest
 
+from intana.fuzz import random_program
 from intana.lang import (
     ARITH_OPS,
     Binary,
@@ -22,6 +27,7 @@ from intana.lang import (
     program_to_source,
     walk_stmts,
 )
+from intana.lang.parser import tokenize
 
 LOOP = """
 fn main() {
@@ -143,6 +149,74 @@ class TestParserErrors:
     def test_missing_main_rejected(self):
         with pytest.raises(ParseError):
             parse_program("fn helper(p) { return p; }")
+
+
+# The tokenizer as first written: one match per whitespace run, comment or token.
+_REFERENCE_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<comment>//[^\n]*)
+  | (?P<number>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<symbol>==|!=|<=|>=|&&|\|\||[-+*/<>=!(){},;])
+  | (?P<bad>.)
+    """, re.VERBOSE)
+_KEYWORDS = {"fn", "int", "if", "else", "while", "assert", "assume",
+             "return", "skip", "nondet", "true", "false"}
+
+
+def _reference_tokens(source):
+    """(kind, text, offset) per token, or the (message, line, col) of the error."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(source):
+        kind, text, offset = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            line = source.count("\n", 0, offset) + 1
+            col = offset - source.rfind("\n", 0, offset)
+            return ("unexpected character %r" % text, line, col)
+        if kind == "symbol" or kind == "ident" and text in _KEYWORDS:
+            kind = text
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, text, offset))
+    return tokens + [("eof", "", len(source))]
+
+
+def _tokens(source):
+    try:
+        return [(tok.kind, tok.text, tok.offset) for tok in tokenize(source)]
+    except ParseError as err:
+        return (err.message, err.line, err.col)
+
+
+class TestTokenizer:
+    """One match per token, whitespace and comments included, gives the
+    reference's tokens and errors."""
+
+    EDGES = ["", " ", "\n\n", "//", "// only a comment", "x // to the end",
+             "x  \n\t ", "a//b\n c", "/ /x", "///x\ny", "x\x1cy", "\x85x",
+             "1 @ 2", "  #", "x$", "\x00", "\u0663\u0664 x", "caf\u00e9",
+             "a\n//\n", "fn main() { int x = 1; }  // tail"]
+
+    def test_corpus_and_fuzz_programs(self):
+        corpus = pathlib.Path(__file__).parent.parent / "corpus"
+        sources = [path.read_text() for path in sorted(corpus.glob("*.mini"))]
+        sources += [random_program(seed) for seed in range(100)]
+        for source in sources:
+            assert _tokens(source) == _reference_tokens(source)
+
+    @pytest.mark.parametrize("source", EDGES)
+    def test_edge_cases(self, source):
+        assert _tokens(source) == _reference_tokens(source)
+
+    def test_random_strings(self):
+        rng = random.Random(0)
+        alphabet = "ab_1 \n\t\x0b/=!<>&|(){},;-+*#@\u00e9"
+        for _ in range(3000):
+            source = "".join(rng.choice(alphabet) for _ in range(rng.randrange(24)))
+            assert _tokens(source) == _reference_tokens(source), repr(source)
+
+    def test_long_trailing_whitespace_and_comments(self):
+        source = "fn main() { skip; }" + " \n" * 50_000 + "// c\n" * 5_000
+        assert _tokens(source) == _reference_tokens(source)
 
 
 class TestLocals:

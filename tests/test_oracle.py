@@ -1,5 +1,6 @@
 import pytest
 
+import intana.oracle
 from intana.absint import AnalysisConfig, analyze_program
 from intana.fuzz import random_program
 from intana.interval import Interval
@@ -338,3 +339,139 @@ class TestEquivalence:
     def test_empty_programs(self):
         prog = parse_program("fn main() { skip; }")
         assert check_equivalence(prog, prog)
+
+
+class _ReferenceChooser:
+    """The chooser as it was first written: one (value, lo, hi) per choice."""
+
+    def __init__(self):
+        self.reset(())
+
+    def reset(self, prefix) -> None:
+        self.prefix = prefix
+        self.taken = []
+
+    @property
+    def values(self):
+        return [v for v, _, _ in self.taken]
+
+    def choose(self, lo, hi):
+        i = len(self.taken)
+        value = self.prefix[i] if i < len(self.prefix) else lo
+        self.taken.append((value, lo, hi))
+        return value
+
+
+def _reference_choices(prog, step_limit, monkeypatch):
+    """The choices of every execution, by the first-written odometer."""
+    with monkeypatch.context() as patch:
+        patch.setattr(intana.oracle, "_Chooser", _ReferenceChooser)
+        interp = intana.oracle._Interpreter(prog, step_limit)
+    out, prefix = [], ()
+    while True:
+        out.append(interp.run(prefix).choices)
+        taken = interp.chooser.taken
+        while taken and taken[-1][0] >= taken[-1][2]:
+            taken.pop()
+        if not taken:
+            return out
+        prefix = [v for v, _, _ in taken[:-1]] + [taken[-1][0] + 1]
+
+
+def _reference_equivalence(a, b, step_limit=10_000):
+    """check_equivalence as first written: restricted environments per run."""
+    runs_a = enumerate_executions(a, step_limit, record_trace=False)
+    runs_b = enumerate_executions(b, step_limit, record_trace=False)
+    if [r.choices for r in runs_a] != [r.choices for r in runs_b]:
+        raise NondetMismatchError("programs draw different nondet choice sequences")
+    common = set(a.main.variables) & set(b.main.variables)
+    counterexample, truncated = None, 0
+    for ra, rb in zip(runs_a, runs_b):
+        if rb.verdict == STEP_LIMIT and ra.verdict != STEP_LIMIT:
+            truncated += 1
+            continue
+        if counterexample is None:
+            ea = {v: ra.env[v] for v in common if v in ra.env}
+            eb = {v: rb.env[v] for v in common if v in rb.env}
+            if ra.verdict != rb.verdict or ea != eb:
+                counterexample = (ra.choices, (ra.verdict, ea), (rb.verdict, eb))
+    return counterexample, truncated
+
+
+NONDET_IN_LOOP_AND_CALLEE = [
+    """fn main() {
+        int i = 0; int s = 0;
+        while (i < 3) { int c = nondet(0, 2); s = s + c; i = i + 1 + c; }
+    }""",
+    """fn pick(k) { int v = nondet(0, 3); if (v > k) { v = k; } return v; }
+    fn main() {
+        int a = nondet(1, 3); int b; b = pick(a);
+        while (b > 0) { int d = nondet(0, 1); b = b - 1 - d; }
+    }""",
+    """fn twice() { int u = nondet(0, 1); int w = nondet(0, 2); return u + w; }
+    fn main() { int n = nondet(0, 2); int t = 0;
+        while (n > 0) { int r; r = twice(); t = t + r; n = n - 1; }
+        assert(t < 6); }""",
+]
+
+
+class TestOdometer:
+    """enumerate_executions draws choices in the order of the first-written odometer."""
+
+    @pytest.mark.parametrize("step_limit", [10_000, 40])
+    def test_fuzz_choices_match_reference(self, monkeypatch, step_limit):
+        for seed in range(50):
+            prog = parse_program(random_program(seed))
+            got = [r.choices for r in enumerate_executions(prog, step_limit,
+                                                           record_trace=False)]
+            assert got == _reference_choices(prog, step_limit, monkeypatch), seed
+
+    @pytest.mark.parametrize("step_limit", [10_000, 25])
+    @pytest.mark.parametrize("source", NONDET_IN_LOOP_AND_CALLEE,
+                             ids=["loop", "callee-then-loop", "loop-calls-callee"])
+    def test_nondet_in_loops_and_callees(self, monkeypatch, source, step_limit):
+        prog = parse_program(source)
+        got = [r.choices for r in enumerate_executions(prog, step_limit,
+                                                       record_trace=False)]
+        assert got == _reference_choices(prog, step_limit, monkeypatch)
+        assert len(set(got)) == len(got)
+        assert len({len(c) for c in got}) > 1  # runs draw different numbers of choices
+
+
+class TestEquivalenceFastPath:
+    """Whole environments are compared first; the result is the reference's."""
+
+    def test_difference_outside_common_is_no_counterexample(self):
+        a = parse_program("fn main() { int x = nondet(0, 2); int t = x * 2; }")
+        b = parse_program("fn main() { int x = nondet(0, 2); int u = 7; }")
+        result = check_equivalence(a, b)
+        assert result.counterexample is None and result.truncated == 0
+        assert _reference_equivalence(a, b) == (None, 0)
+
+    @pytest.mark.parametrize("sources", [
+        # At x = 2 the environments are equal and only the verdicts differ.
+        ("fn main() { int x = nondet(0, 3); assert(x <= 2); }",
+         "fn main() { int x = nondet(0, 3); assert(x <= 1); }"),
+        ("fn main() { int x = nondet(0, 3); int d = nondet(0, 1); int q = x / d; }",
+         "fn main() { int x = nondet(0, 3); int d = nondet(0, 1); int q = x; }"),
+        ("fn main() { int x = nondet(0, 1); while (x == 1) { skip; } int z = x; }",
+         "fn main() { int x = nondet(0, 1); int z = x + 1; }"),
+    ])
+    def test_counterexample_matches_reference(self, sources):
+        a, b = (parse_program(s) for s in sources)
+        result = check_equivalence(a, b, step_limit=100)
+        assert result.counterexample is not None
+        assert (result.counterexample, result.truncated) == \
+            _reference_equivalence(a, b, step_limit=100)
+
+    @pytest.mark.parametrize("other", [
+        "fn main() { int x = nondet(0, 1); int y = nondet(0, 1); }",  # as many runs
+        "fn main() { int x = nondet(0, 4); }",  # more runs
+    ])
+    def test_different_choice_sequences_raise(self, other):
+        a = parse_program("fn main() { int x = nondet(0, 3); }")
+        b = parse_program(other)
+        with pytest.raises(NondetMismatchError):
+            check_equivalence(a, b)
+        with pytest.raises(NondetMismatchError):
+            _reference_equivalence(a, b)
