@@ -4,9 +4,9 @@
 `intana.fuzz.random_program` makes for seeds 0-29, to the sha256 of
 stdout, stderr and exit code of each run below: `analyze`, `optimize` and
 `instrument` in text and JSON, and `check`, under the default flags,
-`--no-contractors` and `--no-interval-arith`.  A change that must not
-alter any output keeps this test green.  After an intended output change,
-regenerate the file with
+`--no-contractors`, `--no-interval-arith` and both of those.  A change
+that must not alter any output keeps this test green.  After an intended
+output change, regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,7 +28,8 @@ CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "corpus_outputs.json"
 FUZZ_SEEDS = range(30)
 
-CONFIGS = ([], ["--no-contractors"], ["--no-interval-arith"])
+CONFIGS = ([], ["--no-contractors"], ["--no-interval-arith"],
+           ["--no-contractors", "--no-interval-arith"])
 RUNS = [[cmd, "--format", fmt] + flags
         for flags in CONFIGS
         for cmd in ("analyze", "optimize", "instrument")
