@@ -10,27 +10,24 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import reduce
 
-from .contractor import contract_condition, eval_expr, lower_condition, nnf
-from .interval import (AbstractState, eval_cmp, interval_binop, not3, and3, or3,
-                       RELATION_RANGE, TOP, Truth3)
+from .contractor import (_Code, classify_condition, contract_condition, eval_expr,
+                         lower_condition)
+from .interval import AbstractState, eval_cmp, interval_binop, and3, or3, TOP, Truth3
 from .lang import (
     Assert,
     Assign,
     Assume,
-    Binary,
-    BoolLit,
     BRANCH_TRUE,
     Call,
     Cfg,
-    CMP_OPS,
     Decl,
     Expr,
     free_vars,
     Program,
     Return,
     Skip,
-    Unary,
     Var,
     build_cfg,
 )
@@ -48,38 +45,31 @@ class AnalysisConfig:
             raise ValueError("widening_delay and narrowing_passes must be >= 0")
 
 
-def eval_cond3(cond: Expr, state: AbstractState, arith: bool = True) -> Truth3:
-    """Three-valued evaluation of a condition."""
-    if isinstance(cond, BoolLit):
-        return Truth3.of(cond.value)
-    if isinstance(cond, Unary) and cond.op == "not":
-        return not3(eval_cond3(cond.operand, state, arith))
-    if isinstance(cond, Binary):
-        if cond.op == "&&":
-            return and3(eval_cond3(cond.left, state, arith),
-                        eval_cond3(cond.right, state, arith))
-        if cond.op == "||":
-            return or3(eval_cond3(cond.left, state, arith),
-                       eval_cond3(cond.right, state, arith))
-        if cond.op in CMP_OPS:
-            return eval_cmp(cond.op, eval_expr(cond.left, state, arith),
-                            eval_expr(cond.right, state, arith))
-    raise ValueError("not a condition: %r" % (cond,))
+def eval_cond3(form, state: AbstractState, arith: bool = True) -> Truth3:
+    """Three-valued evaluation of a lower_condition form."""
+    if form is True or form is False:
+        return Truth3.of(form)
+    if type(form) is _Code:
+        return eval_cmp(form.relation, eval_expr(form.lhs, state, arith),
+                        eval_expr(form.rhs, state, arith))
+    if isinstance(form, tuple):
+        return or3(*(eval_cond3(side, state, arith) for side in form))
+    return reduce(and3, (eval_cond3(item, state, arith) for item in form))
 
 
-def _simple_prune(cond: Expr, state: AbstractState, arith: bool) -> AbstractState:
-    """Contractor-free refinement of a single top-level comparison: with
-    x <rel> o, x lies in o + range; with o <rel> x, in o - range."""
-    if not (isinstance(cond, Binary) and cond.op in RELATION_RANGE):
+def _simple_prune(form, state: AbstractState, arith: bool) -> AbstractState:
+    """Contractor-free refinement by a lowered comparison other than !=:
+    with x <rel> o, x lies in o + range; with o <rel> x, in o - range."""
+    if type(form) is not _Code or form.required is None:
         return state
-    for var_side, other, shift in ((cond.left, cond.right, "+"),
-                                   (cond.right, cond.left, "-")):
+    for var_side, other, shift in ((form.lhs, form.rhs, "+"),
+                                   (form.rhs, form.lhs, "-")):
         if not isinstance(var_side, Var):
             continue
         o = eval_expr(other, state, arith)
         if o.is_bottom:
             continue
-        bound = interval_binop(shift, o, RELATION_RANGE[cond.op])
+        bound = interval_binop(shift, o, form.required)
         state = state.set(var_side.name, state.get(var_side.name).meet(bound))
         if state.is_bottom:
             return state
@@ -92,13 +82,23 @@ def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,
     config = config or AnalysisConfig()
     if state.is_bottom:
         return state
+    form = lower_condition(cond, polarity, state)
     if config.use_contractors:
-        return contract_condition(lower_condition(cond, polarity, state), state)
-    effective = nnf(cond, negated=not polarity)
-    verdict = eval_cond3(effective, state, config.interval_arith)
-    if verdict is Truth3.FALSE:
+        return contract_condition(form, state)
+    if eval_cond3(form, state, config.interval_arith) is Truth3.FALSE:
         return state.as_bottom()
-    return _simple_prune(effective, state, config.interval_arith)
+    return _simple_prune(form, state, config.interval_arith)
+
+
+def condition_verdict(cond: Expr, state: AbstractState,
+                      config: "AnalysisConfig | None" = None) -> Truth3:
+    """TRUE or FALSE when cond is shown to hold or to fail in every
+    concrete state that state covers, MAYBE otherwise; by contraction or
+    by plain evaluation of its lowered form, as config says."""
+    config = config or AnalysisConfig()
+    if config.use_contractors:
+        return classify_condition(cond, state).verdict
+    return eval_cond3(lower_condition(cond, True, state), state, config.interval_arith)
 
 
 def transfer_assign(state: AbstractState, target: str, rhs: Expr,

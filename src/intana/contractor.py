@@ -313,22 +313,6 @@ def hc4_revise(code: _Code, box: AbstractState) -> AbstractState:
 
 # --- condition classification ------------------------------------------------
 
-def nnf(e: Expr, negated: bool = False) -> Expr:
-    """Negation normal form; negation flips comparisons and connectives."""
-    if isinstance(e, BoolLit):
-        return BoolLit(e.value != negated)
-    if isinstance(e, Unary) and e.op == "not":
-        return nnf(e.operand, not negated)
-    if isinstance(e, Binary) and e.op in ("&&", "||"):
-        op = e.op
-        if negated:
-            op = "||" if op == "&&" else "&&"
-        return Binary(op, nnf(e.left, negated), nnf(e.right, negated))
-    if isinstance(e, Binary) and e.op in CMP_OPS:
-        return Binary(_NEGATED_CMP[e.op], e.left, e.right) if negated else e
-    raise ValueError("not a condition: %r" % (e,))
-
-
 def lower_condition(cond: Expr, polarity: bool, box: AbstractState):
     """cond, or its negation when polarity is False, lowered for boxes over
     box's names: a bool, a lowered comparison, `||`'s (left, right) or the

@@ -20,10 +20,9 @@ from .absint import (
     AnalysisConfig,
     FunctionAnalysis,
     analyze_program,
-    eval_cond3,
+    condition_verdict,
     eval_expr,
 )
-from .contractor import classify_condition
 from .interval import Truth3
 from .lang import (
     ARITH_OPS,
@@ -135,15 +134,6 @@ def singleton_propagate(prog: Program, analyses) -> "tuple[Program, RewriteRepor
 
 # --- guard elimination -------------------------------------------------------
 
-def _classify(cond: Expr, state: "AbstractState | None",
-              config: AnalysisConfig) -> Truth3:
-    if state is None or state.is_bottom:
-        return Truth3.MAYBE
-    if config.use_contractors:
-        return classify_condition(cond, state).verdict
-    return eval_cond3(cond, state, config.interval_arith)
-
-
 def _literalize(cond: Expr, verdict: Truth3, state: AbstractState,
                 config: AnalysisConfig, report: RewriteReport) -> "Expr | None":
     """The literal for a resolved condition, or None if it must stay."""
@@ -162,7 +152,7 @@ def _resolve_cond(cond: Expr, state: "AbstractState | None",
                   config: AnalysisConfig, report: RewriteReport) -> Expr:
     if isinstance(cond, BoolLit) or state is None or state.is_bottom:
         return cond
-    verdict = _classify(cond, state, config)
+    verdict = condition_verdict(cond, state, config)
     if verdict is not Truth3.MAYBE:
         lit = _literalize(cond, verdict, state, config, report)
         if lit is not None:
@@ -170,15 +160,11 @@ def _resolve_cond(cond: Expr, state: "AbstractState | None",
     if isinstance(cond, Binary) and cond.op in ("&&", "||"):
         left = _resolve_cond(cond.left, state, config, report)
         right = _resolve_cond(cond.right, state, config, report)
+        # A literal operand has the verdict of the operand it replaces, so
+        # the rebuilt parent has the verdict found above, and it keeps every
+        # division that stopped the parent from resolving.
         if left is not cond.left or right is not cond.right:
-            rebuilt = Binary(cond.op, left, right)
-            # One re-evaluation of the parent after operand substitution.
-            verdict = _classify(rebuilt, state, config)
-            if verdict is not Truth3.MAYBE:
-                lit = _literalize(rebuilt, verdict, state, config, report)
-                if lit is not None:
-                    return lit
-            return rebuilt
+            return Binary(cond.op, left, right)
     if isinstance(cond, Unary) and cond.op == "not":
         inner = _resolve_cond(cond.operand, state, config, report)
         if inner is not cond.operand:

@@ -470,7 +470,9 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
     if len(runs_a) != len(runs_b):
         raise NondetMismatchError(
             "programs draw different nondet choice sequences")
-    common = (set(a.main.variables) & set(b.main.variables))
+    # Sorted, so a counterexample lists its variables in the same order
+    # under every hash seed.
+    common = sorted(set(a.main.variables) & set(b.main.variables))
     counterexample, truncated = None, 0
     for ra, rb in zip(runs_a, runs_b):
         if ra.choices != rb.choices:

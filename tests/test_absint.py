@@ -12,6 +12,7 @@ from intana.absint import (
     analyze,
     analyze_program,
     check_post_fixpoint,
+    condition_verdict,
     eval_cond3,
     eval_expr,
     initial_state,
@@ -19,6 +20,7 @@ from intana.absint import (
     transfer_assign,
     transfer_assume,
 )
+from intana.contractor import lower_condition
 from intana.fuzz import random_program
 from intana.interval import BOTTOM, Interval, TOP, Truth3
 from intana.lang import Binary, CMP_OPS, build_cfg, parse_condition, parse_program, subexprs
@@ -126,9 +128,27 @@ class TestTransfer:
 
     def test_eval_cond3(self):
         state = AbstractState.of({"x": iv(4, 9)})
-        assert eval_cond3(parse_condition("x > 3 && x < 10", ["x"]), state) \
-            is Truth3.TRUE
-        assert eval_cond3(parse_condition("x > 5", ["x"]), state) is Truth3.MAYBE
+
+        def verdict(source, polarity=True):
+            form = lower_condition(parse_condition(source, ["x"]), polarity, state)
+            return eval_cond3(form, state)
+
+        assert verdict("x > 3 && x < 10") is Truth3.TRUE
+        assert verdict("x > 5") is Truth3.MAYBE
+        assert verdict("x > 5 || x < 10") is Truth3.TRUE
+        assert verdict("x > 9 || x < 4") is Truth3.FALSE
+        assert verdict("x > 5 || x > 20") is Truth3.MAYBE
+        assert verdict("x > 3 && x < 10", False) is Truth3.FALSE
+        assert verdict("!(x > 5 || true)") is Truth3.FALSE
+
+    def test_condition_verdict_follows_config(self):
+        state = AbstractState.of({"x": iv(-3, 3)})
+        cond = parse_condition("x * x < 0", ["x"])
+        assert condition_verdict(cond, state) is Truth3.FALSE
+        plain = AnalysisConfig(use_contractors=False)
+        assert condition_verdict(cond, state, plain) is Truth3.MAYBE
+        cond = parse_condition("!(x > 3)", ["x"])
+        assert condition_verdict(cond, state, plain) is Truth3.TRUE
 
 
 class TestLoopAnalysis:

@@ -484,6 +484,7 @@ def build_mutants():
     orig_edge = absint._edge_state
     orig_cmp = absint.eval_cmp
     orig_prune = absint._simple_prune
+    orig_cond3 = absint.eval_cond3
     orig_tdiv_pre = contractor._tdiv_preimage
     orig_assume_expr = instrument.intervals_to_assume_expr
     orig_analyze = absint.analyze
@@ -512,8 +513,11 @@ def build_mutants():
         verdict = orig_cmp(op, a, b)
         return Truth3.TRUE if verdict is Truth3.MAYBE else verdict
 
-    def nnf_no_flip(e, negated=False):
-        return e
+    def conjunction_maybe_read_false(form, state, arith=True):
+        verdict = orig_cond3(form, state, arith)
+        if isinstance(form, list) and verdict is Truth3.MAYBE:
+            return Truth3.FALSE
+        return verdict
 
     orig_lower = contractor.lower_condition
 
@@ -523,13 +527,13 @@ def build_mutants():
     def contract_always_empty(cond, box, max_rounds=10):
         return box.as_bottom()
 
-    def prune_off_by_one(cond, state, arith):
-        out = orig_prune(cond, state, arith)
-        if isinstance(cond, Binary) and cond.op in ("<=", ">=") \
-                and isinstance(cond.left, Var) and not out.is_bottom:
-            iv = out.get(cond.left.name)
+    def prune_off_by_one(form, state, arith):
+        out = orig_prune(form, state, arith)
+        if type(form) is contractor._Code and form.relation in ("<=", ">=") \
+                and isinstance(form.lhs, Var) and not out.is_bottom:
+            iv = out.get(form.lhs.name)
             if not iv.is_bottom and not iv.is_top:
-                return out.set(cond.left.name, iv.shift(1))
+                return out.set(form.lhs.name, iv.shift(1))
         return out
 
     def inv_mul_broken(z, y):
@@ -555,10 +559,10 @@ def build_mutants():
                 return box.as_bottom()
         return _orig_hc4(c, box)
 
-    _orig_classify = optimize._classify
+    _orig_verdict = optimize.condition_verdict
 
-    def opt_classify_optimistic(cond, state, config):
-        verdict = _orig_classify(cond, state, config)
+    def verdict_optimistic(cond, state, config=None):
+        verdict = _orig_verdict(cond, state, config)
         return Truth3.TRUE if verdict is Truth3.MAYBE else verdict
 
     _orig_literalize = optimize._literalize
@@ -631,10 +635,10 @@ def build_mutants():
          [(absint, "_edge_state", edge_swapped)]),
         ("three-valued comparison optimistic", detect_equivalence_plain_intervals,
          [(absint, "eval_cmp", cmp_optimistic)]),
-        # absint calls nnf only on the contractor-free path (eval_cond3 and
-        # _simple_prune), which detect_soundness also runs.
-        ("negation normal form disabled", detect_soundness,
-         [(absint, "nnf", nnf_no_flip)]),
+        # absint calls eval_cond3 only on the contractor-free path, which
+        # detect_soundness also runs.
+        ("conjunction's MAYBE verdict read as FALSE", detect_soundness,
+         [(absint, "eval_cond3", conjunction_maybe_read_false)]),
         ("lowering ignores polarity", detect_soundness,
          [(contractor, "lower_condition", lower_ignores_polarity),
           (absint, "lower_condition", lower_ignores_polarity)]),
@@ -660,7 +664,7 @@ def build_mutants():
         ("!= prunes non-singletons", detect_contractor,
          [(contractor, "hc4_revise", hc4_neq_overprunes)]),
         ("guard classifier optimistic", detect_equivalence,
-         [(optimize, "_classify", opt_classify_optimistic)]),
+         [(optimize, "condition_verdict", verdict_optimistic)]),
         ("guard literal polarity swapped", detect_equivalence,
          [(optimize, "_literalize", literalize_swapped)]),
         ("singleton test accepts width two", detect_equivalence,

@@ -15,7 +15,7 @@ from intana.contractor import (
     inv_div_divisor,
     inv_mul,
     lower_comparison,
-    nnf,
+    lower_condition,
     parse_box,
     _backward,
     _forward,
@@ -327,14 +327,32 @@ class TestContractFixpoint:
             contract_fixpoint([], parse_box("x:[0,1]"), max_rounds=0)
 
 
-class TestNnf:
+class TestLowerCondition:
     def test_negation_flips_comparison(self):
-        cond = parse_condition("!(x < 5)", ["x"])
-        assert nnf(cond) == parse_condition("x >= 5", ["x"])
+        box = parse_box("x:[0,10]")
+        form = lower_condition(parse_condition("!(x < 5)", ["x"]), True, box)
+        assert form.relation == ">="
+        assert (form.lhs, form.rhs) == (Var("x"), IntLit(5))
 
     def test_de_morgan(self):
-        cond = parse_condition("!(x < 5 && x > 1)", ["x"])
-        assert nnf(cond) == parse_condition("x >= 5 || x <= 1", ["x"])
+        box = parse_box("x:[0,10]")
+        form = lower_condition(parse_condition("!(x < 5 && x > 1)", ["x"]), True, box)
+        assert type(form) is tuple
+        assert [side.relation for side in form] == [">=", "<="]
+
+    def test_false_polarity_negates(self):
+        box = parse_box("x:[0,10]")
+        form = lower_condition(parse_condition("x < 5 || x == 7", ["x"]), False, box)
+        assert [item.relation for item in form] == [">=", "!="]
+
+    def test_conjunctions_flatten_and_literals_lower_to_bools(self):
+        box = parse_box("x:[0,10]")
+        cond = parse_condition("x > 1 && (x < 5 && true)", ["x"])
+        form = lower_condition(cond, True, box)
+        assert form[:2] == [lower_condition(cond.left, True, box),
+                            lower_condition(cond.right.left, True, box)]
+        assert form[2] is True
+        assert lower_condition(cond, True, box) is form  # cached per analysis
 
 
 class TestClassifyCondition:

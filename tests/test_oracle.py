@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import intana
 import intana.oracle
 from intana.absint import AnalysisConfig, analyze_program
 from intana.fuzz import random_program
@@ -339,6 +345,24 @@ class TestEquivalence:
     def test_empty_programs(self):
         prog = parse_program("fn main() { skip; }")
         assert check_equivalence(prog, prog)
+
+    def test_counterexample_is_the_same_under_every_hash_seed(self):
+        script = (
+            "from intana.lang import parse_program\n"
+            "from intana.oracle import check_equivalence\n"
+            "head = 'fn main() { int w = nondet(0, 1); int x = 2; int y = 3; '\n"
+            "a = parse_program(head + 'int z = w; }')\n"
+            "b = parse_program(head + 'int z = w + 1; }')\n"
+            "print(check_equivalence(a, b).counterexample)\n")
+        src = str(pathlib.Path(intana.__file__).parents[1])
+        outputs = set()
+        for seed in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+            outputs.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert outputs == {"((0,), ('ok', {'w': 0, 'x': 2, 'y': 3, 'z': 0}), "
+                           "('ok', {'w': 0, 'x': 2, 'y': 3, 'z': 1}))\n"}
 
 
 class _ReferenceChooser:
