@@ -1,3 +1,5 @@
+import hashlib
+import json
 import pathlib
 import random
 import re
@@ -134,6 +136,19 @@ class TestParserErrors:
         ("fn main() { int x; x", "1:21: expected '=' or '(' after 'x'"),
         ("fn", "1:3: expected 'ident', found 'end of input'"),
         ("", "1:1: no entry function 'main'"),
+        # A sort error is reported at the expression's first token, and only
+        # once the whole expression has parsed; the first mismatch in
+        # post-order wins.
+        ("fn main() { int x = 1; if ((x < 1) + 2 < ) { x = 0; } }",
+         "1:42: expected an expression, found ')'"),
+        ("fn main() { int x = 1; x = 2 * (x + (x < 1 || x < 2)); }",
+         "1:28: arithmetic operator '+' needs integer operands"),
+        ("fn main() { int x = 1; x = (x < 1) + (x * true); }",
+         "1:28: arithmetic operator '*' needs integer operands"),
+        ("fn main() { int x = 1; assert (! ! - (x < 1) < 3); }",
+         "1:32: operand of '-' must be int"),
+        ("fn main() { int x = 1 < 2; }",
+         "1:21: expected int expression, found bool expression"),
     ])
     def test_exact_message_and_position(self, source, message):
         with pytest.raises(ParseError) as err:
@@ -149,6 +164,61 @@ class TestParserErrors:
     def test_missing_main_rejected(self):
         with pytest.raises(ParseError):
             parse_program("fn helper(p) { return p; }")
+
+
+# Each source's digest covers its own parse and that of 20 seeded one-token
+# mutations of it, so syntax errors, sort errors and the order between them
+# are pinned as well as the trees.  After an intended change to the trees
+# or messages, regenerate the file with
+#
+#     PYTHONPATH=src python tests/test_lang.py
+PARSER_GOLDEN = pathlib.Path(__file__).parent / "golden" / "parser_outputs.json"
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+FUZZ_SEEDS = range(300)
+MUTANTS = 20
+MUTANT_TOKENS = ["+", "-", "*", "/", "<", "==", "&&", "||", "!", "(", ")",
+                 "true", "false", "x", "1", ";", "{", "}", "int", ","]
+
+
+def _parse_outcome(source):
+    """repr of the parsed functions, or the exact ParseError text."""
+    try:
+        return repr(parse_program(source).functions)
+    except ParseError as err:
+        return "ParseError: %s" % err
+
+
+def _mutants(key, source):
+    """Copies of source with one token of MUTANT_TOKENS inserted before, or
+    put in place of, one of its tokens, chosen by a generator seeded by key."""
+    rng = random.Random(key)
+    tokens = tokenize(source)
+    for _ in range(MUTANTS):
+        tok = rng.choice(tokens)
+        new = rng.choice(MUTANT_TOKENS)
+        end = tok.offset + len(tok.text) if rng.random() < 0.5 else tok.offset
+        yield "%s %s %s" % (source[:tok.offset], new, source[end:])
+
+
+def parse_digest(key, source):
+    outcomes = [_parse_outcome(s) for s in [source, *_mutants(key, source)]]
+    return hashlib.sha256("\0".join(outcomes).encode()).hexdigest()
+
+
+GOLDEN_KEYS = ([path.name for path in sorted(CORPUS.glob("*.mini"))]
+               + ["fuzz-seed-%03d" % seed for seed in FUZZ_SEEDS])
+
+
+def _golden_source(key):
+    if key.startswith("fuzz-seed-"):
+        return random_program(int(key[len("fuzz-seed-"):]))
+    return (CORPUS / key).read_text()
+
+
+@pytest.mark.parametrize("key", GOLDEN_KEYS)
+def test_parse_matches_golden(key):
+    golden = json.loads(PARSER_GOLDEN.read_text())
+    assert parse_digest(key, _golden_source(key)) == golden[key]
 
 
 # The tokenizer as first written: one match per whitespace run, comment or token.
@@ -349,3 +419,9 @@ class TestCfg:
         order = cfg.rpo
         assert order[0] == cfg.entry
         assert set(order) == set(cfg.nodes)
+
+
+if __name__ == "__main__":
+    table = {key: parse_digest(key, _golden_source(key)) for key in GOLDEN_KEYS}
+    PARSER_GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print("wrote %d digests to %s" % (len(table), PARSER_GOLDEN))
