@@ -14,7 +14,6 @@ from .absint import (
     analyze,
     analyze_program,
     eval_expr,
-    state_at,
     transfer_assign,
     transfer_assume,
 )

@@ -117,18 +117,6 @@ class AnalysisResult:
     widened_nodes: "set[int]" = field(default_factory=set)
 
 
-class UnknownNodeError(KeyError):
-    pass
-
-
-def state_at(result: AnalysisResult, node: int, position: str) -> AbstractState:
-    table = {"before": result.before, "after": result.after}[position]
-    try:
-        return table[node]
-    except KeyError:
-        raise UnknownNodeError(node) from None
-
-
 def _transfer_node(node, state: AbstractState, config: AnalysisConfig) -> AbstractState:
     if state.is_bottom:
         return state

@@ -94,24 +94,24 @@ TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
 
-def free_vars(e: Expr) -> frozenset:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Unary):
-        return free_vars(e.operand)
-    if isinstance(e, Binary):
-        return free_vars(e.left) | free_vars(e.right)
-    return frozenset()
-
-
 def subexprs(e: Expr):
-    """Yield e and every subexpression."""
-    yield e
-    if isinstance(e, Unary):
-        yield from subexprs(e.operand)
-    elif isinstance(e, Binary):
-        yield from subexprs(e.left)
-        yield from subexprs(e.right)
+    """Yield e and every subexpression, in preorder.
+
+    Iterative: a nested generator per level would pass each node up
+    through every enclosing level, quadratic on a long chain.
+    """
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Unary):
+            stack.append(e.operand)
+        elif isinstance(e, Binary):
+            stack += (e.right, e.left)
+
+
+def free_vars(e: Expr) -> frozenset:
+    return frozenset(sub.name for sub in subexprs(e) if isinstance(sub, Var))
 
 
 # --- statements -------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ast import Assert, Assign, Assume, Call, Decl, Function, If, Return, Skip, Stmt, While
+from .ast import Function, If, Return, Stmt, While
 
 FALLTHROUGH = "fallthrough"
 BRANCH_TRUE = "branch-true"
@@ -103,36 +103,27 @@ class _Builder:
         for src, label in incoming:
             self.edge(src, dst, label)
 
+    def place(self, kind: str, stmt: Stmt, incoming) -> int:
+        """A new node for stmt, entered by the incoming edges."""
+        node = self.new_node(kind, stmt=stmt)
+        self.cfg.stmt_node[stmt.sid] = node.id
+        self.connect(incoming, node.id)
+        return node.id
+
     def lower_stmt(self, stmt: Stmt, incoming):
-        if isinstance(stmt, (Decl, Assign, Assume, Assert, Call, Skip)):
-            node = self.new_node("stmt", stmt=stmt)
-            self.cfg.stmt_node[stmt.sid] = node.id
-            self.connect(incoming, node.id)
-            return [(node.id, FALLTHROUGH)]
-        if isinstance(stmt, Return):
-            node = self.new_node("stmt", stmt=stmt)
-            self.cfg.stmt_node[stmt.sid] = node.id
-            self.connect(incoming, node.id)
-            self.edge(node.id, self.cfg.exit, FALLTHROUGH)
-            return []
         if isinstance(stmt, If):
-            cond = self.new_node("cond", stmt=stmt)
-            self.cfg.stmt_node[stmt.sid] = cond.id
-            self.connect(incoming, cond.id)
-            out = self.lower_block(stmt.then, [(cond.id, BRANCH_TRUE)])
-            if stmt.orelse is None:
-                out = out + [(cond.id, BRANCH_FALSE)]
-            else:
-                out = out + self.lower_block(stmt.orelse, [(cond.id, BRANCH_FALSE)])
-            return out
+            cond = self.place("cond", stmt, incoming)
+            return (self.lower_block(stmt.then, [(cond, BRANCH_TRUE)])
+                    + self.lower_block(stmt.orelse or [], [(cond, BRANCH_FALSE)]))
         if isinstance(stmt, While):
-            cond = self.new_node("cond", stmt=stmt)
-            self.cfg.stmt_node[stmt.sid] = cond.id
-            self.connect(incoming, cond.id)
-            back = self.lower_block(stmt.body, [(cond.id, BRANCH_TRUE)])
-            self.connect(back, cond.id)
-            return [(cond.id, BRANCH_FALSE)]
-        raise TypeError(stmt)
+            cond = self.place("cond", stmt, incoming)
+            self.connect(self.lower_block(stmt.body, [(cond, BRANCH_TRUE)]), cond)
+            return [(cond, BRANCH_FALSE)]
+        node = self.place("stmt", stmt, incoming)
+        if isinstance(stmt, Return):
+            self.edge(node, self.cfg.exit, FALLTHROUGH)
+            return []
+        return [(node, FALLTHROUGH)]
 
 
 def build_cfg(func: Function) -> Cfg:

@@ -112,6 +112,8 @@ class Parser:
         self.function = None  # name of the function being parsed
         # (function, call, token of its callee) per call, in source order.
         self.calls: "list[tuple[str, Call, Token]]" = []
+        # The first operand-sort mismatch of the expression being parsed.
+        self.sort_error: "str | None" = None
 
     # --- token plumbing ---
 
@@ -123,6 +125,12 @@ class Parser:
         if tok.kind != "eof":
             self.pos += 1
         return tok
+
+    def accept(self, kind: str) -> "Token | None":
+        """The next token, consumed, if it is of `kind`; otherwise None."""
+        if self.peek().kind == kind:
+            return self.advance()
+        return None
 
     def expect(self, kind: str) -> Token:
         tok = self.peek()
@@ -156,46 +164,43 @@ class Parser:
     def parse_function(self) -> Function:
         self.expect("fn")
         name = self.expect("ident").text
-        self.expect("(")
-        params = []
-        if self.peek().kind != ")":
-            while True:
-                ptok = self.expect("ident")
-                if ptok.text in params:
-                    self.error("duplicate parameter %r" % ptok.text, ptok)
-                params.append(ptok.text)
-                if self.peek().kind != ",":
-                    break
-                self.advance()
-        self.expect(")")
-        self.declared = set(params)
+        self.declared = set()
+        params = self.parse_list(self.parse_param)
         self.function = name
         return Function(name=name, params=tuple(params), body=self.parse_block())
+
+    def parse_param(self) -> str:
+        tok = self.expect("ident")
+        if tok.text in self.declared:
+            self.error("duplicate parameter %r" % tok.text, tok)
+        self.declared.add(tok.text)
+        return tok.text
+
+    def parse_list(self, parse_item) -> list:
+        """A parenthesized, comma-separated, possibly empty list."""
+        self.expect("(")
+        items = []
+        if self.peek().kind != ")":
+            items.append(parse_item())
+            while self.accept(","):
+                items.append(parse_item())
+        self.expect(")")
+        return items
 
     def parse_block(self) -> "list[Stmt]":
         self.expect("{")
         stmts = []
         while self.peek().kind != "}":
-            stmts.append(self.parse_item())
+            stmts.append(self.parse_stmt())
         self.expect("}")
         return stmts
 
-    def parse_item(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == "int":
-            return self.parse_decl()
-        return self.parse_stmt()
-
     def parse_decl(self) -> Decl:
-        self.expect("int")
         nametok = self.expect("ident")
         name = nametok.text
         if name in self.declared:
             self.error("redeclaration of %r" % name, nametok)
-        init = None
-        if self.peek().kind == "=":
-            self.advance()
-            init = self.parse_rhs()
+        init = self.parse_rhs() if self.accept("=") else None
         self.expect(";")
         self.declared.add(name)
         return Decl(name=name, init=init, sid=self.fresh_sid())
@@ -204,10 +209,7 @@ class Parser:
         # Assignment right-hand side: nondet(...) or an arithmetic expression.
         if self.peek().kind == "nondet":
             return self.parse_nondet()
-        tok = self.peek()
-        e = self.parse_expr()
-        self._check_sort(e, "int", tok)
-        return e
+        return self.parse_sorted("int")
 
     def parse_nondet(self) -> Nondet:
         tok = self.expect("nondet")
@@ -223,35 +225,28 @@ class Parser:
         return Nondet(lo, hi)
 
     def parse_int_bound(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
-            self.advance()
-            neg = True
-        tok = self.expect("number")
-        v = int(tok.text)
+        neg = self.accept("-")
+        v = int(self.expect("number").text)
         return -v if neg else v
 
     def parse_stmt(self) -> Stmt:
         tok = self.peek()
-        if tok.kind == "if":
+        if self.accept("int"):
+            return self.parse_decl()
+        if self.accept("if"):
             return self.parse_if()
-        if tok.kind == "while":
+        if self.accept("while"):
             return self.parse_while()
-        if tok.kind in ("assert", "assume"):
-            self.advance()
+        if self.accept("assert") or self.accept("assume"):
             cond = self.parse_paren_cond()
             self.expect(";")
             check = Assert if tok.kind == "assert" else Assume
             return check(cond=cond, sid=self.fresh_sid())
-        if tok.kind == "return":
-            self.advance()
-            rtok = self.peek()
-            value = self.parse_expr()
-            self._check_sort(value, "int", rtok)
+        if self.accept("return"):
+            value = self.parse_sorted("int")
             self.expect(";")
             return Return(value=value, sid=self.fresh_sid())
-        if tok.kind == "skip":
-            self.advance()
+        if self.accept("skip"):
             self.expect(";")
             return Skip(sid=self.fresh_sid())
         if tok.kind == "ident":
@@ -261,125 +256,113 @@ class Parser:
     def parse_assign_or_call(self) -> Stmt:
         nametok = self.expect("ident")
         name = nametok.text
-        nxt = self.peek()
-        if nxt.kind == "(":
-            call = self.parse_call_tail(name, result=None, tok=nametok)
-            return call
-        if nxt.kind != "=":
-            self.error("expected '=' or '(' after %r" % name, nxt)
-        self.advance()
+        if self.peek().kind == "(":
+            return self.parse_call_tail(name, result=None, tok=nametok)
+        if not self.accept("="):
+            self.error("expected '=' or '(' after %r" % name)
         if name not in self.declared:
             self.error("assignment to undeclared variable %r" % name, nametok)
         if self.peek().kind == "ident" and self.peek(1).kind == "(":
             calleetok = self.advance()
-            call = self.parse_call_tail(calleetok.text, result=name, tok=calleetok)
-            return call
+            return self.parse_call_tail(calleetok.text, result=name, tok=calleetok)
         rhs = self.parse_rhs()
         self.expect(";")
         return Assign(target=name, rhs=rhs, sid=self.fresh_sid())
 
     def parse_call_tail(self, callee: str, result: "str | None", tok: Token) -> Call:
-        self.expect("(")
-        args = []
-        if self.peek().kind != ")":
-            while True:
-                atok = self.peek()
-                a = self.parse_expr()
-                self._check_sort(a, "int", atok)
-                args.append(a)
-                if self.peek().kind != ",":
-                    break
-                self.advance()
-        self.expect(")")
+        args = self.parse_list(lambda: self.parse_sorted("int"))
         self.expect(";")
         call = Call(callee=callee, args=tuple(args), result=result, sid=self.fresh_sid())
         self.calls.append((self.function, call, tok))
         return call
 
     def parse_if(self) -> If:
-        self.expect("if")
         cond = self.parse_paren_cond()
         then = self.parse_block()
-        orelse = None
-        if self.peek().kind == "else":
-            self.advance()
-            orelse = self.parse_block()
+        orelse = self.parse_block() if self.accept("else") else None
         return If(cond=cond, then=then, orelse=orelse, sid=self.fresh_sid())
 
     def parse_while(self) -> While:
-        self.expect("while")
         cond = self.parse_paren_cond()
         body = self.parse_block()
         return While(cond=cond, body=body, sid=self.fresh_sid())
 
     def parse_paren_cond(self) -> Expr:
         self.expect("(")
-        cond = self.parse_cond()
+        cond = self.parse_sorted("bool")
         self.expect(")")
         return cond
 
-    def parse_cond(self) -> Expr:
+    # --- expressions, their sorts checked as each node is built ---
+
+    def parse_sorted(self, expected: str) -> Expr:
+        """An expression of sort `expected` ("int" or "bool").
+
+        A sort error is reported at the expression's first token, and only
+        once the whole expression has parsed, so a syntax error anywhere in
+        it comes first.  Nodes are built in post-order, so the error
+        reported is the first mismatch in that order.
+        """
         tok = self.peek()
+        self.sort_error = None
         e = self.parse_expr()
-        self._check_sort(e, "bool", tok)
+        if self.sort_error is None and _sort(e) != expected:
+            self.sort_error = "expected %s expression, found %s expression" % (expected, _sort(e))
+        if self.sort_error is not None:
+            self.error(self.sort_error, tok)
         return e
 
-    # --- unified expressions (sorts checked afterwards) ---
+    def check_operands(self, e: Expr):
+        """Record the sort error of the Unary or Binary node just built,
+        unless an earlier node of this expression had one."""
+        if self.sort_error is not None:
+            return
+        if isinstance(e, Unary):
+            if _sort(e.operand) != _sort(e):
+                self.sort_error = "operand of %r must be %s" % (
+                    "-" if e.op == "neg" else "!", _sort(e))
+        elif e.op in ARITH_OPS or e.op in CMP_OPS:
+            if not _sort(e.left) == _sort(e.right) == "int":
+                kind = "arithmetic operator" if e.op in ARITH_OPS else "comparison"
+                self.sort_error = "%s %r needs integer operands" % (kind, e.op)
+        elif not _sort(e.left) == _sort(e.right) == "bool":
+            self.sort_error = "logical operator %r needs boolean operands" % e.op
 
     def parse_expr(self, min_prec: int = 1) -> Expr:
-        """Precedence climbing over PRECEDENCE; sorts are checked after
-        construction so arithmetic and boolean never mix."""
+        """Precedence climbing over PRECEDENCE."""
         left = self.parse_unary()
         while True:
             tok = self.peek()
             prec = PRECEDENCE.get(tok.kind, 0)
             if prec < min_prec:
-                break
+                return left
             self.advance()
-            right = self.parse_expr(prec + 1)
-            left = Binary(tok.text, left, right)
-        return left
+            left = Binary(tok.text, left, self.parse_expr(prec + 1))
+            self.check_operands(left)
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return Unary("neg", self.parse_unary())
-        if tok.kind == "!":
-            self.advance()
-            return Unary("not", self.parse_unary())
-        return self.parse_primary()
+        tok = self.accept("-") or self.accept("!")
+        if tok is None:
+            return self.parse_primary()
+        e = Unary("neg" if tok.kind == "-" else "not", self.parse_unary())
+        self.check_operands(e)
+        return e
 
     def parse_primary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
+        if self.accept("number"):
             return IntLit(int(tok.text))
-        if tok.kind == "true":
-            self.advance()
-            return BoolLit(True)
-        if tok.kind == "false":
-            self.advance()
-            return BoolLit(False)
-        if tok.kind == "ident":
-            self.advance()
+        if self.accept("true") or self.accept("false"):
+            return BoolLit(tok.kind == "true")
+        if self.accept("ident"):
             if tok.text not in self.declared:
                 self.error("use of undeclared variable %r" % tok.text, tok)
             return Var(tok.text)
-        if tok.kind == "(":
-            self.advance()
+        if self.accept("("):
             e = self.parse_expr()
             self.expect(")")
             return e
         self.error("expected an expression, found %r" % (tok.text or "end of input"))
-
-    def _check_sort(self, e: Expr, expected: str, tok: Token):
-        try:
-            actual = _deep_sort(e)
-        except _SortError as exc:
-            raise tok.error(str(exc)) from None
-        if actual != expected:
-            self.error("expected %s expression, found %s expression" % (expected, actual), tok)
 
     # --- post-parse call validation ---
 
@@ -415,30 +398,12 @@ def _reject_recursion(name: str, calls, state) -> None:
     state[name] = "done"
 
 
-class _SortError(Exception):
-    pass
-
-
-def _deep_sort(e: Expr) -> str:
-    if isinstance(e, Unary):
-        inner = _deep_sort(e.operand)
-        want = "int" if e.op == "neg" else "bool"
-        if inner != want:
-            raise _SortError("operand of %r must be %s" % ("-" if e.op == "neg" else "!", want))
-        return want
+def _sort(e: Expr) -> str:
+    """The sort of a well-sorted expression, read from its top node."""
     if isinstance(e, Binary):
-        ls, rs = _deep_sort(e.left), _deep_sort(e.right)
-        if e.op in ARITH_OPS:
-            if ls != "int" or rs != "int":
-                raise _SortError("arithmetic operator %r needs integer operands" % e.op)
-            return "int"
-        if e.op in CMP_OPS:
-            if ls != "int" or rs != "int":
-                raise _SortError("comparison %r needs integer operands" % e.op)
-            return "bool"
-        if ls != "bool" or rs != "bool":
-            raise _SortError("logical operator %r needs boolean operands" % e.op)
-        return "bool"
+        return "int" if e.op in ARITH_OPS else "bool"
+    if isinstance(e, Unary):
+        return "int" if e.op == "neg" else "bool"
     return "bool" if isinstance(e, BoolLit) else "int"
 
 
@@ -450,7 +415,7 @@ def parse_condition(source: str, varnames) -> Expr:
     """Parse a stand-alone condition over the given variable names."""
     parser = Parser(tokenize(source))
     parser.declared = set(varnames)
-    cond = parser.parse_cond()
+    cond = parser.parse_sorted("bool")
     if parser.peek().kind != "eof":
         parser.error("trailing input after condition")
     return cond

@@ -8,7 +8,6 @@ import intana.contractor
 from intana.absint import (
     AbstractState,
     AnalysisConfig,
-    UnknownNodeError,
     analyze,
     analyze_program,
     check_post_fixpoint,
@@ -16,7 +15,6 @@ from intana.absint import (
     eval_cond3,
     eval_expr,
     initial_state,
-    state_at,
     transfer_assign,
     transfer_assume,
 )
@@ -206,11 +204,6 @@ class TestLoopAnalysis:
             interval_arith=False)
         fa = analyses["main"]
         assert fa.result.after[fa.cfg.exit].get("y").is_top
-
-    def test_state_at_unknown_node(self):
-        prog, analyses = analysis_of(LOOP)
-        with pytest.raises(UnknownNodeError):
-            state_at(analyses["main"].result, 999, "before")
 
     def test_post_fixpoint_on_corpus_samples(self):
         sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))]

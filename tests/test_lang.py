@@ -82,6 +82,21 @@ class TestParser:
         assert isinstance(value_call, Call) and value_call.result == "x"
         assert isinstance(plain_call, Call) and plain_call.result is None
 
+    def test_long_chains_parse(self):
+        # The parser recurses on nesting only, not on the length of a chain.
+        def terms(e, op):
+            n = 1
+            while isinstance(e, Binary) and e.op == op:
+                e, n = e.left, n + 1
+            return n
+
+        total = " + ".join(["x"] * 5000)
+        conjunction = " && ".join(["x < 3"] * 3000)
+        prog = parse_program("fn main() { int x = 1; x = %s; assert (%s); }"
+                             % (total, conjunction))
+        assert terms(prog.main.body[1].rhs, "+") == 5000
+        assert terms(prog.main.body[2].cond, "&&") == 3000
+
     def test_sids_are_unique(self):
         prog = parse_program("""
             fn helper(p) { int h = 0; h = p; return h; }
@@ -267,8 +282,7 @@ class TestTokenizer:
              "a\n//\n", "fn main() { int x = 1; }  // tail"]
 
     def test_corpus_and_fuzz_programs(self):
-        corpus = pathlib.Path(__file__).parent.parent / "corpus"
-        sources = [path.read_text() for path in sorted(corpus.glob("*.mini"))]
+        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))]
         sources += [random_program(seed) for seed in range(100)]
         for source in sources:
             assert _tokens(source) == _reference_tokens(source)
