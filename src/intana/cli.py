@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import json
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -62,6 +61,28 @@ def _state_text(state) -> str:
     return "bottom" if state.is_bottom else box_render(state) or "(no variables)"
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2)` for the str, int, list and dict values
+    the commands write, each nested line starting with `indent` plus two
+    spaces.  The standard encoder's indenting closures refer to each other,
+    so each of its calls would leave cyclic garbage."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = ["%s: %s" % (encode_basestring_ascii(k), _json(v, inner))
+                           for k, v in value.items()], "{}"
+    else:
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    if not items:
+        return brackets
+    return "%s%s%s%s%s" % (brackets[0], inner, ("," + inner).join(items), indent, brackets[1])
+
+
 def _document(program_source: str, config: AnalysisConfig, analyses, report) -> str:
     """The bytes of `json.dumps(doc, indent=2)`, each state and interval rendered once.
 
@@ -92,9 +113,9 @@ def _document(program_source: str, config: AnalysisConfig, analyses, report) -> 
                             block(fa.result.before[nid]), block(fa.result.after[nid])))
     return '{\n  "program": %s,\n  "config": %s,\n  "nodes": %s,\n  "report": %s\n}' % (
         quote(program_source),
-        json.dumps(dataclasses.asdict(config), indent=2).replace("\n", "\n  "),
+        _json(dataclasses.asdict(config), "\n  "),
         "[\n%s\n  ]" % ",\n".join(nodes) if nodes else "[]",
-        json.dumps(report, indent=2).replace("\n", "\n  "))
+        _json(report, "\n  "))
 
 
 def cmd_analyze(args) -> int:
@@ -183,11 +204,11 @@ def cmd_contract(args) -> int:
     code = lower_comparison(parse_condition(args.constraint, list(box)), box)
     result = contract_fixpoint([code], box, max_rounds=args.max_rounds)
     if args.format == "json":
-        _emit(json.dumps({
+        _emit(_json({
             "constraint": args.constraint,
             "box": box_render(box),
             "result": box_render(result),
-        }, indent=2), args)
+        }), args)
     else:
         _emit(box_render(result), args)
     return 0

@@ -6,9 +6,17 @@ of choices (in dynamic program order, so nondet inside loops and callees
 is handled uniformly).  This is the ground truth against which analysis
 soundness and rewrite equivalence are checked.
 
-Each enumeration compiles the program once: every CFG node becomes a
-tuple holding a Python closure for its statement or condition, so the
-executions walk those tuples instead of the AST.
+An enumeration runs on two tiers.  It starts on tier 0, which compiles
+the program once into closures: every CFG node becomes a tuple holding a
+Python closure for its statement or condition, and the executions walk
+those tuples.  Tier 1 is Python source, one `def` per mini function with
+Python's own `if` and `while`, emitted from the AST and `exec`'d once.
+Compiling it costs as much as tier 1 saves over about a hundred steps per
+CFG node, more than most enumerations run, so an enumeration switches to
+tier 1 for its remaining executions only once the steps it has run pass
+`TIER_UP_STEPS_PER_NODE` times the program's CFG node count.  Both tiers
+share one chooser and one set of CFGs, count steps per CFG node and halt
+on the same node, so the switch changes no result.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -19,11 +27,17 @@ function; it must not keep or change `env`.  `end(state)` is called with
 each finished `ConcreteState`.  Two monitors exist: `_TraceRecorder`
 copies every point into `ConcreteState.trace` (`record_trace=True`), and
 `_SoundnessMonitor` tests every point against the analysis states in
-place, so `check_soundness` needs no trace.
+place, so `check_soundness` needs no trace.  A monitor may also have
+`bounds(fname)`, as `_SoundnessMonitor` does: a list, indexed by node id,
+of the `(name, lo, hi)` tests a point passes when the monitor has nothing
+to do there, or None where it always has.  Tier 1 inlines those tests and
+never calls such a monitor: an execution with a point that fails them
+runs again on tier 0, which shows the monitor every point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .lang import (
@@ -38,6 +52,7 @@ from .lang import (
     CONCRETE,
     Decl,
     FALLTHROUGH,
+    If,
     IntLit,
     Nondet,
     Program,
@@ -45,8 +60,10 @@ from .lang import (
     Skip,
     Unary,
     Var,
+    While,
     build_cfg,
     program_nondets,
+    walk_stmts,
 )
 
 OK = "ok"
@@ -84,6 +101,16 @@ class _Halt(Exception):
     def __init__(self, verdict, node=None):
         self.verdict = verdict
         self.node = node
+
+
+_TDIV = CONCRETE["/"]
+
+
+def _divide(a, b, where):
+    """`a / b` on both tiers; a zero divisor halts at `where`."""
+    if b == 0:
+        raise _Halt(DIV_BY_ZERO, where)
+    return _TDIV(a, b)
 
 
 class _Chooser:
@@ -140,15 +167,9 @@ def _compile_expr(e, choose, where):
                 b = bool(right(env))
                 return a and b if conj else a or b
             return connective
-        op = CONCRETE[e.op]
         if e.op == "/":
-            def divide(env):
-                a = left(env)
-                b = right(env)
-                if b == 0:
-                    raise _Halt(DIV_BY_ZERO, where)
-                return op(a, b)
-            return divide
+            return lambda env: _divide(left(env), right(env), where)
+        op = CONCRETE[e.op]
         # Variable and literal operands are read in place: most conditions
         # and updates are of these shapes, and each saves a call.
         if isinstance(e.left, Var) and isinstance(e.right, Var):
@@ -213,28 +234,16 @@ def _compile_cfg(prog, fname, cfg, choose):
     return code, succ[cfg.entry][FALLTHROUGH], cfg.exit
 
 
-class _Interpreter:
-    """Runs the executions of one program, whose CFGs it compiles once."""
-
-    def __init__(self, prog: Program, step_limit: int, monitor=None):
-        self.chooser = _Chooser()
-        choose = self.chooser.choose
-        self.code = {}
-        for fname, fn in prog.functions.items():
-            watch = monitor.watch(fname) if monitor is not None else None
-            self.code[fname] = _compile_cfg(prog, fname, build_cfg(fn), choose) + (watch,)
-        self.entry = prog.entry
-        self.step_limit = step_limit
-        self.monitor = monitor
+class _Tier:
+    """What both tiers share: `run`, which calls the tier's `execute(env)`."""
 
     def run(self, prefix) -> ConcreteState:
         """One execution that replays `prefix`, then takes each range minimum."""
         self.chooser.reset(prefix)
-        self.steps = 0
         env = {}
         verdict, node = OK, None
         try:
-            self.run_function(self.entry, env)
+            self.execute(env)
         except _Halt as halt:
             verdict, node = halt.verdict, halt.node
         state = ConcreteState(
@@ -246,6 +255,30 @@ class _Interpreter:
         if self.monitor is not None:
             self.monitor.end(state)
         return state
+
+
+class _Interpreter(_Tier):
+    """Tier 0: runs the executions of one program, whose CFGs it compiles
+    once into closures.  `steps` counts the last run's steps; it misses
+    those since the last call or return of a run that divided by zero."""
+
+    def __init__(self, prog: Program, step_limit: int, monitor=None):
+        self.chooser = _Chooser()
+        choose = self.chooser.choose
+        self.prog = prog
+        self.cfgs, self.code = {}, {}
+        for fname, fn in prog.functions.items():
+            watch = monitor.watch(fname) if monitor is not None else None
+            cfg = self.cfgs[fname] = build_cfg(fn)
+            self.code[fname] = _compile_cfg(prog, fname, cfg, choose) + (watch,)
+        self.entry = prog.entry
+        self.step_limit = step_limit
+        self.monitor = monitor
+        self.steps = 0
+
+    def execute(self, env: "dict[str, int]") -> None:
+        self.steps = 0
+        self.run_function(self.entry, env)
 
     def run_function(self, fname: str, env: "dict[str, int]") -> "int | None":
         """Run one function frame, mutating env in place."""
@@ -259,6 +292,7 @@ class _Interpreter:
                 break
             steps += 1
             if steps > limit:
+                self.steps = steps
                 raise _Halt(STEP_LIMIT, (fname, n))
             if watch is not None:
                 watch(n, env)
@@ -269,6 +303,7 @@ class _Interpreter:
                 n = succ if action(env) else other
             elif kind == _CHECK:
                 if not action(env):
+                    self.steps = steps
                     raise _Halt(other, (fname, n))
                 n = succ
             elif kind == _CALL:
@@ -287,6 +322,368 @@ class _Interpreter:
         if watch is not None:  # the frame's exit state, checked like any other
             watch(exit_node, env)
         return value
+
+
+# Steps per CFG node that tier 0 runs in one enumeration before it compiles
+# tier 1: the measured break-even of an enumeration with the soundness
+# monitor (the oracle-enum programs, Python 3.11, 2 vCPUs).  Emitting and
+# compiling tier 1 costs 60-110 us per CFG node, and each step run on tier
+# 1 instead of tier 0 saves 0.6-1.0 us.  Without a monitor a step saves
+# 0.2-0.3 us, and the break-even is about 275 steps per node.
+TIER_UP_STEPS_PER_NODE = 100
+
+# The deepest nesting of compound statements in one generated def; a block
+# nested deeper is outlined into a def of its own.  CPython rejects more
+# than 20 nested loops, and 100 indentation levels, in one function.
+_MAX_NESTING = 16
+
+# An expression deeper than this is emitted in three-address form, one
+# temporary per operation.  CPython's parser allows 200 nested parentheses
+# and its compiler recurses on an expression's depth.
+_MAX_INLINE_DEPTH = 32
+
+# What an outlined block returns in place of a value when it falls through.
+_FELL = object()
+
+_ANY = (-math.inf, math.inf)
+
+
+class _Redo(Exception):
+    """A tier-1 execution reached a point its monitor must see."""
+
+
+def _point_hook(fname, step_limit, watch):
+    """What tier-1 code calls at a point of `fname` that passed the step
+    limit or that the monitor must see.  That is `watch` for a monitor
+    without bounds; with bounds (`watch` None), the point failed them, and
+    the execution goes back to tier 0.  Without a monitor, the hook is
+    called only past the step limit."""
+    def point(n, env, steps):
+        if steps > step_limit:
+            raise _Halt(STEP_LIMIT, (fname, n))
+        if watch is None:
+            raise _Redo
+        watch(n, env)
+    return point
+
+
+def _deeper_than(e, limit: int) -> bool:
+    stack = [(e, 1)]
+    while stack:
+        e, depth = stack.pop()
+        if depth > limit:
+            return True
+        if isinstance(e, Unary):
+            stack.append((e.operand, depth + 1))
+        elif isinstance(e, Binary):
+            stack += ((e.left, depth + 1), (e.right, depth + 1))
+    return False
+
+
+def _assigned(stmts) -> "set[str]":
+    """The names a block's statements, nested ones too, may assign."""
+    names = set()
+    for s in walk_stmts(stmts):
+        if isinstance(s, Decl):
+            names.add(s.name)
+        elif isinstance(s, Assign):
+            names.add(s.target)
+        elif isinstance(s, Call) and s.result is not None:
+            names.add(s.result)
+    return names
+
+
+def _merge(a, b):
+    """The facts that hold after either of two paths (see `_Emitter`)."""
+    merged = {}
+    for name, (present, lo, hi) in a.items():
+        if name in b:
+            other_present, other_lo, other_hi = b[name]
+            merged[name] = (present and other_present, min(lo, other_lo), max(hi, other_hi))
+    return merged
+
+
+class _Emitter:
+    """Tier-1 source for the program of a tier-0 interpreter, from its ASTs
+    and the CFGs tier 0 built.
+
+    Each mini function becomes `def _f<i>(env, s)`, which returns `(s,
+    value)`: `s` counts the steps run so far, and `value` is None when the
+    body falls off its end.  Every CFG node adds one to `s` and tests the
+    limit before it runs, as tier 0 does.  A block nested too deeply is
+    outlined into a def of the same shape that returns `(s, _FELL)` when it
+    falls through.  Mini names appear only as dict keys; every value the
+    code uses, from literals to analysis bounds, is a namespace constant.
+
+    A monitor with bounds is not called: a point that fails its tests, or
+    whose state is bottom or missing, raises `_Redo`, and tier 0 runs that
+    execution again.  So a test that earlier tests imply is left out.  The
+    emitter keeps, per name, `(present, lo, hi)`: whether the name is
+    surely in `env` at the code being emitted, and an interval its value
+    surely lies in if it is.
+    """
+
+    def __init__(self, tier0: _Interpreter):
+        self.tier0 = tier0
+        self.namespace = {"_Halt": _Halt, "_divide": _divide, "_FELL": _FELL,
+                          "_choose": tier0.chooser.choose, "_L": tier0.step_limit,
+                          "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
+        self.names = {fname: "_f%d" % i for i, fname in enumerate(tier0.prog.functions)}
+        self.consts = {}
+        self.defs = []
+        self.out = []
+        self.temps = self.outlined = 0
+
+    def const(self, value) -> str:
+        """The namespace name of a value, one per distinct value: CPython
+        compiles fewer distinct names faster."""
+        key = (type(value), value)
+        if key not in self.consts:
+            self.consts[key] = "_k%d" % len(self.consts)
+            self.namespace[self.consts[key]] = value
+        return self.consts[key]
+
+    def line(self, depth: int, text: str) -> None:
+        self.out.append("    " * depth + text)
+
+    def program(self) -> "str | None":
+        """The source, or None if a statement sits at two CFG nodes."""
+        monitor = self.tier0.monitor
+        for fname, fn in self.tier0.prog.functions.items():
+            cfg = self.tier0.cfgs[fname]
+            self.nodes = {id(node.stmt): n for n, node in cfg.nodes.items()
+                          if node.stmt is not None}
+            if len(self.nodes) != len(cfg.nodes) - 2:  # all but entry and exit
+                return None
+            self.fname, self.exit_node = fname, cfg.exit
+            self.bounds = monitor.bounds(fname) if hasattr(monitor, "bounds") else None
+            watch = None if self.bounds is not None else self.tier0.code[fname][3]
+            self.watched = monitor is not None
+            self.hook = self.const(_point_hook(fname, self.tier0.step_limit, watch))
+            facts = {name: (True,) + _ANY for name in fn.params}
+            self.define(self.names[fname], fn.body, facts, function=True)
+        return "\n".join(self.defs)
+
+    def define(self, name: str, stmts, facts, function: bool):
+        """Emit `def name(env, s)` running a block; returns the facts after
+        it, or None if it cannot fall through."""
+        outer, self.out = self.out, ["def %s(env, s):" % name]
+        facts = self.block(stmts, 1, facts)
+        if facts is not None and function:
+            self.exit(1, facts)
+            self.line(1, "return s, None")
+        elif facts is not None:
+            self.line(1, "return s, _FELL")
+        self.defs.append("\n".join(self.out) + "\n")
+        self.out = outer
+        return facts
+
+    def block(self, stmts, depth: int, facts):
+        """Emit a block; returns the facts after it, or None if it cannot
+        fall through (its rest is unreachable and not emitted)."""
+        facts = dict(facts)
+        start = len(self.out)
+        for stmt in stmts:
+            facts = self.stmt(stmt, self.nodes[id(stmt)], depth, facts)
+            if facts is None:
+                break
+        if len(self.out) == start:
+            self.line(depth, "pass")
+        return facts
+
+    def nested(self, stmts, depth: int, facts):
+        """Emit the block of a compound statement, outlined past
+        `_MAX_NESTING`; returns the facts after it, or None."""
+        if depth <= _MAX_NESTING:
+            return self.block(stmts, depth, facts)
+        name = "_o%d" % self.outlined
+        self.outlined += 1
+        facts = self.define(name, stmts, facts, function=False)
+        self.line(depth, "s, r = %s(env, s)" % name)
+        self.line(depth, "if r is not _FELL: return s, r")
+        return facts
+
+    def where(self, n: int) -> str:
+        """The constant naming node n in a halt."""
+        return self.const((self.fname, n))
+
+    def tests(self, n: int, facts) -> "str | None":
+        """When point n must call the hook: never (None), always (""), or
+        when the returned condition holds.  Updates `facts` with the tests,
+        which hold past the point."""
+        if self.bounds is None:
+            return "" if self.watched else None
+        tests = self.bounds[n] if n < len(self.bounds) else None
+        if tests is None:  # a bottom or missing state
+            return ""
+        parts = []
+        for name, lo, hi in tests:
+            present, known_lo, known_hi = facts.get(name, (False,) + _ANY)
+            if lo <= known_lo and known_hi <= hi:
+                continue
+            facts[name] = (present, max(lo, known_lo), min(hi, known_hi))
+            lo = self.const(lo)
+            value = ("env[%r]" % name if present
+                     else "env.get(%r, %s)" % (name, lo))  # an absent name passes
+            parts.append("%s <= %s <= %s" % (lo, value, self.const(hi)))
+        return "not (%s)" % " and ".join(parts) if parts else None
+
+    def point(self, n: int, depth: int, facts) -> None:
+        """Count node n's step, and call the hook past the step limit or
+        where the monitor must see the point."""
+        self.line(depth, "s += 1")
+        tests = self.tests(n, facts)
+        call = "%s(%d, env, s)" % (self.hook, n)
+        if tests == "":
+            self.line(depth, call)
+        else:
+            self.line(depth, "if s > _L%s: %s" % ("" if tests is None else " or " + tests, call))
+
+    def exit(self, depth: int, facts) -> None:
+        """The frame's exit state, shown to the monitor like any point."""
+        tests = self.tests(self.exit_node, facts)
+        if tests is not None:
+            self.line(depth, "%s%s(%d, env, s)" % (tests and "if %s: " % tests, self.hook,
+                                                    self.exit_node))
+
+    def stmt(self, stmt, n: int, depth: int, facts):
+        """Emit the statement at node n; returns the facts after it, or None
+        if it cannot fall through."""
+        if isinstance(stmt, While):
+            assigned = _assigned(stmt.body)
+            facts = {name: (fact[0],) + _ANY if name in assigned else fact
+                     for name, fact in facts.items()}
+            self.line(depth, "while True:")
+            self.point(n, depth + 1, facts)
+            self.line(depth + 1, "if not %s: break" % self.expr(stmt.cond, n, depth + 1))
+            self.nested(stmt.body, depth + 1, facts)
+            return facts
+        self.point(n, depth, facts)
+        if isinstance(stmt, If):
+            self.line(depth, "if %s:" % self.expr(stmt.cond, n, depth))
+            then = self.nested(stmt.then, depth + 1, facts)
+            orelse = facts
+            if stmt.orelse:
+                self.line(depth, "else:")
+                orelse = self.nested(stmt.orelse, depth + 1, facts)
+            if then is None or orelse is None:
+                return orelse if then is None else then
+            return _merge(then, orelse)
+        if isinstance(stmt, (Decl, Assign)):
+            name, value = ((stmt.name, stmt.init) if isinstance(stmt, Decl)
+                           else (stmt.target, stmt.rhs))
+            text = self.const(0) if value is None else self.expr(value, n, depth)
+            self.line(depth, "env[%r] = %s" % (name, text))
+            facts[name] = (True,) + _ANY
+        elif isinstance(stmt, (Assume, Assert)):
+            verdict = "_ASSUME" if isinstance(stmt, Assume) else "_ASSERT"
+            self.line(depth, "if not %s: raise _Halt(%s, %s)"
+                      % (self.expr(stmt.cond, n, depth), verdict, self.where(n)))
+        elif isinstance(stmt, Call):
+            params = self.tier0.prog.functions[stmt.callee].params
+            args = stmt.args
+            if any(_deeper_than(arg, _MAX_INLINE_DEPTH) for arg in args):
+                # Each argument into a temporary, so they still run in order.
+                args = [self.temp(self.expr(arg, n, depth), depth) for arg in args]
+            else:
+                args = [self.inline(arg, n) for arg in args]
+            frame = ", ".join("%r: %s" % (p, a) for p, a in zip(params, args))
+            target = "_" if stmt.result is None else "env[%r]" % stmt.result
+            self.line(depth, "s, %s = %s({%s}, s)" % (target, self.names[stmt.callee], frame))
+            if stmt.result is not None:
+                facts[stmt.result] = (True,) + _ANY
+        elif isinstance(stmt, Return):
+            self.line(depth, "r = %s" % self.expr(stmt.value, n, depth))
+            self.exit(depth, facts)
+            self.line(depth, "return s, r")
+            return None
+        return facts
+
+    def temp(self, text: str, depth: int) -> str:
+        name = "_t%d" % self.temps
+        self.temps += 1
+        self.line(depth, "%s = %s" % (name, text))
+        return name
+
+    def expr(self, e, n: int, depth: int) -> str:
+        """Code for e at node n.  A deep e is first emitted at `depth` in
+        three-address form, in tier 0's evaluation order; its last
+        temporary is returned."""
+        if not _deeper_than(e, _MAX_INLINE_DEPTH):
+            return self.inline(e, n)
+        operands, stack = [], [(e, False)]
+        while stack:
+            e, ready = stack.pop()
+            if not ready and isinstance(e, (Unary, Binary)):
+                stack.append((e, True))
+                stack += ([(e.operand, False)] if isinstance(e, Unary)
+                          else [(e.right, False), (e.left, False)])
+                continue
+            if isinstance(e, Binary):
+                right = operands.pop()
+                text = self.operation(e, [operands.pop(), right], n)
+            else:
+                text = self.operation(e, [operands.pop()] if isinstance(e, Unary) else [], n)
+            operands.append(text if isinstance(e, (IntLit, BoolLit)) else self.temp(text, depth))
+        return operands.pop()
+
+    def inline(self, e, n: int) -> str:
+        """Code for an expression no deeper than `_MAX_INLINE_DEPTH`."""
+        children = (e.operand,) if isinstance(e, Unary) else (
+            (e.left, e.right) if isinstance(e, Binary) else ())
+        return self.operation(e, [self.inline(c, n) for c in children], n)
+
+    def operation(self, e, operands, n: int) -> str:
+        """Code for e's own operation on its operands' code."""
+        if isinstance(e, (IntLit, BoolLit)):
+            return self.const(e.value)
+        if isinstance(e, Var):
+            return "env[%r]" % e.name
+        if isinstance(e, Nondet):
+            return "_choose(%s, %s)" % (self.const(e.lo), self.const(e.hi))
+        if isinstance(e, Unary):
+            return "(%s%s)" % ("-" if e.op == "neg" else "not ", operands[0])
+        left, right = operands
+        if e.op == "/":
+            return "_divide(%s, %s, %s)" % (left, right, self.where(n))
+        # A connective's operands are of sort bool, so Python bools, and
+        # `&` and `|` evaluate both of them, as tier 0 does.
+        op = {"&&": "&", "||": "|"}.get(e.op, e.op)
+        return "(%s %s %s)" % (left, op, right)
+
+
+class _Compiled(_Tier):
+    """Tier 1: the program as the Python source `_Emitter` writes."""
+
+    def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
+        self.tier0 = tier0
+        self.chooser = tier0.chooser
+        self.monitor = tier0.monitor
+        self.namespace = emitter.namespace
+        exec(compile(source, "<intana tier 1>", "exec"), self.namespace)
+        self.entry = self.namespace[emitter.names[tier0.entry]]
+
+    def run(self, prefix) -> ConcreteState:
+        try:
+            return _Tier.run(self, prefix)
+        except _Redo:
+            # The values it drew past `prefix` were range minimums, which
+            # tier 0 draws again.
+            return self.tier0.run(prefix)
+
+    def execute(self, env: "dict[str, int]") -> None:
+        self.entry(env, 0)
+
+    def close(self) -> None:
+        """Break the cycle between the generated functions and their globals."""
+        self.namespace.clear()
+
+
+def _tier_up(tier0: _Interpreter):
+    """Tier 1 for tier 0's program, or tier 0 itself if it cannot be emitted."""
+    emitter = _Emitter(tier0)
+    source = emitter.program()
+    return tier0 if source is None else _Compiled(tier0, emitter, source)
 
 
 class _TraceRecorder:
@@ -323,23 +720,41 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
         raise UnboundedNondetError("entry function must not take parameters")
     if monitor is None and record_trace:
         monitor = _TraceRecorder()
-    interp = _Interpreter(prog, step_limit, monitor)
+    tier = interp = _Interpreter(prog, step_limit, monitor)
+    # The steps tier 0 may still run before tier 1 is compiled; None once
+    # it was.
+    budget = TIER_UP_STEPS_PER_NODE * sum(len(cfg.nodes) for cfg in interp.cfgs.values())
     results = []
     chooser = interp.chooser
     prefix = []
-    while True:
-        results.append(interp.run(prefix))
-        if len(results) > cap:
-            raise EnumerationCapError("more than %d executions" % cap)
-        # The next prefix: drop the trailing choices at their range's high
-        # end, then take the next value of the last one left.
-        prefix, highs = chooser.values, chooser.highs
-        while prefix and prefix[-1] >= highs[-1]:
-            prefix.pop()
-            highs.pop()
-        if not prefix:
-            return results
-        prefix[-1] += 1
+    try:
+        while True:
+            if budget is not None and budget < 0:
+                tier, budget = _tier_up(interp), None
+            results.append(tier.run(prefix))
+            if budget is not None:
+                budget -= interp.steps
+            if len(results) > cap:
+                raise EnumerationCapError("more than %d executions" % cap)
+            # The next prefix: drop the trailing choices at their range's high
+            # end, then take the next value of the last one left.
+            prefix, highs = chooser.values, chooser.highs
+            while prefix and prefix[-1] >= highs[-1]:
+                prefix.pop()
+                highs.pop()
+            if not prefix:
+                return results
+            prefix[-1] += 1
+    finally:
+        if tier is not interp:
+            tier.close()
+
+
+def _bounds(abstract):
+    """A state's `(name, lo, hi)` bounds, or None if it is bottom."""
+    if any(iv.lo > iv.hi for iv in abstract.values()):
+        return None
+    return tuple((name, iv.lo, iv.hi) for name, iv in abstract.items() if not iv.is_top)
 
 
 @dataclass(frozen=True)
@@ -357,21 +772,24 @@ class _SoundnessMonitor:
 
     Per function it holds a list, indexed by node id, of the node's
     `(name, lo, hi)` bounds; unbounded intervals are left out, as no value
-    falls outside them.  A point is tested in place, only on the names its
-    environment has.  A node's entry is None until the node is first
-    reached, and stays None if its state is bottom or missing; such a
-    point, and any point that fails, takes the slow path, which walks the
-    environment against the state to build the violations.
+    falls outside them.  Tier 0's `watch` callable and tier 1's inlined
+    tests read that one list.  A point is tested in place, only on the
+    names its environment has.  On tier 0 a node's entry is None until the
+    node is first reached; `bounds` fills the rest for tier 1.  It stays
+    None if the node's state is bottom or missing; such a point, and any
+    point that fails, takes the slow path, which walks the environment
+    against the state to build the violations.
     """
 
     def __init__(self, analyses):
         self.analyses = analyses
         self.violations = []
         self.pending = []  # the running execution's violations, without choices
+        self.tables = {}
 
     def watch(self, fname: str):
         before = self.analyses[fname].result.before
-        bounds = [None] * (max(before, default=-1) + 1)
+        bounds = self.tables[fname] = [None] * (max(before, default=-1) + 1)
         pending = self.pending
 
         def slow(n, env):
@@ -380,9 +798,7 @@ class _SoundnessMonitor:
                 pending.append((fname, n, "<missing>", 0, "no state"))
                 return
             abstract = state.as_dict()
-            if not any(iv.lo > iv.hi for iv in abstract.values()):
-                bounds[n] = tuple((name, iv.lo, iv.hi)
-                                  for name, iv in abstract.items() if not iv.is_top)
+            bounds[n] = _bounds(abstract)
             for var, value in env.items():
                 iv = abstract[var]
                 if not iv.lo <= value <= iv.hi:  # a bottom has lo > hi
@@ -401,6 +817,14 @@ class _SoundnessMonitor:
                     return
             slow(n, env)
         return check
+
+    def bounds(self, fname: str):
+        """The bounds list of a function `watch` has seen, every entry filled."""
+        bounds = self.tables[fname]
+        for n, state in self.analyses[fname].result.before.items():
+            if bounds[n] is None:
+                bounds[n] = _bounds(state.as_dict())
+        return bounds
 
     def end(self, state: ConcreteState) -> None:
         if self.pending:

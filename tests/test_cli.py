@@ -540,3 +540,25 @@ class TestCollector:
         capsys.readouterr()
         assert code == expected
         assert paused == ([True] if case == "internal" else [])  # paused while it ran
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{path}"], ["optimize", "{path}"], ["instrument", "{path}"],
+        ["contract", "--constraint", "x * y >= 4", "--box", "x:[0,5],y:[-2,3]"],
+    ], ids=["analyze", "optimize", "instrument", "contract"])
+    def test_json_format_leaves_what_text_format_leaves(self, capsys, tmp_path, argv):
+        source = tmp_path / "p.mini"
+        source.write_text(MIXED_PROGRAM)
+        argv = [arg.format(path=source) for arg in argv]
+        left = {}
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            for fmt in ("text", "json", "text", "json"):
+                gc.collect()
+                assert main(argv + ["--format", fmt]) == 0
+                left.setdefault(fmt, set()).add(gc.collect())
+        finally:
+            if was:
+                gc.enable()
+        capsys.readouterr()
+        assert left["json"] == left["text"] and len(left["text"]) == 1

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import subprocess
@@ -499,3 +500,225 @@ class TestEquivalenceFastPath:
             check_equivalence(a, b)
         with pytest.raises(NondetMismatchError):
             _reference_equivalence(a, b)
+
+
+CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
+NEVER = float("inf")  # a tier-up budget no enumeration reaches
+
+
+def _tiered(monkeypatch, tier_up, enumerate):
+    """`enumerate()`, with tier 1 compiled once tier 0 has run `tier_up`
+    steps per CFG node (-1: before the first execution).
+
+    Returns its result, then how many executions ran on tier 0 before tier
+    1 was compiled and the tiers compiled.
+    """
+    tier0_runs, tiers = [], []
+    compile_tier, run = intana.oracle._tier_up, intana.oracle._Interpreter.run
+
+    def spy(tier0):
+        tiers.append(compile_tier(tier0))
+        return tiers[-1]
+
+    def counted(self, prefix):
+        if not tiers:
+            tier0_runs.append(prefix)
+        return run(self, prefix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intana.oracle, "TIER_UP_STEPS_PER_NODE", tier_up)
+        patch.setattr(intana.oracle, "_tier_up", spy)
+        patch.setattr(intana.oracle._Interpreter, "run", counted)
+        result = enumerate()
+    return result, len(tier0_runs), tiers
+
+
+def _states(runs):
+    return [(r.choices, r.env, r.verdict, r.verdict_node, r.trace) for r in runs]
+
+
+def _assert_tiers_agree(monkeypatch, enumerate, tier_up=-1):
+    """`enumerate()` gives equal results with tier 1 (compiled once tier 0
+    has run `tier_up` steps per node) and with tier 0 alone; returns tier
+    0's result and the executions run on tier 0 before tier 1."""
+    reference, _, none = _tiered(monkeypatch, NEVER, enumerate)
+    got, tier0_runs, tiers = _tiered(monkeypatch, tier_up, enumerate)
+    assert not none
+    assert [type(t) for t in tiers] == [intana.oracle._Compiled]
+    assert got == reference
+    return reference, tier0_runs
+
+
+def _executions(prog, **kwargs):
+    return lambda: _states(enumerate_executions(prog, **kwargs))
+
+
+def _soundness(prog, analyses):
+    def check():
+        runs = []
+        return check_soundness(prog, analyses, runs=runs), _states(runs)
+    return check
+
+
+STEP_LIMIT_IN_CALLEE = """
+    fn spin(n) { int i = 0; while (i < n) { i = i + 1; } return i; }
+    fn main() { int k = nondet(0, 20); int r; r = spin(k); r = r + 1; }
+"""
+DIV_BY_ZERO_IN_CONDITION = """
+    fn main() { int d = nondet(-2, 2); int x = 0;
+        while (x < 3) { if (6 / d > x) { x = x + 2; } else { x = x + 1; } } }
+"""
+DIV_BY_ZERO_IN_ARGUMENT = """
+    fn half(v) { int h; h = v / 2; return h; }
+    fn main() { int d = nondet(-2, 2); int r; r = half(8 / d); }
+"""
+
+
+class TestTiers:
+    """Tier 1 gives tier 0's executions, traces and violations."""
+
+    SOURCES = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
+        + [random_program(seed) for seed in range(300)]
+
+    @pytest.mark.parametrize("step_limit", [10_000, 30])
+    def test_corpus_and_fuzz_programs(self, monkeypatch, step_limit):
+        for source in self.SOURCES:
+            prog = parse_program(source)
+            _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=step_limit))
+
+    @pytest.mark.parametrize("contractors", [True, False])
+    def test_violations_under_corrupted_analyses(self, monkeypatch, contractors):
+        total = 0
+        for source in self.SOURCES:
+            prog = parse_program(source)
+            analyses = analyze_program(prog, AnalysisConfig(use_contractors=contractors))
+            assert _assert_tiers_agree(monkeypatch, _soundness(prog, analyses))[0][0] == []
+            _shift_up(analyses)
+            total += len(_assert_tiers_agree(monkeypatch, _soundness(prog, analyses))[0][0])
+        assert total > 10_000
+
+    def test_loop_head_tests_values_from_later_iterations(self, monkeypatch):
+        # `skip` tests `i` at [0, 0] before the loop; the loop head's wrong
+        # state [0, 0] must still be tested on every iteration.
+        prog = parse_program("fn main() { int k = nondet(0, 99); int i = 0; skip;"
+                             " while (i < 3) { i = i + 1; } }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        fa = analyses["main"]
+        head = fa.cfg.stmt_node[prog.main.body[3].sid]
+        fa.result.before[head] = fa.result.before[head].set("i", Interval(0, 0))
+        violations, _ = _assert_tiers_agree(monkeypatch, _soundness(prog, analyses))[0]
+        assert len(violations) == 300
+
+    def test_switch_mid_enumeration(self, monkeypatch):
+        prog = parse_program(NONDET_IN_LOOP_AND_CALLEE[2])
+        nodes = sum(len(build_cfg(fn).nodes) for fn in prog.functions.values())
+        runs, tier0_runs = _assert_tiers_agree(monkeypatch, _executions(prog),
+                                               tier_up=40 / nodes)
+        assert 1 < tier0_runs < len(runs)
+
+    @pytest.mark.parametrize("step_limit", [10_000, 25])
+    @pytest.mark.parametrize("source", NONDET_IN_LOOP_AND_CALLEE,
+                             ids=["loop", "callee-then-loop", "loop-calls-callee"])
+    def test_nondet_in_loops_and_callees(self, monkeypatch, source, step_limit):
+        prog = parse_program(source)
+        _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=step_limit))
+
+    def test_step_limit_inside_callee(self, monkeypatch):
+        prog = parse_program(STEP_LIMIT_IN_CALLEE)
+        runs, _ = _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=40))
+        halts = [node[0] for _, _, verdict, node, _ in runs if verdict == STEP_LIMIT]
+        assert halts == ["main", "spin", "spin", "spin"]
+
+    @pytest.mark.parametrize("source", [DIV_BY_ZERO_IN_CONDITION, DIV_BY_ZERO_IN_ARGUMENT],
+                             ids=["condition", "call-argument"])
+    def test_division_by_zero(self, monkeypatch, source):
+        runs, _ = _assert_tiers_agree(monkeypatch, _executions(parse_program(source)))
+        assert [(verdict, node and node[0]) for _, _, verdict, node, _ in runs] \
+            == [(OK, None), (OK, None), (DIV_BY_ZERO, "main"), (OK, None), (OK, None)]
+
+    def test_exit_after_return_inside_loop(self, monkeypatch):
+        prog = parse_program("""
+            fn find(n) {
+                int i = 0;
+                while (i < 10) { if (i == n) { return i; } i = i + 1; }
+                return -1;
+            }
+            fn main() { int k = nondet(0, 12); int r; r = find(k); }
+        """)
+        runs, _ = _assert_tiers_agree(monkeypatch, _executions(prog))
+        exit_node = build_cfg(prog.functions["find"]).exit
+        assert [[env for fname, node, env in trace if (fname, node) == ("find", exit_node)]
+                for _, _, _, _, trace in runs][9:11] == [[{"n": 9, "i": 9}], [{"n": 10, "i": 10}]]
+
+
+def _nested_whiles(depth: int) -> str:
+    counters = ["c%d" % i for i in range(depth)]
+    body = "n = n + 1;"
+    for c in reversed(counters):
+        body = "while (%s < 1) { %s = %s + 1; %s }" % (c, c, c, body)
+    return "fn main() { int n = nondet(0, 199); %s %s }" % (
+        " ".join("int %s = 0;" % c for c in counters), body)
+
+
+def _assignment(rhs: str) -> str:
+    return "fn main() { int x = nondet(0, 399); int y = %s; }" % rhs
+
+
+def _conjunction(terms: int) -> str:
+    return "fn main() { int x = nondet(0, 399); if (%s) { x = 0; } }" % " && ".join(
+        ["x < 300"] * terms)
+
+
+# Runs `check` on argv[1] with tier 1 never compiled, then as shipped, and
+# prints both outputs and the tiers the second run compiled.
+_CHECK_BOTH_TIERS = """
+import contextlib, io, json, sys
+import intana.oracle
+from intana.cli import main
+
+def check(tier_up):
+    out, err, tiers = io.StringIO(), io.StringIO(), []
+    compile_tier = intana.oracle._tier_up
+    def spy(tier0):
+        tier = compile_tier(tier0)
+        tiers.append(type(tier).__name__)
+        return tier
+    intana.oracle._tier_up = spy
+    intana.oracle.TIER_UP_STEPS_PER_NODE = tier_up
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", sys.argv[1]])
+    intana.oracle._tier_up = compile_tier
+    return [code, out.getvalue(), err.getvalue(), tiers]
+
+shipped = intana.oracle.TIER_UP_STEPS_PER_NODE
+print(json.dumps([check(float("inf")), check(shipped)]))
+"""
+
+
+class TestCompilerLimits:
+    """Inputs at depths `check` accepts, heavy enough that tier 1 runs them,
+    check exactly as on tier 0 alone: the emitter outlines deep blocks and
+    writes deep expressions in three-address form."""
+
+    @pytest.mark.parametrize("source", [
+        _nested_whiles(21),
+        _nested_whiles(40),
+        _assignment(" + ".join(["x"] * 250)),
+        _assignment(" + ".join(["x"] * 980)),
+        _assignment("(" * 320 + "x" + ")" * 320),
+        _assignment("x + (" * 239 + "x" + ")" * 239),
+        _conjunction(490),
+    ], ids=["while-21", "while-40", "sum-250", "sum-980", "parens-320",
+            "right-nested-240", "and-490"])
+    def test_check_matches_tier0(self, tmp_path, source):
+        path = tmp_path / "deep.mini"
+        path.write_text(source)
+        src = str(pathlib.Path(intana.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        tier0, shipped = json.loads(subprocess.run(
+            [sys.executable, "-c", _CHECK_BOTH_TIERS, str(path)], env=env, check=True,
+            capture_output=True, text=True).stdout)
+        assert tier0[:3] == shipped[:3]
+        assert tier0[0] == 0 and tier0[1].endswith("result: clean\n")
+        assert tier0[3] == [] and "_Compiled" in shipped[3]
