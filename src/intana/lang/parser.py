@@ -2,7 +2,8 @@
 
 Parsing also enforces well-formedness: declaration before use, unique
 names per function, disjoint arithmetic/boolean expression sorts, call
-arity, and absence of recursion.
+arity, a value from every function whose result is used, and absence of
+recursion.
 """
 
 from __future__ import annotations
@@ -375,14 +376,28 @@ class Parser:
             if len(call.args) != len(callee.params):
                 self.error("arity mismatch: %s takes %d arguments, got %d"
                            % (call.callee, len(callee.params), len(call.args)), tok)
-            if call.result is not None and not callee.has_return:
-                self.error("function %r does not return a value" % call.callee, tok)
+            if call.result is not None and _falls_through(callee.body):
+                why = ("can reach its end without returning a value" if callee.has_return
+                       else "does not return a value")
+                self.error("function %r %s" % (call.callee, why), tok)
             calls[fname].append((call.callee, tok))
         # Reject recursion (including mutual) with a simple cycle check.
         state = {}
         for name in prog.functions:
             if name not in state:
                 _reject_recursion(name, calls, state)
+
+
+def _falls_through(block) -> bool:
+    """Whether a block can reach its end, judged from its statements alone:
+    a `return` cannot, nor an `if` with an `else` whose branches both
+    cannot.  A `while` is taken to reach its end whatever its condition."""
+    for s in block:
+        if isinstance(s, Return) or (isinstance(s, If) and s.orelse is not None
+                                     and not _falls_through(s.then)
+                                     and not _falls_through(s.orelse)):
+            return False
+    return True
 
 
 def _reject_recursion(name: str, calls, state) -> None:

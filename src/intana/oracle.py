@@ -12,11 +12,16 @@ Python closure for its statement or condition, and the executions walk
 those tuples.  Tier 1 is Python source, one `def` per mini function with
 Python's own `if` and `while`, emitted from the AST and `exec`'d once.
 Compiling it costs as much as tier 1 saves over about a hundred steps per
-CFG node, more than most enumerations run, so an enumeration switches to
-tier 1 for its remaining executions only once the steps it has run pass
-`TIER_UP_STEPS_PER_NODE` times the program's CFG node count.  Both tiers
-share one chooser and one set of CFGs, count steps per CFG node and halt
-on the same node, so the switch changes no result.
+CFG node, more than most enumerations run, so an enumeration compiles it
+only once its steps reach a budget, `TIER_UP_STEPS_PER_NODE` times the
+program's CFG node count, or are predicted to.  The first execution draws
+each range's minimum, so it draws every range the enumeration starts
+from: if its steps times the sizes of those ranges reach the budget, tier
+1 is compiled before the second execution.  Otherwise tier 0 runs until
+the steps it has run pass the budget.  Tier 1 then runs every remaining
+execution in one loop.  Both tiers share one chooser and one set of CFGs,
+count steps per CFG node and halt on the same node, so the moment of the
+switch changes no result, and a wrong prediction costs one compile.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -234,33 +239,9 @@ def _compile_cfg(prog, fname, cfg, choose):
     return code, succ[cfg.entry][FALLTHROUGH], cfg.exit
 
 
-class _Tier:
-    """What both tiers share: `run`, which calls the tier's `execute(env)`."""
-
-    def run(self, prefix) -> ConcreteState:
-        """One execution that replays `prefix`, then takes each range minimum."""
-        self.chooser.reset(prefix)
-        env = {}
-        verdict, node = OK, None
-        try:
-            self.execute(env)
-        except _Halt as halt:
-            verdict, node = halt.verdict, halt.node
-        state = ConcreteState(
-            choices=tuple(self.chooser.values),
-            env=env,
-            verdict=verdict,
-            verdict_node=node,
-        )
-        if self.monitor is not None:
-            self.monitor.end(state)
-        return state
-
-
-class _Interpreter(_Tier):
+class _Interpreter:
     """Tier 0: runs the executions of one program, whose CFGs it compiles
-    once into closures.  `steps` counts the last run's steps; it misses
-    those since the last call or return of a run that divided by zero."""
+    once into closures.  `steps` counts the last run's steps."""
 
     def __init__(self, prog: Program, step_limit: int, monitor=None):
         self.chooser = _Chooser()
@@ -276,9 +257,25 @@ class _Interpreter(_Tier):
         self.monitor = monitor
         self.steps = 0
 
-    def execute(self, env: "dict[str, int]") -> None:
+    def run(self, prefix) -> ConcreteState:
+        """One execution that replays `prefix`, then takes each range minimum."""
+        self.chooser.reset(prefix)
         self.steps = 0
-        self.run_function(self.entry, env)
+        env = {}
+        verdict, node = OK, None
+        try:
+            self.run_function(self.entry, env)
+        except _Halt as halt:
+            verdict, node = halt.verdict, halt.node
+        state = ConcreteState(
+            choices=tuple(self.chooser.values),
+            env=env,
+            verdict=verdict,
+            verdict_node=node,
+        )
+        if self.monitor is not None:
+            self.monitor.end(state)
+        return state
 
     def run_function(self, fname: str, env: "dict[str, int]") -> "int | None":
         """Run one function frame, mutating env in place."""
@@ -286,50 +283,53 @@ class _Interpreter(_Tier):
         limit = self.step_limit
         steps = self.steps
         value = None
-        while True:
-            kind, action, succ, other = code[n]
-            if kind == _EXIT:
-                break
-            steps += 1
-            if steps > limit:
-                self.steps = steps
-                raise _Halt(STEP_LIMIT, (fname, n))
-            if watch is not None:
-                watch(n, env)
-            if kind == _ASSIGN:
-                env[other] = action(env)
-                n = succ
-            elif kind == _COND:
-                n = succ if action(env) else other
-            elif kind == _CHECK:
-                if not action(env):
+        try:
+            while True:
+                kind, action, succ, other = code[n]
+                if kind == _EXIT:
+                    break
+                steps += 1
+                if steps > limit:
+                    raise _Halt(STEP_LIMIT, (fname, n))
+                if watch is not None:
+                    watch(n, env)
+                if kind == _ASSIGN:
+                    env[other] = action(env)
+                    n = succ
+                elif kind == _COND:
+                    n = succ if action(env) else other
+                elif kind == _CHECK:
+                    if not action(env):
+                        raise _Halt(other, (fname, n))
+                    n = succ
+                elif kind == _CALL:
+                    callee, result = other
+                    frame = action(env)
                     self.steps = steps
-                    raise _Halt(other, (fname, n))
-                n = succ
-            elif kind == _CALL:
-                callee, result = other
-                frame = action(env)
+                    rv = self.run_function(callee, frame)
+                    steps = self.steps
+                    if result is not None:
+                        env[result] = rv
+                    n = succ
+                else:
+                    value = action(env)
+                    break
+        except _Halt:
+            if steps > self.steps:  # it halted in this frame, not in a callee
                 self.steps = steps
-                rv = self.run_function(callee, frame)
-                steps = self.steps
-                if result is not None:
-                    env[result] = rv
-                n = succ
-            else:
-                value = action(env)
-                break
+            raise
         self.steps = steps
         if watch is not None:  # the frame's exit state, checked like any other
             watch(exit_node, env)
         return value
 
 
-# Steps per CFG node that tier 0 runs in one enumeration before it compiles
-# tier 1: the measured break-even of an enumeration with the soundness
-# monitor (the oracle-enum programs, Python 3.11, 2 vCPUs).  Emitting and
-# compiling tier 1 costs 60-110 us per CFG node, and each step run on tier
-# 1 instead of tier 0 saves 0.6-1.0 us.  Without a monitor a step saves
-# 0.2-0.3 us, and the break-even is about 275 steps per node.
+# Steps per CFG node that an enumeration runs, or is predicted to, before
+# it compiles tier 1: the measured break-even of an enumeration with the
+# soundness monitor (the oracle-enum programs, Python 3.11, 2 vCPUs).
+# Emitting and compiling tier 1 costs 60-110 us per CFG node, and each step
+# run on tier 1 instead of tier 0 saves 0.6-1.0 us.  Without a monitor a
+# step saves 0.2-0.3 us, and the break-even is about 275 steps per node.
 TIER_UP_STEPS_PER_NODE = 100
 
 # The deepest nesting of compound statements in one generated def; a block
@@ -652,38 +652,26 @@ class _Emitter:
         return "(%s %s %s)" % (left, op, right)
 
 
-class _Compiled(_Tier):
-    """Tier 1: the program as the Python source `_Emitter` writes."""
+class _Compiled:
+    """Tier 1: the program as the Python source `_Emitter` writes.  `entry`
+    is the entry function's def, called as `entry(env, 0)`; it draws from
+    tier 0's chooser."""
 
     def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
-        self.tier0 = tier0
-        self.chooser = tier0.chooser
-        self.monitor = tier0.monitor
         self.namespace = emitter.namespace
         exec(compile(source, "<intana tier 1>", "exec"), self.namespace)
         self.entry = self.namespace[emitter.names[tier0.entry]]
-
-    def run(self, prefix) -> ConcreteState:
-        try:
-            return _Tier.run(self, prefix)
-        except _Redo:
-            # The values it drew past `prefix` were range minimums, which
-            # tier 0 draws again.
-            return self.tier0.run(prefix)
-
-    def execute(self, env: "dict[str, int]") -> None:
-        self.entry(env, 0)
 
     def close(self) -> None:
         """Break the cycle between the generated functions and their globals."""
         self.namespace.clear()
 
 
-def _tier_up(tier0: _Interpreter):
-    """Tier 1 for tier 0's program, or tier 0 itself if it cannot be emitted."""
+def _tier_up(tier0: _Interpreter) -> "_Compiled | None":
+    """Tier 1 for tier 0's program, or None if it cannot be emitted."""
     emitter = _Emitter(tier0)
     source = emitter.program()
-    return tier0 if source is None else _Compiled(tier0, emitter, source)
+    return None if source is None else _Compiled(tier0, emitter, source)
 
 
 class _TraceRecorder:
@@ -720,25 +708,54 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
         raise UnboundedNondetError("entry function must not take parameters")
     if monitor is None and record_trace:
         monitor = _TraceRecorder()
-    tier = interp = _Interpreter(prog, step_limit, monitor)
-    # The steps tier 0 may still run before tier 1 is compiled; None once
-    # it was.
-    budget = TIER_UP_STEPS_PER_NODE * sum(len(cfg.nodes) for cfg in interp.cfgs.values())
-    results = []
+    interp = _Interpreter(prog, step_limit, monitor)
     chooser = interp.chooser
-    prefix = []
+    # The steps tier 0 may still run before tier 1 is compiled.
+    budget = TIER_UP_STEPS_PER_NODE * sum(len(cfg.nodes) for cfg in interp.cfgs.values())
+    results, prefix = [], []
+    compiled = entry = None
     try:
         while True:
-            if budget is not None and budget < 0:
-                tier, budget = _tier_up(interp), None
-            results.append(tier.run(prefix))
-            if budget is not None:
+            if budget < 0:
+                compiled, budget = _tier_up(interp), math.inf
+                if compiled is not None:
+                    entry = compiled.entry
+            if entry is None:
+                results.append(interp.run(prefix))
+                if len(results) == 1:
+                    # The first run drew each range's minimum: were every
+                    # run as long, the enumeration would take `work` steps.
+                    work = interp.steps
+                    for lo, hi in zip(prefix, chooser.highs):
+                        work *= hi - lo + 1
+                    if work >= budget:
+                        budget = -1
                 budget -= interp.steps
+            else:
+                chooser.reset(prefix)
+                env = {}
+                verdict, node = OK, None
+                try:
+                    entry(env, 0)
+                except _Halt as halt:
+                    verdict, node = halt.verdict, halt.node
+                except _Redo:
+                    verdict = None
+                if verdict is None:
+                    # Tier 0 runs it again and shows the monitor every
+                    # point.  The values this run appended to `prefix` are
+                    # range minimums, the values tier 0 would draw.
+                    results.append(interp.run(prefix))
+                else:
+                    state = ConcreteState(tuple(prefix), env, verdict, node)
+                    if monitor is not None:
+                        monitor.end(state)
+                    results.append(state)
             if len(results) > cap:
                 raise EnumerationCapError("more than %d executions" % cap)
             # The next prefix: drop the trailing choices at their range's high
             # end, then take the next value of the last one left.
-            prefix, highs = chooser.values, chooser.highs
+            highs = chooser.highs
             while prefix and prefix[-1] >= highs[-1]:
                 prefix.pop()
                 highs.pop()
@@ -746,8 +763,8 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 return results
             prefix[-1] += 1
     finally:
-        if tier is not interp:
-            tier.close()
+        if compiled is not None:
+            compiled.close()
 
 
 def _bounds(abstract):
@@ -862,9 +879,13 @@ def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
 
 @dataclass
 class EquivalenceResult:
-    """`truncated` counts the choices on which only `b` hit the step limit.
+    """`truncated` counts the choices on which `b` hit the step limit and
+    `a` did not.
 
-    Those were not compared, so the result is true only when there are none.
+    No choice on which either program hit the limit is compared.  Those on
+    which `a` did are left out of `truncated`, as the caller has `a`'s
+    executions; so the result is true when no compared choice differs and
+    `b` alone was cut short on none.
     """
 
     counterexample: "tuple | None" = None
@@ -879,8 +900,9 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
     """Compare final entry-function states and verdicts across all choices.
 
     The counterexample is the first choice, in sorted order, on which they
-    differ.  A choice on which only `b` hit the step limit is counted in
-    `truncated` instead.
+    differ.  A run cut short by the step limit has no final state to
+    compare, so a choice on which either program hit the limit gives no
+    counterexample; if only `b` hit it, it is counted in `truncated`.
 
     `executions` may hold `a`'s executions, enumerated with the same
     step limit and in the order `enumerate_executions` returned them, so
@@ -902,9 +924,8 @@ def check_equivalence(a: Program, b: Program, step_limit: int = 10_000,
         if ra.choices != rb.choices:
             raise NondetMismatchError(
                 "programs draw different nondet choice sequences")
-        if rb.verdict == STEP_LIMIT and ra.verdict != STEP_LIMIT:
-            # `b` may only take more steps, so this run decides nothing.
-            truncated += 1
+        if STEP_LIMIT in (ra.verdict, rb.verdict):
+            truncated += ra.verdict != STEP_LIMIT
             continue
         # Equal whole environments are equal on `common`, so only runs that
         # differ somewhere need the restricted ones.

@@ -296,6 +296,22 @@ class TestCheck:
             "result: incomplete",
         ]
 
+    def test_truncated_input_gives_no_counterexample(self, capsys, tmp_path):
+        # The instrumented form takes one more step per iteration, so on
+        # every choice both stop at the limit, with different values of i.
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int k = nondet(0, 50); int i = 0;"
+                          " while (i >= 0) { i = i + k; i = i + 1; } }\n")
+        code, out, _ = run(capsys, "check", str(source), "--step-limit", "2000")
+        assert code == 3
+        assert out.splitlines() == [
+            "soundness: 0 violation(s)",
+            "optimize equivalence: ok",
+            "instrument invariance: ok",
+            "step limit: 51 of 51 execution(s) truncated",
+            "result: incomplete",
+        ]
+
     def test_nondet_mismatch_is_a_violation(self, capsys, monkeypatch, tmp_path):
         source = tmp_path / "p.mini"
         source.write_text("fn main() { int x = nondet(0, 2); }\n")
@@ -461,6 +477,17 @@ class TestErrors:
         code, _, err = run(capsys, "analyze", str(source))
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "check"])
+    def test_result_of_a_callee_that_can_fall_through_is_usage_error(self, capsys, tmp_path,
+                                                                     command):
+        source = tmp_path / "p.mini"
+        source.write_text("fn f(a) { if (a > 0) { return 1; } }\n"
+                          "fn main() { int x = nondet(0, 1); int y; y = f(x); }\n")
+        code, out, err = run(capsys, command, str(source))
+        assert (code, out) == (2, "")
+        assert err == "parse error: 2:46: function 'f' can reach its end without returning" \
+            " a value\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent.mini")

@@ -30,6 +30,7 @@ from intana.lang import (
     walk_stmts,
 )
 from intana.lang.parser import tokenize
+from intana.oracle import enumerate_executions
 
 LOOP = """
 fn main() {
@@ -137,6 +138,13 @@ class TestParserErrors:
          "4:9: arity mismatch: f takes 1 arguments, got 2"),
         ("fn f(a) { a = a; }\nfn main() {\n    int y;\n      y = f(1);\n}",
          "4:11: function 'f' does not return a value"),
+        ("fn f(a) {\n  if (a > 0) { return 1; }\n}\nfn main() {\n  int y;\n  y = f(1);\n}",
+         "6:7: function 'f' can reach its end without returning a value"),
+        ("fn f(a) { while (a > 0) { return a; } } fn main() { int y; y = f(1); }",
+         "1:64: function 'f' can reach its end without returning a value"),
+        ("fn f(a) { if (a > 0) { return 1; } else { a = 0; } }"
+         " fn main() { int y; y = f(1); }",
+         "1:77: function 'f' can reach its end without returning a value"),
         ("fn main() {\n  f(1);\n}\n", "2:3: call to undefined function 'f'"),
         ("fn f(a) {\n    int y;\n    y = g(a);\n    return y;\n}\n"
          "fn g(b) {\n  int z;\n  z = f(b);\n  return z;\n}\nfn main() { skip; }",
@@ -169,6 +177,21 @@ class TestParserErrors:
         with pytest.raises(ParseError) as err:
             parse_program(source)
         assert str(err.value) == message
+
+    def test_value_from_every_path_is_accepted(self):
+        prog = parse_program("""
+            fn sign(a) {
+                if (a > 0) { return 1; } else { if (a < 0) { return -1; } else { return 0; } }
+            }
+            fn first(a) { while (a > 0) { return a; } return 0; }
+            fn early(a) { return a; a = a + 1; }
+            fn partial(a) { if (a > 0) { return 1; } }
+            fn main() {
+                int x = nondet(-1, 1); int y;
+                y = sign(x); y = first(x); y = early(x); partial(x);
+            }
+        """)
+        assert {r.env["y"] for r in enumerate_executions(prog)} == {-1, 0, 1}
 
     def test_unexpected_character_position(self):
         with pytest.raises(ParseError) as err:

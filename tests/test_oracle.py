@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import intana
+import intana.cli
 import intana.oracle
 from intana.absint import AnalysisConfig, analyze_program
 from intana.fuzz import random_program
@@ -19,6 +20,7 @@ from intana.oracle import (
     OK,
     STEP_LIMIT,
     EnumerationCapError,
+    EquivalenceResult,
     NondetMismatchError,
     SoundnessViolation,
     UnboundedNondetError,
@@ -305,6 +307,11 @@ class TestSoundnessPaths:
         assert _both_paths(prog, analyses) == []
 
 
+# Every execution runs until the step limit stops it.
+LOOP_PAST_THE_LIMIT = \
+    "fn main() { int k = nondet(0, 50); int i = 0; while (i >= 0) { i = i + k; i = i + 1; } }"
+
+
 class TestEquivalence:
     def test_identical_programs(self):
         prog = parse_program("fn main() { int x = nondet(0, 2); x = x * 2; }")
@@ -341,7 +348,17 @@ class TestEquivalence:
         result = check_equivalence(a, b, step_limit=100)
         assert result.counterexample is None and result.truncated == 1
         assert not result  # not compared is not shown equal
-        assert check_equivalence(b, a, step_limit=100).counterexample is not None
+        # The input alone cut short is not compared either; its caller has
+        # the input's executions and counts it from them.
+        assert check_equivalence(b, a, step_limit=100) == EquivalenceResult(None, 0)
+
+    def test_both_hitting_the_step_limit_is_not_a_counterexample(self):
+        # One more step per iteration: both stop at the limit, at different i.
+        a = parse_program(LOOP_PAST_THE_LIMIT)
+        b = parse_program(LOOP_PAST_THE_LIMIT.replace("i = i + 1;", "i = i + 1; skip;"))
+        runs = enumerate_executions(a, 2000, record_trace=False)
+        assert {r.verdict for r in runs} == {STEP_LIMIT} and len(runs) == 51
+        assert check_equivalence(a, b, step_limit=2000) == EquivalenceResult(None, 0)
 
     def test_empty_programs(self):
         prog = parse_program("fn main() { skip; }")
@@ -412,8 +429,8 @@ def _reference_equivalence(a, b, step_limit=10_000):
     common = set(a.main.variables) & set(b.main.variables)
     counterexample, truncated = None, 0
     for ra, rb in zip(runs_a, runs_b):
-        if rb.verdict == STEP_LIMIT and ra.verdict != STEP_LIMIT:
-            truncated += 1
+        if STEP_LIMIT in (ra.verdict, rb.verdict):
+            truncated += ra.verdict != STEP_LIMIT
             continue
         if counterexample is None:
             ea = {v: ra.env[v] for v in common if v in ra.env}
@@ -504,6 +521,21 @@ class TestEquivalenceFastPath:
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 NEVER = float("inf")  # a tier-up budget no enumeration reaches
+SHIPPED_TIER_UP = intana.oracle.TIER_UP_STEPS_PER_NODE
+# The shape of the benchmark's oracle-enum programs: three wide ranges and
+# a short loop, 392 executions.
+ORACLE_ENUM_SHAPED = """
+fn main() {
+    int a = nondet(-2, 4); int b = nondet(1, 8); int c = nondet(0, 6);
+    int s = 3; int i = 0;
+    while (i < 3) {
+        if (c >= a - i) { s = s + c; } else { s = s + b; }
+        if (b != s - 4) { s = s - a; } else { s = s - i; }
+        i = i + 1;
+    }
+    assert(s != -3);
+}
+"""
 
 
 def _tiered(monkeypatch, tier_up, enumerate):
@@ -531,6 +563,40 @@ def _tiered(monkeypatch, tier_up, enumerate):
         patch.setattr(intana.oracle._Interpreter, "run", counted)
         result = enumerate()
     return result, len(tier0_runs), tiers
+
+
+def _tier_ups(monkeypatch, run):
+    """`run()`, then for each enumeration it made, in order, how many
+    executions ran on tier 0 before tier 1 was compiled (None: never)."""
+    counts = []
+    oracle = intana.oracle
+    enumerate_, compile_tier, run0 = oracle.enumerate_executions, oracle._tier_up, \
+        oracle._Interpreter.run
+
+    def enumerating(*args, **kwargs):
+        counts.append([0, False])
+        return enumerate_(*args, **kwargs)
+
+    def spy(tier0):
+        counts[-1][1] = True
+        return compile_tier(tier0)
+
+    def counted(self, prefix):
+        if not counts[-1][1]:
+            counts[-1][0] += 1
+        return run0(self, prefix)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "enumerate_executions", enumerating)
+        patch.setattr(oracle, "_tier_up", spy)
+        patch.setattr(oracle._Interpreter, "run", counted)
+        run()
+    return [runs if compiled else None for runs, compiled in counts]
+
+
+def _check(path):
+    """`intana check` on a file."""
+    return lambda: intana.cli.main(["check", str(path)])
 
 
 def _states(runs):
@@ -608,6 +674,43 @@ class TestTiers:
         fa.result.before[head] = fa.result.before[head].set("i", Interval(0, 0))
         violations, _ = _assert_tiers_agree(monkeypatch, _soundness(prog, analyses))[0]
         assert len(violations) == 300
+
+    def test_oracle_enum_program_tiers_up_after_one_run(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "enum.mini"
+        path.write_text(ORACLE_ENUM_SHAPED)
+        assert _tier_ups(monkeypatch, _check(path)) == [1, 1, 1]
+
+    def test_corpus_and_fuzz_programs_stay_on_tier0(self, monkeypatch, tmp_path, capsys):
+        # As with the step counter alone: none runs long enough to pay for tier 1.
+        path = tmp_path / "p.mini"
+        ups = []
+        for source in self.SOURCES:
+            path.write_text(source)
+            ups += _tier_ups(monkeypatch, _check(path))
+        assert len(ups) == 3 * len(self.SOURCES)
+        assert ups.count(None) == len(ups)
+
+    def test_one_long_execution_compiles_nothing(self, monkeypatch):
+        prog = parse_program("fn main() { int i = 0; while (i < 5000) { i = i + 1; } }")
+        assert _tier_ups(monkeypatch, lambda: intana.oracle.enumerate_executions(prog)) \
+            == [None]
+
+    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("source,step_limit,verdict", [
+        (LOOP_PAST_THE_LIMIT, 200, STEP_LIMIT),
+        ("fn main() { int k = nondet(0, 99); int i = 0; while (i < 20) { i = i + 1; }"
+         " assert(i < k - 100); }", 10_000, ASSERT_FAILED),
+        ("fn main() { int k = nondet(0, 99); int i = 10; int s = 0;"
+         " while (i >= 0) { s = s + k / i; i = i - 1; } }", 10_000, DIV_BY_ZERO),
+    ], ids=["step-limit", "assert", "div-by-zero"])
+    def test_every_execution_halts_after_predicted_tier_up(self, monkeypatch, source,
+                                                           step_limit, verdict, record_trace):
+        prog = parse_program(source)
+        runs, tier0_runs = _assert_tiers_agree(
+            monkeypatch, _executions(prog, step_limit=step_limit, record_trace=record_trace),
+            tier_up=SHIPPED_TIER_UP)
+        assert tier0_runs == 1
+        assert {v for _, _, v, _, _ in runs} == {verdict} and len(runs) > 50
 
     def test_switch_mid_enumeration(self, monkeypatch):
         prog = parse_program(NONDET_IN_LOOP_AND_CALLEE[2])
