@@ -1,9 +1,9 @@
 """Lexer and recursive-descent parser for the mini language.
 
-Parsing also enforces well-formedness: declaration before use, unique
-names per function, disjoint arithmetic/boolean expression sorts, call
-arity, a value from every function whose result is used, and absence of
-recursion.
+Parsing also enforces well-formedness: declaration before use, reads
+only within the block that declares a variable, unique names per
+function, disjoint arithmetic/boolean expression sorts, call arity, a
+value from every function whose result is used, and absence of recursion.
 """
 
 from __future__ import annotations
@@ -109,7 +109,12 @@ class Parser:
         self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.next_sid = 0
+        # The names declared so far in the function, and those of them a
+        # read may name: its parameters and the declarations of the blocks
+        # still open.  `scope` lists the names the innermost block declared.
         self.declared: "set[str]" = set()
+        self.visible: "set[str]" = set()
+        self.scope: "list[str]" = []
         self.function = None  # name of the function being parsed
         # (function, call, token of its callee) per call, in source order.
         self.calls: "list[tuple[str, Call, Token]]" = []
@@ -165,7 +170,7 @@ class Parser:
     def parse_function(self) -> Function:
         self.expect("fn")
         name = self.expect("ident").text
-        self.declared = set()
+        self.declared, self.visible = set(), set()
         params = self.parse_list(self.parse_param)
         self.function = name
         return Function(name=name, params=tuple(params), body=self.parse_block())
@@ -175,6 +180,7 @@ class Parser:
         if tok.text in self.declared:
             self.error("duplicate parameter %r" % tok.text, tok)
         self.declared.add(tok.text)
+        self.visible.add(tok.text)
         return tok.text
 
     def parse_list(self, parse_item) -> list:
@@ -190,10 +196,13 @@ class Parser:
 
     def parse_block(self) -> "list[Stmt]":
         self.expect("{")
+        outer, self.scope = self.scope, []
         stmts = []
         while self.peek().kind != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
+        self.visible.difference_update(self.scope)
+        self.scope = outer
         return stmts
 
     def parse_decl(self) -> Decl:
@@ -204,6 +213,8 @@ class Parser:
         init = self.parse_rhs() if self.accept("=") else None
         self.expect(";")
         self.declared.add(name)
+        self.visible.add(name)
+        self.scope.append(name)
         return Decl(name=name, init=init, sid=self.fresh_sid())
 
     def parse_rhs(self) -> Expr:
@@ -356,7 +367,9 @@ class Parser:
         if self.accept("true") or self.accept("false"):
             return BoolLit(tok.kind == "true")
         if self.accept("ident"):
-            if tok.text not in self.declared:
+            if tok.text not in self.visible:
+                if tok.text in self.declared:
+                    self.error("use of %r outside the block that declares it" % tok.text, tok)
                 self.error("use of undeclared variable %r" % tok.text, tok)
             return Var(tok.text)
         if self.accept("("):
@@ -429,7 +442,7 @@ def parse_program(source: str) -> Program:
 def parse_condition(source: str, varnames) -> Expr:
     """Parse a stand-alone condition over the given variable names."""
     parser = Parser(tokenize(source))
-    parser.declared = set(varnames)
+    parser.declared, parser.visible = set(varnames), set(varnames)
     cond = parser.parse_sorted("bool")
     if parser.peek().kind != "eof":
         parser.error("trailing input after condition")

@@ -19,9 +19,21 @@ each range's minimum, so it draws every range the enumeration starts
 from: if its steps times the sizes of those ranges reach the budget, tier
 1 is compiled before the second execution.  Otherwise tier 0 runs until
 the steps it has run pass the budget.  Tier 1 then runs every remaining
-execution in one loop.  Both tiers share one chooser and one set of CFGs,
-count steps per CFG node and halt on the same node, so the moment of the
-switch changes no result, and a wrong prediction costs one compile.
+execution in one loop.  Both tiers share one chooser and one set of CFGs
+and halt on the same node, so the moment of the switch changes no result,
+and a wrong prediction costs one compile.
+
+Tier 1 keeps each mini variable in a Python local of its def and builds
+a frame's environment as a dict, its keys in tier 0's order, only where
+one is seen: the entry frame's at its end or at a halt, and each point a
+monitor without bounds is shown.  It counts steps per segment, a
+straight-line run of nodes up to a condition, loop head, call or return,
+and tests the step limit once per segment.  A segment that would pass
+the limit deoptimizes (Hölzle, Chambers & Ungar 1992): tier 0 takes over
+the frame at the segment's first node, with the steps run before it and
+the frame's environment, and finishes the execution exactly; it halts
+within the segment.  A monitor without bounds sees every step counted
+and tested on its own.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -37,7 +49,7 @@ place, so `check_soundness` needs no trace.  A monitor may also have
 of the `(name, lo, hi)` tests a point passes when the monitor has nothing
 to do there, or None where it always has.  Tier 1 inlines those tests and
 never calls such a monitor: an execution with a point that fails them
-runs again on tier 0, which shows the monitor every point.
+runs again on tier 0 from its start, which shows the monitor every point.
 """
 
 from __future__ import annotations
@@ -103,6 +115,8 @@ class ConcreteState:
 
 
 class _Halt(Exception):
+    env = None  # the entry frame's environment, set as tier 1 unwinds
+
     def __init__(self, verdict, node=None):
         self.verdict = verdict
         self.node = node
@@ -277,9 +291,13 @@ class _Interpreter:
             self.monitor.end(state)
         return state
 
-    def run_function(self, fname: str, env: "dict[str, int]") -> "int | None":
-        """Run one function frame, mutating env in place."""
+    def run_function(self, fname: str, env: "dict[str, int]",
+                     start: "int | None" = None) -> "int | None":
+        """Run one function frame, mutating env in place, from its first
+        node or from node `start`."""
         code, n, exit_node, watch = self.code[fname]
+        if start is not None:
+            n = start
         limit = self.step_limit
         steps = self.steps
         value = None
@@ -323,6 +341,20 @@ class _Interpreter:
             watch(exit_node, env)
         return value
 
+    def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> None:
+        """Finish an execution that tier 1 stopped in a frame of `fname`,
+        before a segment that passes the step limit: run the frame on
+        `env`, its environment there, from the segment's first node.  It
+        halts within the segment, so this always raises; a halt in the
+        entry frame carries `env` as that frame's environment."""
+        n, self.steps = deopt.args
+        try:
+            self.run_function(fname, env, n)
+        except _Halt as halt:
+            if fname == self.entry:
+                halt.env = env
+            raise
+
 
 # Steps per CFG node that an enumeration runs, or is predicted to, before
 # it compiles tier 1: the measured break-even of an enumeration with the
@@ -332,10 +364,11 @@ class _Interpreter:
 # step saves 0.2-0.3 us, and the break-even is about 275 steps per node.
 TIER_UP_STEPS_PER_NODE = 100
 
-# The deepest nesting of compound statements in one generated def; a block
-# nested deeper is outlined into a def of its own.  CPython rejects more
-# than 20 nested loops, and 100 indentation levels, in one function.
-_MAX_NESTING = 16
+# The deepest indentation of a statement in one generated def, whose body
+# sits at 1, or at 2 inside a `try`; a block nested deeper is outlined into
+# a def of its own.  CPython rejects more than 20 nested blocks (loops and
+# `try`), and 100 indentation levels, in one function.
+_MAX_DEPTH = 17
 
 # An expression deeper than this is emitted in three-address form, one
 # temporary per operation.  CPython's parser allows 200 nested parentheses
@@ -345,24 +378,55 @@ _MAX_INLINE_DEPTH = 32
 # What an outlined block returns in place of a value when it falls through.
 _FELL = object()
 
+# The value of a tier-1 variable its frame has not declared yet.
+_U = object()
+
 _ANY = (-math.inf, math.inf)
+
+# Statements that fall through to the next one; a run of them, and the
+# statement that ends it, make up a segment.
+_SIMPLE = (Decl, Assign, Assume, Assert, Skip)
 
 
 class _Redo(Exception):
     """A tier-1 execution reached a point its monitor must see."""
 
 
-def _point_hook(fname, step_limit, watch):
-    """What tier-1 code calls at a point of `fname` that passed the step
-    limit or that the monitor must see.  That is `watch` for a monitor
-    without bounds; with bounds (`watch` None), the point failed them, and
-    the execution goes back to tier 0.  Without a monitor, the hook is
-    called only past the step limit."""
-    def point(n, env, steps):
+class _Deopt(Exception):
+    """A tier-1 segment would pass the step limit; `args` are its first node
+    and the steps run before it."""
+
+
+def _env(names, values):
+    """A frame's environment from its variables' values in tier 1."""
+    return {name: value for name, value in zip(names, values) if value is not _U}
+
+
+def _env_in(order, names, values):
+    """A frame's environment as `_env` builds it, its names in `order`, the
+    order they first got a value in."""
+    values = dict(zip(names, values))
+    return {name: values[name] for name in order if values[name] is not _U}
+
+
+def _unwinder(tier0, fname):
+    """What a tier-1 def of `fname` calls with the `_Deopt` or `_Halt`
+    leaving it and the frame's environment: a deopt has tier 0 finish the
+    execution, and a halt leaving the entry function gets the environment.
+    The def then re-raises the halt."""
+    def unwind(exc, env):
+        if isinstance(exc, _Deopt):
+            tier0.resume(fname, exc, env)
+        if exc.env is None:
+            exc.env = env
+    return unwind
+
+
+def _watch_steps(fname, step_limit, watch):
+    """What tier-1 code counting each step calls at a point of `fname`."""
+    def point(n, steps, env):
         if steps > step_limit:
             raise _Halt(STEP_LIMIT, (fname, n))
-        if watch is None:
-            raise _Redo
         watch(n, env)
     return point
 
@@ -403,36 +467,62 @@ def _merge(a, b):
     return merged
 
 
+def _var(name: str) -> str:
+    """The Python local holding a mini variable; no generated name starts
+    with `v_`."""
+    return "v_" + name
+
+
+def _and_vars(names) -> str:
+    """The locals of mini variables, each after a comma."""
+    return "".join(", v_" + name for name in names)
+
+
 class _Emitter:
     """Tier-1 source for the program of a tier-0 interpreter, from its ASTs
     and the CFGs tier 0 built.
 
-    Each mini function becomes `def _f<i>(env, s)`, which returns `(s,
+    Each mini function becomes `def _f<i>(s, <params>)`, which returns `(s,
     value)`: `s` counts the steps run so far, and `value` is None when the
-    body falls off its end.  Every CFG node adds one to `s` and tests the
-    limit before it runs, as tier 0 does.  A block nested too deeply is
-    outlined into a def of the same shape that returns `(s, _FELL)` when it
-    falls through.  Mini names appear only as dict keys; every value the
-    code uses, from literals to analysis bounds, is a namespace constant.
+    body falls off its end.  Every mini variable is a local `v_<name>`; one
+    not yet declared holds `_U`.  Every value the code uses, from literals
+    to analysis bounds, is a namespace constant.  The entry function's
+    value is `(verdict, node, env)`: it returns at its end and at a failed
+    assume or assert of its own, and any other halt leaving it is given the
+    environment by its handler.
+
+    Steps are counted per segment: a run of simple statements and the node
+    that ends it (a condition, loop head, call or return), or the loop head
+    a loop body's last run falls through to.  A segment adds its length to
+    `s` and tests the limit once, before its first node.  A segment that
+    would pass it raises `_Deopt`, and the def's handler has tier 0 finish
+    the execution from that node (`_Interpreter.resume`).  A block nested
+    too deeply is outlined into a def that takes every variable of its
+    function and returns `(s, _FELL or the value, <what it may assign>)`.
 
     A monitor with bounds is not called: a point that fails its tests, or
     whose state is bottom or missing, raises `_Redo`, and tier 0 runs that
     execution again.  So a test that earlier tests imply is left out.  The
     emitter keeps, per name, `(present, lo, hi)`: whether the name is
-    surely in `env` at the code being emitted, and an interval its value
-    surely lies in if it is.
+    surely declared at the code being emitted, and an interval its value
+    surely lies in if it is.  A monitor without bounds is called at every
+    point with the environment built as a dict, and each step is counted
+    and tested on its own.
     """
 
     def __init__(self, tier0: _Interpreter):
         self.tier0 = tier0
-        self.namespace = {"_Halt": _Halt, "_divide": _divide, "_FELL": _FELL,
+        self.namespace = {"_Halt": _Halt, "_Deopt": _Deopt, "_Redo": _Redo,
+                          "_divide": _divide, "_FELL": _FELL, "_U": _U,
+                          "_env": _env, "_env_in": _env_in,
                           "_choose": tier0.chooser.choose, "_L": tier0.step_limit,
-                          "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
+                          "_OK": OK, "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
         self.names = {fname: "_f%d" % i for i, fname in enumerate(tier0.prog.functions)}
         self.consts = {}
         self.defs = []
         self.out = []
         self.temps = self.outlined = 0
+        self.returns = None
 
     def const(self, value) -> str:
         """The namespace name of a value, one per distinct value: CPython
@@ -456,107 +546,198 @@ class _Emitter:
             if len(self.nodes) != len(cfg.nodes) - 2:  # all but entry and exit
                 return None
             self.fname, self.exit_node = fname, cfg.exit
+            self.entry = fname == self.tier0.entry
+            self.variables, self.declared = fn.variables, set(fn.variables)
+            self.unwind = self.const(_unwinder(self.tier0, fname))
+            # Declared in the function's own block, names get their first
+            # value in declaration order; otherwise the def keeps the order
+            # in a list `o`, as tier 0's dict keeps its keys.
+            self.ordered = sum(isinstance(s, Decl) for s in fn.body) == len(fn.locals)
             self.bounds = monitor.bounds(fname) if hasattr(monitor, "bounds") else None
-            watch = None if self.bounds is not None else self.tier0.code[fname][3]
-            self.watched = monitor is not None
-            self.hook = self.const(_point_hook(fname, self.tier0.step_limit, watch))
+            self.watch = None
+            if monitor is not None and self.bounds is None:
+                self.watch = self.const(self.tier0.code[fname][3])
+                self.hook = self.const(_watch_steps(fname, self.tier0.step_limit,
+                                                    self.tier0.code[fname][3]))
             facts = {name: (True,) + _ANY for name in fn.params}
-            self.define(self.names[fname], fn.body, facts, function=True)
+            self.define(self.names[fname], fn.body, facts, None)
         return "\n".join(self.defs)
 
-    def define(self, name: str, stmts, facts, function: bool):
-        """Emit `def name(env, s)` running a block; returns the facts after
-        it, or None if it cannot fall through."""
-        outer, self.out = self.out, ["def %s(env, s):" % name]
-        facts = self.block(stmts, 1, facts)
-        if facts is not None and function:
-            self.exit(1, facts)
-            self.line(1, "return s, None")
+    def define(self, name: str, stmts, facts, returns, follow=None):
+        """Emit a def running a block: a mini function's (`returns` None),
+        or an outlined block's, which returns the variables in `returns`
+        after `s` and its value; returns the facts after the block, or None
+        if it cannot fall through."""
+        outer, self.out = (self.out, self.returns), []
+        self.returns = returns
+        if returns is None:
+            params = self.tier0.prog.functions[self.fname].params
+            self.line(0, "def %s(s%s):" % (name, _and_vars(params)))
+            undeclared = [_var(v) for v in self.variables if v not in params]
+            if undeclared:
+                self.line(1, "%s = _U" % " = ".join(undeclared))
+            if not self.ordered:
+                self.line(1, "o = %r" % list(params))
+        else:
+            self.line(0, "def %s(s%s%s):" % (name, ", o" * (not self.ordered),
+                                             _and_vars(self.variables)))
+        # What the def's handler catches: a deopt if segments are counted,
+        # and a halt leaving the entry function.
+        caught = ["_Deopt"] * (self.watch is None) + ["_Halt"] * self.entry
+        depth = 2 if caught else 1
+        if caught:
+            self.line(1, "try:")
+        facts = self.block(stmts, depth, facts, follow)
+        if facts is not None and returns is None:
+            self.exit(depth, facts, "None")
         elif facts is not None:
-            self.line(1, "return s, _FELL")
+            self.line(depth, self.returned("_FELL"))
+        if caught:
+            self.line(1, "except (%s) as x:" % ", ".join(caught))
+            self.line(2, "%s(x, %s)" % (self.unwind, self.env({})))
+            self.line(2, "raise")
         self.defs.append("\n".join(self.out) + "\n")
-        self.out = outer
+        self.out, self.returns = outer
         return facts
 
-    def block(self, stmts, depth: int, facts):
-        """Emit a block; returns the facts after it, or None if it cannot
-        fall through (its rest is unreachable and not emitted)."""
+    def block(self, stmts, depth: int, facts, follow=None):
+        """Emit a block one segment at a time; `follow` is the loop head it
+        falls through to, if any.  Returns the facts after it, or None if it
+        cannot fall through (its rest is unreachable and not emitted)."""
         facts = dict(facts)
-        start = len(self.out)
-        for stmt in stmts:
-            facts = self.stmt(stmt, self.nodes[id(stmt)], depth, facts)
-            if facts is None:
+        i, start = 0, len(self.out)
+        while True:
+            j = i
+            while j < len(stmts) and isinstance(stmts[j], _SIMPLE):
+                j += 1
+            segment = stmts[i:j + 1]
+            nodes = [self.nodes[id(stmt)] for stmt in segment]
+            if j == len(stmts) and follow is not None:
+                nodes.append(follow)
+            self.count(nodes, depth)
+            for stmt in segment:
+                facts = self.stmt(stmt, self.nodes[id(stmt)], depth, facts)
+                if facts is None:
+                    return None
+            if j == len(stmts):
                 break
+            i = j + 1
         if len(self.out) == start:
             self.line(depth, "pass")
         return facts
 
-    def nested(self, stmts, depth: int, facts):
+    def nested(self, stmts, depth: int, facts, follow=None):
         """Emit the block of a compound statement, outlined past
-        `_MAX_NESTING`; returns the facts after it, or None."""
-        if depth <= _MAX_NESTING:
-            return self.block(stmts, depth, facts)
+        `_MAX_DEPTH`; returns the facts after it, or None."""
+        if depth <= _MAX_DEPTH:
+            return self.block(stmts, depth, facts, follow)
         name = "_o%d" % self.outlined
         self.outlined += 1
-        facts = self.define(name, stmts, facts, function=False)
-        self.line(depth, "s, r = %s(env, s)" % name)
-        self.line(depth, "if r is not _FELL: return s, r")
+        assigned = _assigned(stmts)
+        returns = [v for v in self.variables if v in assigned]
+        facts = self.define(name, stmts, facts, returns, follow)
+        self.line(depth, "s, r%s = %s(s%s%s)" % (_and_vars(returns), name, ", o" * (
+            not self.ordered), _and_vars(self.variables)))
+        self.line(depth, "if r is not _FELL: %s" % self.returned("r"))
         return facts
+
+    def returned(self, value: str) -> str:
+        """The return statement of the def being emitted."""
+        return "return s, %s%s" % (value, _and_vars(self.returns or ()))
+
+    def env(self, facts) -> str:
+        """Code for the frame's environment, its keys in the order of tier
+        0's dict: a dict display if `facts` say every variable is declared,
+        else the declared ones picked at run time."""
+        names = self.variables
+        if self.ordered and all(facts.get(name, (False,))[0] for name in names):
+            return "{%s}" % ", ".join("%r: %s" % (name, _var(name)) for name in names)
+        values = "(%s,)" % _and_vars(names)[2:] if names else "()"
+        if self.ordered:
+            return "_env(%s, %s)" % (self.const(names), values)
+        return "_env_in(o, %s, %s)" % (self.const(names), values)
+
+    def store(self, name: str, depth: int, facts) -> None:
+        """Before the first store to `name` in a def that keeps the order
+        of its names in `o`, add it there."""
+        if not (self.ordered or facts.get(name, (False,))[0]):
+            self.line(depth, "if %s is _U: o.append(%r)" % (_var(name), name))
+        facts[name] = (True,) + _ANY
+
+    def count(self, nodes, depth: int) -> None:
+        """Count a segment's steps, and go back to tier 0 at its first node
+        if they pass the step limit."""
+        if self.watch is None and nodes:
+            self.line(depth, "s += %d" % len(nodes))
+            self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (nodes[0], len(nodes)))
 
     def where(self, n: int) -> str:
         """The constant naming node n in a halt."""
         return self.const((self.fname, n))
 
     def tests(self, n: int, facts) -> "str | None":
-        """When point n must call the hook: never (None), always (""), or
-        when the returned condition holds.  Updates `facts` with the tests,
-        which hold past the point."""
-        if self.bounds is None:
-            return "" if self.watched else None
+        """When point n must go back to tier 0: never (None), always (""),
+        or when the returned condition holds.  Updates `facts` with the
+        tests, which hold past the point."""
         tests = self.bounds[n] if n < len(self.bounds) else None
         if tests is None:  # a bottom or missing state
             return ""
         parts = []
         for name, lo, hi in tests:
+            if name not in self.declared:  # never in the environment
+                continue
             present, known_lo, known_hi = facts.get(name, (False,) + _ANY)
             if lo <= known_lo and known_hi <= hi:
                 continue
             facts[name] = (present, max(lo, known_lo), min(hi, known_hi))
-            lo = self.const(lo)
-            value = ("env[%r]" % name if present
-                     else "env.get(%r, %s)" % (name, lo))  # an absent name passes
-            parts.append("%s <= %s <= %s" % (lo, value, self.const(hi)))
+            test = "%s <= %s <= %s" % (self.const(lo), _var(name), self.const(hi))
+            # An undeclared name passes.
+            parts.append(test if present else "(%s is _U or %s)" % (_var(name), test))
         return "not (%s)" % " and ".join(parts) if parts else None
 
     def point(self, n: int, depth: int, facts) -> None:
-        """Count node n's step, and call the hook past the step limit or
-        where the monitor must see the point."""
-        self.line(depth, "s += 1")
-        tests = self.tests(n, facts)
-        call = "%s(%d, env, s)" % (self.hook, n)
-        if tests == "":
-            self.line(depth, call)
-        else:
-            self.line(depth, "if s > _L%s: %s" % ("" if tests is None else " or " + tests, call))
+        """The monitor's view of point n: its inlined tests, or a call with
+        the environment after counting node n's step."""
+        if self.watch is not None:
+            self.line(depth, "s += 1")
+            self.line(depth, "%s(%d, s, %s)" % (self.hook, n, self.env(facts)))
+        elif self.bounds is not None:
+            tests = self.tests(n, facts)
+            if tests is not None:
+                self.line(depth, "%sraise _Redo" % (tests and "if %s: " % tests))
 
-    def exit(self, depth: int, facts) -> None:
-        """The frame's exit state, shown to the monitor like any point."""
-        tests = self.tests(self.exit_node, facts)
-        if tests is not None:
-            self.line(depth, "%s%s(%d, env, s)" % (tests and "if %s: " % tests, self.hook,
-                                                    self.exit_node))
+    def exit(self, depth: int, facts, value: str) -> None:
+        """Show the frame's exit state to the monitor like any point, then
+        return `value`, or from the entry function its verdict, no node
+        and its environment."""
+        env = self.env(facts) if self.entry or self.watch is not None else None
+        if self.watch is not None:
+            if self.entry:
+                self.line(depth, "e = %s" % env)
+                env = "e"
+            self.line(depth, "%s(%d, %s)" % (self.watch, self.exit_node, env))
+        elif self.bounds is not None:
+            tests = self.tests(self.exit_node, facts)
+            if tests is not None:
+                self.line(depth, "%sraise _Redo" % (tests and "if %s: " % tests))
+        self.line(depth, self.returned("(_OK, None, %s)" % env if self.entry else value))
 
     def stmt(self, stmt, n: int, depth: int, facts):
-        """Emit the statement at node n; returns the facts after it, or None
-        if it cannot fall through."""
+        """Emit the statement at node n, whose step its segment counted;
+        returns the facts after it, or None if it cannot fall through."""
         if isinstance(stmt, While):
             assigned = _assigned(stmt.body)
             facts = {name: (fact[0],) + _ANY if name in assigned else fact
                      for name, fact in facts.items()}
+            start = len(self.out)
             self.line(depth, "while True:")
             self.point(n, depth + 1, facts)
-            self.line(depth + 1, "if not %s: break" % self.expr(stmt.cond, n, depth + 1))
-            self.nested(stmt.body, depth + 1, facts)
+            cond = self.expr(stmt.cond, n, depth + 1)
+            if len(self.out) == start + 1:
+                self.out[start] = "    " * depth + "while %s:" % cond
+            else:
+                self.line(depth + 1, "if not %s: break" % cond)
+            self.nested(stmt.body, depth + 1, facts, follow=n)
             return facts
         self.point(n, depth, facts)
         if isinstance(stmt, If):
@@ -573,29 +754,29 @@ class _Emitter:
             name, value = ((stmt.name, stmt.init) if isinstance(stmt, Decl)
                            else (stmt.target, stmt.rhs))
             text = self.const(0) if value is None else self.expr(value, n, depth)
-            self.line(depth, "env[%r] = %s" % (name, text))
-            facts[name] = (True,) + _ANY
+            self.store(name, depth, facts)
+            self.line(depth, "%s = %s" % (_var(name), text))
         elif isinstance(stmt, (Assume, Assert)):
             verdict = "_ASSUME" if isinstance(stmt, Assume) else "_ASSERT"
-            self.line(depth, "if not %s: raise _Halt(%s, %s)"
-                      % (self.expr(stmt.cond, n, depth), verdict, self.where(n)))
+            halt = (self.returned("(%s, %s, %s)" % (verdict, self.where(n), self.env(facts)))
+                    if self.entry else "raise _Halt(%s, %s)" % (verdict, self.where(n)))
+            self.line(depth, "if not %s: %s" % (self.expr(stmt.cond, n, depth), halt))
         elif isinstance(stmt, Call):
-            params = self.tier0.prog.functions[stmt.callee].params
             args = stmt.args
             if any(_deeper_than(arg, _MAX_INLINE_DEPTH) for arg in args):
                 # Each argument into a temporary, so they still run in order.
                 args = [self.temp(self.expr(arg, n, depth), depth) for arg in args]
             else:
                 args = [self.inline(arg, n) for arg in args]
-            frame = ", ".join("%r: %s" % (p, a) for p, a in zip(params, args))
-            target = "_" if stmt.result is None else "env[%r]" % stmt.result
-            self.line(depth, "s, %s = %s({%s}, s)" % (target, self.names[stmt.callee], frame))
+            target = "_"
             if stmt.result is not None:
-                facts[stmt.result] = (True,) + _ANY
+                self.store(stmt.result, depth, facts)
+                target = _var(stmt.result)
+            self.line(depth, "s, %s = %s(%s)" % (target, self.names[stmt.callee],
+                                                 ", ".join(["s"] + args)))
         elif isinstance(stmt, Return):
             self.line(depth, "r = %s" % self.expr(stmt.value, n, depth))
-            self.exit(depth, facts)
-            self.line(depth, "return s, r")
+            self.exit(depth, facts, "r")
             return None
         return facts
 
@@ -638,7 +819,7 @@ class _Emitter:
         if isinstance(e, (IntLit, BoolLit)):
             return self.const(e.value)
         if isinstance(e, Var):
-            return "env[%r]" % e.name
+            return _var(e.name)
         if isinstance(e, Nondet):
             return "_choose(%s, %s)" % (self.const(e.lo), self.const(e.hi))
         if isinstance(e, Unary):
@@ -654,8 +835,9 @@ class _Emitter:
 
 class _Compiled:
     """Tier 1: the program as the Python source `_Emitter` writes.  `entry`
-    is the entry function's def, called as `entry(env, 0)`; it draws from
-    tier 0's chooser."""
+    is the entry function's def, called as `entry(0)`, which returns the
+    steps and the entry frame's environment; it draws from tier 0's
+    chooser."""
 
     def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
         self.namespace = emitter.namespace
@@ -733,12 +915,10 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 budget -= interp.steps
             else:
                 chooser.reset(prefix)
-                env = {}
-                verdict, node = OK, None
                 try:
-                    entry(env, 0)
+                    verdict, node, env = entry(0)[1]
                 except _Halt as halt:
-                    verdict, node = halt.verdict, halt.node
+                    verdict, node, env = halt.verdict, halt.node, halt.env
                 except _Redo:
                     verdict = None
                 if verdict is None:

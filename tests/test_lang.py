@@ -178,6 +178,43 @@ class TestParserErrors:
             parse_program(source)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("source,message", [
+        ("fn main() { int x = nondet(0, 1); if (x > 0) { int y = 1; } x = y; }",
+         "1:65: use of 'y' outside the block that declares it"),
+        ("fn main() {\n  int k = 0;\n  while (k < 2) { int t = k; k = k + 1; }\n  k = t;\n}",
+         "4:7: use of 't' outside the block that declares it"),
+        ("fn main() { int x = 0; if (x > 0) { skip; } else { int y = 1; } assert(y > 0); }",
+         "1:72: use of 'y' outside the block that declares it"),
+        ("fn main() { int x = 0; if (x > 0) { if (x > 1) { int y = 1; } x = y; } }",
+         "1:67: use of 'y' outside the block that declares it"),
+        ("fn f(a) { return a; } fn main() { int x = 0;"
+         " while (x < 1) { int y = 1; x = 1; } f(y); }",
+         "1:84: use of 'y' outside the block that declares it"),
+        # A name is still unique in its function, whatever block declares it.
+        ("fn main() { int x = 0; if (x > 0) { int y = 1; } else { int y = 2; } }",
+         "1:61: redeclaration of 'y'"),
+        ("fn main() { int x = 0; if (x > 0) { int y = 1; } int y = 2; }",
+         "1:54: redeclaration of 'y'"),
+    ])
+    def test_reads_are_scoped_to_the_declaring_block(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert str(err.value) == message
+
+    def test_reads_within_the_declaring_block_are_accepted(self):
+        prog = parse_program("""
+            fn main() {
+                int k = nondet(0, 2); int total = 0;
+                while (k > 0) {
+                    int t = k;
+                    if (t > 1) { int u = t * 2; total = total + u; } else { total = total + t; }
+                    k = k - 1;
+                }
+                if (total > 0) { int w; w = total; assert(w > 0); }
+            }
+        """)
+        assert [r.env["total"] for r in enumerate_executions(prog)] == [0, 1, 5]
+
     def test_value_from_every_path_is_accepted(self):
         prog = parse_program("""
             fn sign(a) {

@@ -85,3 +85,29 @@ def test_library_pipeline_leaves_no_cyclic_garbage(monkeypatch):
     assert verdicts[STEP_LIMIT] and verdicts[OK]
     assert len(verdicts) >= 4
     assert tiers.count(intana.oracle._Compiled) == 4
+
+
+# Every run passes the step limit once tier 1 runs it: in a callee when k
+# is large, and in the entry function otherwise.
+PAST_THE_LIMIT = """
+fn spin(n) { int i = 0; while (i >= 0) { i = i + n; } return i; }
+fn main() { int k = nondet(0, 99); int r; if (k > 50) { r = spin(k); }
+    while (k >= 0) { k = k + 1; } }
+"""
+
+
+def test_tier1_executions_that_go_back_to_tier0_leave_no_cyclic_garbage():
+    prog = parse_program(PAST_THE_LIMIT)
+    analyses = analyze_program(prog, AnalysisConfig())
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        runs = intana.oracle.enumerate_executions(prog, step_limit=300, record_trace=False)
+        assert check_soundness(prog, analyses, step_limit=300) == []
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert {run.verdict for run in runs} == {STEP_LIMIT}
+    assert {run.verdict_node[0] for run in runs} == {"main", "spin"}

@@ -619,11 +619,70 @@ def _executions(prog, **kwargs):
     return lambda: _states(enumerate_executions(prog, **kwargs))
 
 
-def _soundness(prog, analyses):
+def _soundness(prog, analyses, step_limit=10_000):
     def check():
         runs = []
-        return check_soundness(prog, analyses, runs=runs), _states(runs)
+        return check_soundness(prog, analyses, step_limit, runs=runs), _states(runs)
     return check
+
+
+def _agree_under_every_monitor(monkeypatch, prog, step_limit=10_000):
+    """Tier 1 gives tier 0's results without a monitor, with traces, and
+    under the soundness monitor on a sound and on a shifted analysis;
+    returns the runs without a monitor."""
+    runs, _ = _assert_tiers_agree(
+        monkeypatch, _executions(prog, step_limit=step_limit, record_trace=False))
+    _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=step_limit))
+    analyses = analyze_program(prog, AnalysisConfig())
+    assert _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit))[0][0] == []
+    _shift_up(analyses)
+    _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit))
+    return runs
+
+
+def _most_steps(prog):
+    """The most steps an execution of `prog` runs."""
+    interp = intana.oracle._Interpreter(prog, 10**9)
+    most = 0
+    for state in enumerate_executions(prog, record_trace=False):
+        interp.run(list(state.choices))
+        most = max(most, interp.steps)
+    return most
+
+
+def _tier0_calls(monkeypatch, run):
+    """`run()`, then for each enumeration it made, in order, how many
+    executions tier 0 started from the entry and how many it finished from
+    where tier 1 stopped them."""
+    counts = []
+    oracle = intana.oracle
+    enumerate_, run0, resume = (oracle.enumerate_executions, oracle._Interpreter.run,
+                                oracle._Interpreter.resume)
+
+    def enumerating(*args, **kwargs):
+        counts.append([0, 0])
+        return enumerate_(*args, **kwargs)
+
+    def counted_run(self, prefix):
+        counts[-1][0] += 1
+        return run0(self, prefix)
+
+    def counted_resume(self, *args):
+        counts[-1][1] += 1
+        return resume(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "enumerate_executions", enumerating)
+        patch.setattr(oracle._Interpreter, "run", counted_run)
+        patch.setattr(oracle._Interpreter, "resume", counted_resume)
+        run()
+    return [tuple(c) for c in counts]
+
+
+def _tier1_source(prog):
+    """The Python source tier 1 runs for `prog`."""
+    interp = intana.oracle._Interpreter(prog, 10_000)
+    return intana.oracle._Emitter(interp).program()
 
 
 STEP_LIMIT_IN_CALLEE = """
@@ -638,6 +697,78 @@ DIV_BY_ZERO_IN_ARGUMENT = """
     fn half(v) { int h; h = v / 2; return h; }
     fn main() { int d = nondet(-2, 2); int r; r = half(8 / d); }
 """
+# Mini names that are Python keywords or builtins, or that tier 1's own
+# names could clash with.
+PYTHON_NAMES = """
+    fn f(None, lambda) {
+        int s = None + lambda; int env = s * 2;
+        if (env > 4) { env = env - 1; }
+        return env;
+    }
+    fn main() {
+        int x = nondet(0, 3); int v_x = nondet(-1, 1);
+        int True = x - v_x; int class = 0; int _L = 5; int _k0 = 7;
+        while (class < x) { class = class + 1; _L = _L + True; }
+        int s; s = f(x, v_x);
+        int env = s + _k0 + v_x;
+        if (env > 9) { int lambda = env / 2; _k0 = lambda; }
+        assert(env != 12);
+    }
+"""
+# Straight-line runs in the entry function and in a callee of one variable,
+# a call, and a loop whose body's last run counts the loop head.
+SEGMENTS = """
+    fn g(p) { p = p + 1; p = p * 2; skip; return p; }
+    fn main() {
+        int k = nondet(0, 2); int a = k; a = a + 1; skip; int r; r = g(a);
+        int i = 0; while (i < 2) { r = r + i; i = i + 1; }
+        r = r - k;
+    }
+"""
+# One segment of nine nodes, with a division by zero, an assume and an
+# assert that halt some executions in its middle.
+HALTS_IN_A_SEGMENT = """
+    fn main() {
+        int d = nondet(-1, 1); int c = nondet(0, 2); int x = 1;
+        x = x + c; x = 6 / d; assume(c != 1); x = x + 1; assert(x != 7); x = x * 2;
+    }
+"""
+
+# Names get their first value in an order that varies with the run: `a` is
+# declared in a loop, under a condition, before `b`; `c` is assigned after
+# the block that declares it, also where that block did not run.
+ORDER_VARIES = """
+    fn f(p) { int k = 0; while (k < p) { if (k > 0) { int u = k; } int v = p; k = k + 1; }
+        return k; }
+    fn main() {
+        int n = nondet(0, 3); int i = 0;
+        while (i < 2) { if (i + n > 2) { int a = i; } int b = n; i = i + 1; }
+        if (n > 1) { int c = 1; } int d = 2; c = 3;
+        int r; r = f(n); assert(n != 3);
+    }
+"""
+
+
+def _key_orders(enumerate):
+    """`enumerate()`'s environments and traced environments as key lists."""
+    def orders():
+        states = enumerate()
+        return [(list(env), [list(point) for _, _, point in trace])
+                for _, env, _, _, trace in states]
+    return orders
+
+
+def _outlined(kind: str, depth: int = 20) -> str:
+    """A block nested `depth` deep in ifs or loops, deep enough to be
+    outlined, that reads and writes the variables declared outside it."""
+    body = ("int inner = n * 2; while (m < n) { acc = acc + inner; m = m + 1; }"
+            " assert(acc != 9);")
+    for i in reversed(range(depth)):
+        body = ("if (n >= -%d) { %s }" % (i, body) if kind == "if"
+                else "while (c%d < 1) { c%d = c%d + 1; %s }" % (i, i, i, body))
+    counters = "" if kind == "if" else " ".join("int c%d = 0;" % i for i in range(depth))
+    return ("fn main() { int n = nondet(0, 4); int acc = 1; int m = 0; %s %s"
+            " acc = acc + m; }" % (counters, body))
 
 
 class TestTiers:
@@ -752,6 +883,77 @@ class TestTiers:
         exit_node = build_cfg(prog.functions["find"]).exit
         assert [[env for fname, node, env in trace if (fname, node) == ("find", exit_node)]
                 for _, _, _, _, trace in runs][9:11] == [[{"n": 9, "i": 9}], [{"n": 10, "i": 10}]]
+
+    def test_mini_names_that_are_python_names(self, monkeypatch):
+        runs = _agree_under_every_monitor(monkeypatch, parse_program(PYTHON_NAMES))
+        assert len(runs) == 12
+        assert set(runs[0][1]) == {"x", "v_x", "True", "class", "_L", "_k0", "s", "env"}
+        assert [env.get("lambda") for _, env, _, _, _ in runs] == [
+            None, None, 5, None, None, 6, None, 5, 6, 5, 6, 7]
+        assert [verdict for _, _, verdict, _, _ in runs].count(ASSERT_FAILED) == 2
+
+    @pytest.mark.parametrize("source", [SEGMENTS, HALTS_IN_A_SEGMENT],
+                             ids=["segments", "halts-in-a-segment"])
+    def test_step_limit_on_every_node(self, monkeypatch, source):
+        # Each limit makes the step past it fall on the next node, so the
+        # runs of limits cover every node of every segment.
+        prog = parse_program(source)
+        halts = set()
+        for step_limit in range(1, _most_steps(prog) + 2):
+            runs = _agree_under_every_monitor(monkeypatch, prog, step_limit)
+            halts |= {node for _, _, verdict, node, _ in runs if verdict == STEP_LIMIT}
+        nodes = {(fname, n) for fname, fn in prog.functions.items()
+                 for n, node in build_cfg(fn).nodes.items() if node.kind in ("stmt", "cond")}
+        first = min(n for fname, n in nodes if fname == "main")
+        assert halts == nodes - {("main", first)}  # a limit of 1 lets the first step run
+
+    def test_halts_in_a_segment(self, monkeypatch):
+        runs = _agree_under_every_monitor(monkeypatch, parse_program(HALTS_IN_A_SEGMENT))
+        assert [(choices, verdict) for choices, _, verdict, _, _ in runs] == [
+            ((-1, 0), OK), ((-1, 1), ASSUME_INFEASIBLE), ((-1, 2), OK),
+            ((0, 0), DIV_BY_ZERO), ((0, 1), DIV_BY_ZERO), ((0, 2), DIV_BY_ZERO),
+            ((1, 0), ASSERT_FAILED), ((1, 1), ASSUME_INFEASIBLE), ((1, 2), ASSERT_FAILED)]
+        # A halt leaves the environment as it was before the halting node.
+        assert [env["x"] for _, env, _, _, _ in runs] == [-10, -6, -10, 1, 2, 3, 7, 6, 7]
+
+    @pytest.mark.parametrize("kind", ["if", "while"])
+    def test_outlined_block_reads_and_writes_outer_variables(self, monkeypatch, kind):
+        prog = parse_program(_outlined(kind))
+        assert "def _o0(s, o, v_n, v_acc, v_m," in _tier1_source(prog)
+        runs = _agree_under_every_monitor(monkeypatch, prog)
+        assert [(env["acc"], verdict) for _, env, verdict, _, _ in runs] == [
+            (1, OK), (4, OK), (9, ASSERT_FAILED), (22, OK), (37, OK)]
+        for step_limit in range(1, _most_steps(prog) + 2, 3):
+            _agree_under_every_monitor(monkeypatch, prog, step_limit)
+
+    def test_environments_keep_tier0_key_order(self, monkeypatch):
+        prog = parse_program(ORDER_VARIES)
+        analyses = analyze_program(prog, AnalysisConfig())
+        _shift_up(analyses)
+        for step_limit in range(1, _most_steps(prog) + 2, 2):
+            for record_trace in (True, False):
+                _assert_tiers_agree(monkeypatch, _key_orders(
+                    _executions(prog, step_limit=step_limit, record_trace=record_trace)))
+            # Points recorded on tier 1 replay to the violations, in order,
+            # that the soundness monitor finds as it runs.
+            traced, _, _ = _tiered(monkeypatch, -1, lambda: enumerate_executions(
+                prog, step_limit=step_limit))
+            assert check_soundness(prog, analyses, step_limit, executions=traced) == \
+                check_soundness(prog, analyses, step_limit)
+        orders = {tuple(env) for env, _ in _key_orders(_executions(prog))()}
+        assert orders == {("n", "i", "b", "d", "c", "r"), ("n", "i", "b", "a", "c", "d", "r"),
+                          ("n", "i", "a", "b", "c", "d", "r")}
+
+    def test_runs_cut_short_finish_where_tier1_stopped_them(self, monkeypatch, tmp_path,
+                                                           capsys):
+        # Every run hits the limit: tier 0 starts only the first from the
+        # entry, and finishes each later one from the segment that passed it.
+        path = tmp_path / "loop.mini"
+        path.write_text(LOOP_PAST_THE_LIMIT)
+        calls = _tier0_calls(monkeypatch, lambda: intana.cli.main(
+            ["check", "--step-limit", "2000", str(path)]))
+        assert calls == [(1, 50)] * 3
+        assert capsys.readouterr().out.endswith("result: incomplete\n")
 
 
 def _nested_whiles(depth: int) -> str:
