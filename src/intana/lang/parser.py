@@ -1,7 +1,7 @@
 """Lexer and recursive-descent parser for the mini language.
 
-Parsing also enforces well-formedness: declaration before use, reads
-only within the block that declares a variable, unique names per
+Parsing also enforces well-formedness: declaration before use, reads and
+writes only within the block that declares a variable, unique names per
 function, disjoint arithmetic/boolean expression sorts, call arity, a
 value from every function whose result is used, and absence of recursion.
 """
@@ -110,8 +110,8 @@ class Parser:
         self.pos = 0
         self.next_sid = 0
         # The names declared so far in the function, and those of them a
-        # read may name: its parameters and the declarations of the blocks
-        # still open.  `scope` lists the names the innermost block declared.
+        # read or write may name: its parameters and the declarations of
+        # the blocks still open.  `scope` lists the names the innermost block declared.
         self.declared: "set[str]" = set()
         self.visible: "set[str]" = set()
         self.scope: "list[str]" = []
@@ -274,6 +274,8 @@ class Parser:
             self.error("expected '=' or '(' after %r" % name)
         if name not in self.declared:
             self.error("assignment to undeclared variable %r" % name, nametok)
+        if name not in self.visible:
+            self.error("use of %r outside the block that declares it" % name, nametok)
         if self.peek().kind == "ident" and self.peek(1).kind == "(":
             calleetok = self.advance()
             return self.parse_call_tail(calleetok.text, result=name, tok=calleetok)

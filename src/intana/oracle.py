@@ -11,10 +11,11 @@ the program once into closures: every CFG node becomes a tuple holding a
 Python closure for its statement or condition, and the executions walk
 those tuples.  Tier 1 is Python source, one `def` per mini function with
 Python's own `if` and `while`, emitted from the AST and `exec`'d once.
-Compiling it costs as much as tier 1 saves over about a hundred steps per
-CFG node, more than most enumerations run, so an enumeration compiles it
-only once its steps reach a budget, `TIER_UP_STEPS_PER_NODE` times the
-program's CFG node count, or are predicted to.  The first execution draws
+Compiling it costs as much as tier 1 saves over some 70 steps per CFG
+node, or 120 without a monitor, more than most enumerations run, so an
+enumeration compiles it only once its steps reach a budget per CFG node,
+`TIER_UP_STEPS_PER_NODE` or `TIER_UP_STEPS_PER_NODE_UNMONITORED`, or are
+predicted to.  The first execution draws
 each range's minimum, so it draws every range the enumeration starts
 from: if its steps times the sizes of those ranges reach the budget, tier
 1 is compiled before the second execution.  Otherwise tier 0 runs until
@@ -23,17 +24,15 @@ execution in one loop.  Both tiers share one chooser and one set of CFGs
 and halt on the same node, so the moment of the switch changes no result,
 and a wrong prediction costs one compile.
 
-Tier 1 keeps each mini variable in a Python local of its def and builds
-a frame's environment as a dict, its keys in tier 0's order, only where
-one is seen: the entry frame's at its end or at a halt, and each point a
-monitor without bounds is shown.  It counts steps per segment, a
-straight-line run of nodes up to a condition, loop head, call or return,
-and tests the step limit once per segment.  A segment that would pass
-the limit deoptimizes (Hölzle, Chambers & Ungar 1992): tier 0 takes over
-the frame at the segment's first node, with the steps run before it and
-the frame's environment, and finishes the execution exactly; it halts
-within the segment.  A monitor without bounds sees every step counted
-and tested on its own.
+Tier 1 keeps each mini variable in a Python local of its def, draws
+inline on the chooser's lists, and builds a frame's environment as a dict
+only where one is seen; the key order of `ConcreteState.env` is
+unspecified.  It tests the step limit once per segment, a straight-line
+run of nodes, or per loop iteration (see `_Emitter`).  A failed test
+deoptimizes (Hölzle, Chambers & Ungar 1992): tier 0 takes over the frame
+at the test's first node, with the steps run before it and the frame's
+environment, and finishes the execution exactly; a loop iteration's test
+is for its longest path, so tier 0 may finish the entry frame.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -80,6 +79,7 @@ from .lang import (
     While,
     build_cfg,
     program_nondets,
+    subexprs,
     walk_stmts,
 )
 
@@ -139,14 +139,15 @@ class _Chooser:
     the high end of each range drawn from so far.  A prefix is a previous
     run's values with the last one changed, so a run draws at least as many
     values as its prefix holds, and `values` ends as the run's choices.
+    Both stay the same lists, so tier 1 can hold them.
     """
 
     def __init__(self):
-        self.reset([])
+        self.values, self.highs = [], []
 
     def reset(self, prefix: "list[int]") -> None:
-        self.values = prefix
-        self.highs = []
+        self.values[:] = prefix
+        self.highs.clear()
 
     def choose(self, lo: int, hi: int) -> int:
         highs = self.highs
@@ -342,27 +343,28 @@ class _Interpreter:
         return value
 
     def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> None:
-        """Finish an execution that tier 1 stopped in a frame of `fname`,
-        before a segment that passes the step limit: run the frame on
-        `env`, its environment there, from the segment's first node.  It
-        halts within the segment, so this always raises; a halt in the
-        entry frame carries `env` as that frame's environment."""
+        """Finish an execution that tier 1 stopped in a frame of `fname`
+        before steps that may pass the step limit: run the frame on `env`,
+        its environment there, from their first node.  This always raises a
+        halt, with verdict ok if the frame runs to its end, which only the
+        entry frame can; a halt in the entry frame carries `env`."""
         n, self.steps = deopt.args
         try:
             self.run_function(fname, env, n)
+            raise _Halt(OK)
         except _Halt as halt:
             if fname == self.entry:
                 halt.env = env
             raise
 
 
-# Steps per CFG node that an enumeration runs, or is predicted to, before
-# it compiles tier 1: the measured break-even of an enumeration with the
-# soundness monitor (the oracle-enum programs, Python 3.11, 2 vCPUs).
-# Emitting and compiling tier 1 costs 60-110 us per CFG node, and each step
-# run on tier 1 instead of tier 0 saves 0.6-1.0 us.  Without a monitor a
-# step saves 0.2-0.3 us, and the break-even is about 275 steps per node.
+# Steps per CFG node that an enumeration with a monitor, or without one,
+# runs, or is predicted to, before it compiles tier 1.  Measured on the
+# oracle-enum programs (Python 3.11, 2 vCPUs) as the machine's load varied,
+# the break-evens were 60-75 and 115-135; near one either side costs about
+# the same, and 100 keeps every corpus and fuzz program's `check` on tier 0.
 TIER_UP_STEPS_PER_NODE = 100
+TIER_UP_STEPS_PER_NODE_UNMONITORED = 120
 
 # The deepest indentation of a statement in one generated def, whose body
 # sits at 1, or at 2 inside a `try`; a block nested deeper is outlined into
@@ -400,13 +402,6 @@ class _Deopt(Exception):
 def _env(names, values):
     """A frame's environment from its variables' values in tier 1."""
     return {name: value for name, value in zip(names, values) if value is not _U}
-
-
-def _env_in(order, names, values):
-    """A frame's environment as `_env` builds it, its names in `order`, the
-    order they first got a value in."""
-    values = dict(zip(names, values))
-    return {name: values[name] for name in order if values[name] is not _U}
 
 
 def _unwinder(tier0, fname):
@@ -457,6 +452,33 @@ def _assigned(stmts) -> "set[str]":
     return names
 
 
+def _steps(stmts) -> "tuple[int, int] | None":
+    """The fewest and the most steps a run through a block takes, or None
+    if the block holds a loop, a call or a return."""
+    fewest = most = 0
+    for stmt in stmts:
+        if isinstance(stmt, If):
+            branches = [_steps(stmt.then), _steps(stmt.orelse or [])]
+            if None in branches:
+                return None
+            fewest += 1 + min(b[0] for b in branches)
+            most += 1 + max(b[1] for b in branches)
+        elif isinstance(stmt, _SIMPLE):
+            fewest, most = fewest + 1, most + 1
+        else:
+            return None
+    return fewest, most
+
+
+def _range(e) -> "tuple":
+    """An interval e's value surely lies in: a (negated) literal's, a draw's or any."""
+    if isinstance(e, Unary) and e.op == "neg" and isinstance(e.operand, IntLit):
+        return -e.operand.value, -e.operand.value
+    if isinstance(e, IntLit):
+        return e.value, e.value
+    return (e.lo, e.hi) if isinstance(e, Nondet) else _ANY
+
+
 def _merge(a, b):
     """The facts that hold after either of two paths (see `_Emitter`)."""
     merged = {}
@@ -486,43 +508,50 @@ class _Emitter:
     value)`: `s` counts the steps run so far, and `value` is None when the
     body falls off its end.  Every mini variable is a local `v_<name>`; one
     not yet declared holds `_U`.  Every value the code uses, from literals
-    to analysis bounds, is a namespace constant.  The entry function's
-    value is `(verdict, node, env)`: it returns at its end and at a failed
-    assume or assert of its own, and any other halt leaving it is given the
+    to analysis bounds, is a namespace constant.  The entry def returns
+    `(verdict, node, env)` alone, at its end and at a failed assume or
+    assert of its own, and any other halt leaving it is given the
     environment by its handler.
 
     Steps are counted per segment: a run of simple statements and the node
     that ends it (a condition, loop head, call or return), or the loop head
     a loop body's last run falls through to.  A segment adds its length to
-    `s` and tests the limit once, before its first node.  A segment that
-    would pass it raises `_Deopt`, and the def's handler has tier 0 finish
-    the execution from that node (`_Interpreter.resume`).  A block nested
-    too deeply is outlined into a def that takes every variable of its
-    function and returns `(s, _FELL or the value, <what it may assign>)`.
+    `s` and tests the limit once, before its first node.  In the entry
+    function, a loop whose body has no loop, call or return tests each
+    iteration, at its top, against the longest path back to the head; its
+    segments only add their lengths, or if every path is that long, the
+    head adds it.  A failed test
+    raises `_Deopt`, and the def's handler has tier 0 finish the execution
+    from the test's first node (`_Interpreter.resume`).  A draw works on
+    the chooser's lists, which every def takes as the defaults V and H.  A
+    connective is `and` or `or` if its right operand cannot halt or draw,
+    else `&` or `|`.  A block nested too deeply is outlined into a def that
+    takes every variable of its function and returns `(s, _FELL or the
+    value, <what it may assign>)`.
 
     A monitor with bounds is not called: a point that fails its tests, or
     whose state is bottom or missing, raises `_Redo`, and tier 0 runs that
-    execution again.  So a test that earlier tests imply is left out.  The
-    emitter keeps, per name, `(present, lo, hi)`: whether the name is
-    surely declared at the code being emitted, and an interval its value
-    surely lies in if it is.  A monitor without bounds is called at every
-    point with the environment built as a dict, and each step is counted
-    and tested on its own.
+    execution again.  So a test that earlier tests, a literal or a draw's
+    range imply is left out.  The emitter keeps, per name, `(present, lo,
+    hi)`: whether the name is surely declared at the code being emitted,
+    and an interval its value surely lies in if it is.  A monitor without
+    bounds is called at every point with the environment built as a dict,
+    and each step is counted and tested on its own.
     """
 
     def __init__(self, tier0: _Interpreter):
         self.tier0 = tier0
         self.namespace = {"_Halt": _Halt, "_Deopt": _Deopt, "_Redo": _Redo,
-                          "_divide": _divide, "_FELL": _FELL, "_U": _U,
-                          "_env": _env, "_env_in": _env_in,
-                          "_choose": tier0.chooser.choose, "_L": tier0.step_limit,
+                          "_divide": _divide, "_FELL": _FELL, "_U": _U, "_env": _env,
+                          "_V": tier0.chooser.values, "_H": tier0.chooser.highs,
+                          "_L": tier0.step_limit,
                           "_OK": OK, "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
         self.names = {fname: "_f%d" % i for i, fname in enumerate(tier0.prog.functions)}
         self.consts = {}
         self.defs = []
         self.out = []
         self.temps = self.outlined = 0
-        self.returns = None
+        self.returns = self.iteration = None
 
     def const(self, value) -> str:
         """The namespace name of a value, one per distinct value: CPython
@@ -547,12 +576,9 @@ class _Emitter:
                 return None
             self.fname, self.exit_node = fname, cfg.exit
             self.entry = fname == self.tier0.entry
-            self.variables, self.declared = fn.variables, set(fn.variables)
+            self.variables = fn.variables
+            self.declared = set(self.variables)
             self.unwind = self.const(_unwinder(self.tier0, fname))
-            # Declared in the function's own block, names get their first
-            # value in declaration order; otherwise the def keeps the order
-            # in a list `o`, as tier 0's dict keeps its keys.
-            self.ordered = sum(isinstance(s, Decl) for s in fn.body) == len(fn.locals)
             self.bounds = monitor.bounds(fname) if hasattr(monitor, "bounds") else None
             self.watch = None
             if monitor is not None and self.bounds is None:
@@ -572,15 +598,12 @@ class _Emitter:
         self.returns = returns
         if returns is None:
             params = self.tier0.prog.functions[self.fname].params
-            self.line(0, "def %s(s%s):" % (name, _and_vars(params)))
+            self.line(0, "def %s(s%s, V=_V, H=_H):" % (name, _and_vars(params)))
             undeclared = [_var(v) for v in self.variables if v not in params]
             if undeclared:
                 self.line(1, "%s = _U" % " = ".join(undeclared))
-            if not self.ordered:
-                self.line(1, "o = %r" % list(params))
         else:
-            self.line(0, "def %s(s%s%s):" % (name, ", o" * (not self.ordered),
-                                             _and_vars(self.variables)))
+            self.line(0, "def %s(s%s, V=_V, H=_H):" % (name, _and_vars(self.variables)))
         # What the def's handler catches: a deopt if segments are counted,
         # and a halt leaving the entry function.
         caught = ["_Deopt"] * (self.watch is None) + ["_Halt"] * self.entry
@@ -611,10 +634,8 @@ class _Emitter:
             while j < len(stmts) and isinstance(stmts[j], _SIMPLE):
                 j += 1
             segment = stmts[i:j + 1]
-            nodes = [self.nodes[id(stmt)] for stmt in segment]
-            if j == len(stmts) and follow is not None:
-                nodes.append(follow)
-            self.count(nodes, depth)
+            steps = len(segment) + (j == len(stmts) and follow is not None)
+            self.count(self.nodes[id(segment[0])] if segment else follow, steps, depth)
             for stmt in segment:
                 facts = self.stmt(stmt, self.nodes[id(stmt)], depth, facts)
                 if facts is None:
@@ -636,40 +657,35 @@ class _Emitter:
         assigned = _assigned(stmts)
         returns = [v for v in self.variables if v in assigned]
         facts = self.define(name, stmts, facts, returns, follow)
-        self.line(depth, "s, r%s = %s(s%s%s)" % (_and_vars(returns), name, ", o" * (
-            not self.ordered), _and_vars(self.variables)))
+        self.line(depth, "s, r%s = %s(s%s)" % (_and_vars(returns), name,
+                                               _and_vars(self.variables)))
         self.line(depth, "if r is not _FELL: %s" % self.returned("r"))
         return facts
 
     def returned(self, value: str) -> str:
-        """The return statement of the def being emitted."""
+        """The return statement of the def being emitted; the entry def returns no steps."""
+        if self.entry and self.returns is None:
+            return "return " + value
         return "return s, %s%s" % (value, _and_vars(self.returns or ()))
 
     def env(self, facts) -> str:
-        """Code for the frame's environment, its keys in the order of tier
-        0's dict: a dict display if `facts` say every variable is declared,
-        else the declared ones picked at run time."""
+        """Code for the frame's environment: a dict display if `facts` say
+        every variable is declared, else the declared ones picked at run
+        time."""
         names = self.variables
-        if self.ordered and all(facts.get(name, (False,))[0] for name in names):
+        if all(facts.get(name, (False,))[0] for name in names):
             return "{%s}" % ", ".join("%r: %s" % (name, _var(name)) for name in names)
         values = "(%s,)" % _and_vars(names)[2:] if names else "()"
-        if self.ordered:
-            return "_env(%s, %s)" % (self.const(names), values)
-        return "_env_in(o, %s, %s)" % (self.const(names), values)
+        return "_env(%s, %s)" % (self.const(names), values)
 
-    def store(self, name: str, depth: int, facts) -> None:
-        """Before the first store to `name` in a def that keeps the order
-        of its names in `o`, add it there."""
-        if not (self.ordered or facts.get(name, (False,))[0]):
-            self.line(depth, "if %s is _U: o.append(%r)" % (_var(name), name))
-        facts[name] = (True,) + _ANY
-
-    def count(self, nodes, depth: int) -> None:
+    def count(self, first: int, steps: int, depth: int) -> None:
         """Count a segment's steps, and go back to tier 0 at its first node
-        if they pass the step limit."""
-        if self.watch is None and nodes:
-            self.line(depth, "s += %d" % len(nodes))
-            self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (nodes[0], len(nodes)))
+        if they pass the step limit; in a loop body whose head tests each
+        iteration, only add them, or not at all if the head did."""
+        if self.watch is None and steps and self.iteration != "counted":
+            self.line(depth, "s += %d" % steps)
+            if self.iteration is None:
+                self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (first, steps))
 
     def where(self, n: int) -> str:
         """The constant naming node n in a halt."""
@@ -737,7 +753,15 @@ class _Emitter:
                 self.out[start] = "    " * depth + "while %s:" % cond
             else:
                 self.line(depth + 1, "if not %s: break" % cond)
+            steps = _steps(stmt.body) if self.entry and self.watch is None else None
+            if steps is not None:
+                first = self.nodes[id(stmt.body[0])] if stmt.body else n
+                self.line(depth + 1, "if s + %d > _L: raise _Deopt(%d, s)" % (steps[1] + 1, first))
+                if steps[0] == steps[1]:
+                    self.line(depth + 1, "s += %d" % (steps[1] + 1))
+                self.iteration = "counted" if steps[0] == steps[1] else "tested"
             self.nested(stmt.body, depth + 1, facts, follow=n)
+            self.iteration = None
             return facts
         self.point(n, depth, facts)
         if isinstance(stmt, If):
@@ -753,9 +777,15 @@ class _Emitter:
         if isinstance(stmt, (Decl, Assign)):
             name, value = ((stmt.name, stmt.init) if isinstance(stmt, Decl)
                            else (stmt.target, stmt.rhs))
-            text = self.const(0) if value is None else self.expr(value, n, depth)
-            self.store(name, depth, facts)
-            self.line(depth, "%s = %s" % (_var(name), text))
+            facts[name] = (True,) + _range(IntLit(0) if value is None else value)
+            if isinstance(value, Nondet):  # the draw of `operation`, in two statements
+                lo = self.const(value.lo)
+                self.line(depth, "%s = V[d] if (d := len(H)) < len(V) else V.append(%s) or %s"
+                          % (_var(name), lo, lo))
+                self.line(depth, "H.append(%s)" % self.const(value.hi))
+            else:
+                text = self.const(0) if value is None else self.expr(value, n, depth)
+                self.line(depth, "%s = %s" % (_var(name), text))
         elif isinstance(stmt, (Assume, Assert)):
             verdict = "_ASSUME" if isinstance(stmt, Assume) else "_ASSERT"
             halt = (self.returned("(%s, %s, %s)" % (verdict, self.where(n), self.env(facts)))
@@ -770,7 +800,7 @@ class _Emitter:
                 args = [self.inline(arg, n) for arg in args]
             target = "_"
             if stmt.result is not None:
-                self.store(stmt.result, depth, facts)
+                facts[stmt.result] = (True,) + _ANY
                 target = _var(stmt.result)
             self.line(depth, "s, %s = %s(%s)" % (target, self.names[stmt.callee],
                                                  ", ".join(["s"] + args)))
@@ -821,23 +851,33 @@ class _Emitter:
         if isinstance(e, Var):
             return _var(e.name)
         if isinstance(e, Nondet):
-            return "_choose(%s, %s)" % (self.const(e.lo), self.const(e.hi))
+            # `_Chooser.choose`: the value at the next index of V, or a new
+            # range minimum; H gets the range's high end.
+            lo, hi = self.const(e.lo), self.const(e.hi)
+            return "(V[d] if H.append(%s) or (d := len(H) - 1) < len(V) else V.append(%s) or %s)" \
+                % (hi, lo, lo)
         if isinstance(e, Unary):
             return "(%s%s)" % ("-" if e.op == "neg" else "not ", operands[0])
         left, right = operands
         if e.op == "/":
             return "_divide(%s, %s, %s)" % (left, right, self.where(n))
-        # A connective's operands are of sort bool, so Python bools, and
-        # `&` and `|` evaluate both of them, as tier 0 does.
-        op = {"&&": "&", "||": "|"}.get(e.op, e.op)
+        op = e.op
+        if op in ("&&", "||"):
+            # The operands are of sort bool, so Python bools.  Tier 0
+            # evaluates both; `and` and `or` skip the right one where the
+            # left decides, which only shows if it could halt or draw, and
+            # `&` and `|` evaluate both.
+            strict = any(isinstance(sub, Nondet) or isinstance(sub, Binary) and sub.op == "/"
+                         for sub in subexprs(e.right))
+            op = {"&&": "&", "||": "|"}[op] if strict else {"&&": "and", "||": "or"}[op]
         return "(%s %s %s)" % (left, op, right)
 
 
 class _Compiled:
     """Tier 1: the program as the Python source `_Emitter` writes.  `entry`
     is the entry function's def, called as `entry(0)`, which returns the
-    steps and the entry frame's environment; it draws from tier 0's
-    chooser."""
+    verdict, its node and the entry frame's environment; it draws from
+    tier 0's chooser."""
 
     def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
         self.namespace = emitter.namespace
@@ -891,10 +931,10 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
     if monitor is None and record_trace:
         monitor = _TraceRecorder()
     interp = _Interpreter(prog, step_limit, monitor)
-    chooser = interp.chooser
     # The steps tier 0 may still run before tier 1 is compiled.
-    budget = TIER_UP_STEPS_PER_NODE * sum(len(cfg.nodes) for cfg in interp.cfgs.values())
-    results, prefix = [], []
+    budget = sum(len(cfg.nodes) for cfg in interp.cfgs.values()) * (
+        TIER_UP_STEPS_PER_NODE if monitor is not None else TIER_UP_STEPS_PER_NODE_UNMONITORED)
+    results, prefix, highs = [], interp.chooser.values, interp.chooser.highs
     compiled = entry = None
     try:
         while True:
@@ -908,15 +948,15 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                     # The first run drew each range's minimum: were every
                     # run as long, the enumeration would take `work` steps.
                     work = interp.steps
-                    for lo, hi in zip(prefix, chooser.highs):
+                    for lo, hi in zip(prefix, highs):
                         work *= hi - lo + 1
                     if work >= budget:
                         budget = -1
                 budget -= interp.steps
             else:
-                chooser.reset(prefix)
+                highs.clear()
                 try:
-                    verdict, node, env = entry(0)[1]
+                    verdict, node, env = entry(0)
                 except _Halt as halt:
                     verdict, node, env = halt.verdict, halt.node, halt.env
                 except _Redo:
@@ -935,7 +975,6 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 raise EnumerationCapError("more than %d executions" % cap)
             # The next prefix: drop the trailing choices at their range's high
             # end, then take the next value of the last one left.
-            highs = chooser.highs
             while prefix and prefix[-1] >= highs[-1]:
                 prefix.pop()
                 highs.pop()
@@ -996,10 +1035,10 @@ class _SoundnessMonitor:
                 return
             abstract = state.as_dict()
             bounds[n] = _bounds(abstract)
-            for var, value in env.items():
-                iv = abstract[var]
-                if not iv.lo <= value <= iv.hi:  # a bottom has lo > hi
-                    pending.append((fname, n, var, value, iv.render()))
+            for var, iv in abstract.items():
+                # A bottom has lo > hi.
+                if var in env and not iv.lo <= env[var] <= iv.hi:
+                    pending.append((fname, n, var, env[var], iv.render()))
 
         def check(n, env):
             try:
@@ -1035,7 +1074,7 @@ def check_soundness(prog: Program, analyses, step_limit: int = 10_000,
     """Every concrete value at every point must lie in its analysis interval.
 
     Returns the violations in execution order, then point order, then the
-    order of the point's environment.  Without `executions`, the program
+    order of the names of the point's analysis state.  Without `executions`, the program
     is enumerated once with a monitor that checks each point as it runs,
     and no trace is recorded.  `executions` may instead hold runs
     enumerated with `record_trace`; their recorded points are replayed

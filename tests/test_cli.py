@@ -497,6 +497,15 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == "parse error: 1:65: use of 'y' outside the block that declares it\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "optimize", "instrument", "check"])
+    def test_write_outside_the_declaring_block_is_usage_error(self, capsys, tmp_path,
+                                                              command):
+        source = tmp_path / "p.mini"
+        source.write_text("fn main() { int x = nondet(0, 1); if (x > 0) { int y = 1; } y = 2; }\n")
+        code, out, err = run(capsys, command, str(source))
+        assert (code, out) == (2, "")
+        assert err == "parse error: 1:61: use of 'y' outside the block that declares it\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent.mini")
         assert code == 2 and err

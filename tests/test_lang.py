@@ -201,6 +201,22 @@ class TestParserErrors:
             parse_program(source)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("source,message", [
+        ("fn main() { int x = nondet(0, 1); if (x > 0) { int y = 1; } y = 2; }",
+         "1:61: use of 'y' outside the block that declares it"),
+        ("fn main() {\n  int k = 0;\n  while (k < 2) { int t = k; k = k + 1; }\n  t = k;\n}",
+         "4:3: use of 't' outside the block that declares it"),
+        # A call's result store, checked before the call is parsed.
+        ("fn f(a) { return a; } fn main() { int x = 0;"
+         " if (x > 0) { int y = 1; } else { skip; } y = f(x); }",
+         "1:87: use of 'y' outside the block that declares it"),
+        ("fn main() { int x = 0; z = 1; }", "1:24: assignment to undeclared variable 'z'"),
+    ])
+    def test_writes_are_scoped_to_the_declaring_block(self, source, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(source)
+        assert str(err.value) == message
+
     def test_reads_within_the_declaring_block_are_accepted(self):
         prog = parse_program("""
             fn main() {

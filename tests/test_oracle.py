@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import intana.oracle
 from intana.absint import AnalysisConfig, analyze_program
 from intana.fuzz import random_program
 from intana.interval import Interval
-from intana.lang import Nondet, build_cfg, parse_program
+from intana.lang import Binary, IntLit, Nondet, Var, build_cfg, parse_program
 from intana.oracle import (
     ASSERT_FAILED,
     ASSUME_INFEASIBLE,
@@ -229,12 +230,10 @@ def _reference_violations(analyses, executions):
                 violations.append(SoundnessViolation(
                     fname, node, "<missing>", 0, "no state", state.choices))
                 continue
-            abstract = before.as_dict()
-            for var, value in env.items():
-                iv = abstract[var]
-                if not iv.lo <= value <= iv.hi:
+            for var, iv in before.as_dict().items():
+                if var in env and not iv.lo <= env[var] <= iv.hi:
                     violations.append(SoundnessViolation(
-                        fname, node, var, value, iv.render(), state.choices))
+                        fname, node, var, env[var], iv.render(), state.choices))
     return violations
 
 
@@ -274,7 +273,7 @@ class TestSoundnessPaths:
             total += len(_both_paths(prog, analyses))
         assert total > 1000
 
-    def test_bottom_state_reports_every_variable_in_env_order(self):
+    def test_bottom_state_reports_every_variable_in_name_order(self):
         prog = parse_program(
             "fn main() { int y = nondet(3, 4); int x = 1; int z; z = x + y; }")
         analyses = analyze_program(prog, AnalysisConfig())
@@ -284,7 +283,7 @@ class TestSoundnessPaths:
         assert [(v.node, v.var, v.value, v.interval, v.choices)
                 for v in _both_paths(prog, analyses)] == [
             (victim, name, value, "bottom", (y,))
-            for y in (3, 4) for name, value in (("y", y), ("x", 1), ("z", 0))]
+            for y in (3, 4) for name, value in (("x", 1), ("y", y), ("z", 0))]
 
     @pytest.mark.parametrize("which", ["statement", "highest id"])
     def test_missing_state_is_reported(self, which):
@@ -521,7 +520,6 @@ class TestEquivalenceFastPath:
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 NEVER = float("inf")  # a tier-up budget no enumeration reaches
-SHIPPED_TIER_UP = intana.oracle.TIER_UP_STEPS_PER_NODE
 # The shape of the benchmark's oracle-enum programs: three wide ranges and
 # a short loop, 392 executions.
 ORACLE_ENUM_SHAPED = """
@@ -540,7 +538,7 @@ fn main() {
 
 def _tiered(monkeypatch, tier_up, enumerate):
     """`enumerate()`, with tier 1 compiled once tier 0 has run `tier_up`
-    steps per CFG node (-1: before the first execution).
+    steps per CFG node (-1: before the first execution; None: as shipped).
 
     Returns its result, then how many executions ran on tier 0 before tier
     1 was compiled and the tiers compiled.
@@ -558,7 +556,9 @@ def _tiered(monkeypatch, tier_up, enumerate):
         return run(self, prefix)
 
     with monkeypatch.context() as patch:
-        patch.setattr(intana.oracle, "TIER_UP_STEPS_PER_NODE", tier_up)
+        if tier_up is not None:
+            patch.setattr(intana.oracle, "TIER_UP_STEPS_PER_NODE", tier_up)
+            patch.setattr(intana.oracle, "TIER_UP_STEPS_PER_NODE_UNMONITORED", tier_up)
         patch.setattr(intana.oracle, "_tier_up", spy)
         patch.setattr(intana.oracle._Interpreter, "run", counted)
         result = enumerate()
@@ -733,29 +733,120 @@ HALTS_IN_A_SEGMENT = """
         x = x + c; x = 6 / d; assume(c != 1); x = x + 1; assert(x != 7); x = x * 2;
     }
 """
+# Loops whose iterations tier 1 tests at the head, once each, against the
+# longest path back to it: one whose branches differ in length, so the
+# test can stop a run whose path would have fit; a loop in a loop; a loop
+# in a callee, which tests each segment instead; and draws in a loop body.
+UNEVEN_BRANCHES = """
+    fn main() {
+        int k = nondet(0, 5); int i = 0; int s = 0;
+        while (i < 4) {
+            if (i < k) { s = s + i; s = s * 2; skip; } else { s = s - 1; }
+            i = i + 1;
+        }
+        assert(s != 7);
+    }
+"""
+NESTED_LOOPS = """
+    fn main() {
+        int n = nondet(0, 3); int i = 0; int t = 0;
+        while (i < n) { int j = 0; while (j < i) { t = t + j; j = j + 1; } i = i + 1; }
+    }
+"""
+LOOP_IN_CALLEE = """
+    fn sum(n) { int i = 0; int t = 0;
+        while (i < n) { if (i > 1) { t = t + i; } i = i + 1; } return t; }
+    fn main() { int k = nondet(0, 4); int r; r = sum(k); int q; q = sum(2); }
+"""
+DRAWS_IN_A_LOOP = """
+    fn main() {
+        int i = 0; int s = 0;
+        while (i < 3) {
+            int x = nondet(0, 2);
+            if (x > 0) { s = s + x; } else { skip; s = s - 1; }
+            i = i + 1;
+        }
+        assert(s != 4);
+    }
+"""
+
+
+def _handbacks(monkeypatch, enumerate):
+    """`enumerate()`, then each time tier 1 handed an execution to tier 0:
+    the kind (`_Deopt` or `_Redo`), the chooser's values when the execution
+    started, its values and highs then, and for a deopt the verdict tier 0
+    finished with."""
+    oracle, found = intana.oracle, []
+    compile_tier, resume = oracle._tier_up, oracle._Interpreter.resume
+
+    def spy(tier0):
+        compiled = compile_tier(tier0)
+        entry, chooser = compiled.entry, tier0.chooser
+
+        def watched(s):
+            found.append(list(chooser.values))
+            try:
+                return entry(s)
+            except oracle._Redo:
+                found[-1] = ("_Redo", found[-1], list(chooser.values), list(chooser.highs), None)
+                raise
+        compiled.entry = watched
+        return compiled
+
+    def resumed(self, fname, deopt, env):
+        lists = list(self.chooser.values), list(self.chooser.highs)
+        try:
+            resume(self, fname, deopt, env)
+        except oracle._Halt as halt:
+            found[-1] = ("_Deopt", found[-1]) + lists + (halt.verdict,)
+            raise
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
+        patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE_UNMONITORED", -1)
+        patch.setattr(oracle, "_tier_up", spy)
+        patch.setattr(oracle._Interpreter, "resume", resumed)
+        enumerate()
+    return [found_ for found_ in found if isinstance(found_, tuple)]
+
 
 # Names get their first value in an order that varies with the run: `a` is
-# declared in a loop, under a condition, before `b`; `c` is assigned after
-# the block that declares it, also where that block did not run.
+# declared in a loop, under a condition, before `b`, and `u` so in a callee.
 ORDER_VARIES = """
     fn f(p) { int k = 0; while (k < p) { if (k > 0) { int u = k; } int v = p; k = k + 1; }
         return k; }
     fn main() {
         int n = nondet(0, 3); int i = 0;
         while (i < 2) { if (i + n > 2) { int a = i; } int b = n; i = i + 1; }
-        if (n > 1) { int c = 1; } int d = 2; c = 3;
+        if (n > 1) { int c = 1; c = c + n; } int d = 2;
         int r; r = f(n); assert(n != 3);
     }
 """
 
+# Prints, for the program in argv[1], the violations `check_soundness`
+# finds under an analysis shifted up by one, on tier 0 alone and with tier
+# 1 compiled before the first execution, at each step limit in argv[2:].
+_VIOLATIONS_ON_BOTH_TIERS = """
+import dataclasses, json, sys
+import intana.oracle
+from intana.absint import AnalysisConfig, analyze_program
+from intana.lang import parse_program
 
-def _key_orders(enumerate):
-    """`enumerate()`'s environments and traced environments as key lists."""
-    def orders():
-        states = enumerate()
-        return [(list(env), [list(point) for _, _, point in trace])
-                for _, env, _, _, trace in states]
-    return orders
+prog = parse_program(sys.argv[1])
+analyses = analyze_program(prog, AnalysisConfig())
+for fa in analyses.values():
+    for n, state in fa.result.before.items():
+        for name in () if state.is_bottom else state.names:
+            if not state.get(name).is_top:
+                state = state.set(name, state.get(name).shift(1))
+        fa.result.before[n] = state
+found = []
+for tier_up in (float("inf"), -1):
+    intana.oracle.TIER_UP_STEPS_PER_NODE = tier_up
+    found.append([[dataclasses.astuple(v) for v in intana.oracle.check_soundness(
+        prog, analyses, int(limit))] for limit in sys.argv[2:]])
+print(json.dumps(found))
+"""
 
 
 def _outlined(kind: str, depth: int = 20) -> str:
@@ -839,7 +930,7 @@ class TestTiers:
         prog = parse_program(source)
         runs, tier0_runs = _assert_tiers_agree(
             monkeypatch, _executions(prog, step_limit=step_limit, record_trace=record_trace),
-            tier_up=SHIPPED_TIER_UP)
+            tier_up=None)
         assert tier0_runs == 1
         assert {v for _, _, v, _, _ in runs} == {verdict} and len(runs) > 50
 
@@ -907,6 +998,78 @@ class TestTiers:
         first = min(n for fname, n in nodes if fname == "main")
         assert halts == nodes - {("main", first)}  # a limit of 1 lets the first step run
 
+    @pytest.mark.parametrize("source", [UNEVEN_BRANCHES, NESTED_LOOPS, LOOP_IN_CALLEE,
+                                        DRAWS_IN_A_LOOP],
+                             ids=["uneven-branches", "nested", "callee", "draws"])
+    def test_loops_at_every_step_limit(self, monkeypatch, source):
+        prog = parse_program(source)
+        for step_limit in range(1, _most_steps(prog) + 2):
+            _agree_under_every_monitor(monkeypatch, prog, step_limit)
+
+    def test_head_test_stops_runs_that_would_fit(self, monkeypatch):
+        # Some limits lie between a run's steps and what the head test
+        # assumed its iteration might take: tier 0 finishes such a run.
+        prog = parse_program(UNEVEN_BRANCHES)
+        assert "if s + 6 > _L: raise _Deopt(" in _tier1_source(prog)
+        finished = set()
+        for step_limit in range(1, _most_steps(prog) + 2):
+            handbacks = _handbacks(monkeypatch, _executions(
+                prog, step_limit=step_limit, record_trace=False))
+            if any(verdict != STEP_LIMIT for *_, verdict in handbacks):
+                finished.add(step_limit)
+        assert len(finished) >= 3
+
+    @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
+    def test_handbacks_after_draws_leave_tier0_lists(self, monkeypatch, step_limit):
+        # At a deopt or a redo, the chooser holds what tier 0 would after
+        # the same draws: the values that run draws, as far as it has drawn
+        # or the prefix it started from goes, and the high end of each range.
+        prog = parse_program(DRAWS_IN_A_LOOP)
+        analyses = analyze_program(prog, AnalysisConfig())
+        # A wrong state after the draw in the loop body: a draw of 2 redoes.
+        fa = analyses["main"]
+        point = fa.cfg.stmt_node[prog.main.body[2].body[1].sid]
+        fa.result.before[point] = fa.result.before[point].set("x", Interval(0, 1))
+        handbacks = _handbacks(monkeypatch, _executions(prog, step_limit=step_limit,
+                                                        record_trace=False))
+        handbacks += _handbacks(monkeypatch, _soundness(prog, analyses, step_limit))
+        # Of each kind, some come after the run has drawn.
+        kinds = {kind for kind, _, _, highs, _ in handbacks if highs}
+        assert kinds == ({"_Redo"} if step_limit == 10_000 else {"_Redo", "_Deopt"})
+        for _, start, values, highs, _ in handbacks:
+            tier0 = intana.oracle._Interpreter(prog, step_limit)
+            tier0.run(list(start))
+            assert highs == tier0.chooser.highs[:len(highs)]
+            assert values == tier0.chooser.values[:max(len(start), len(highs))]
+
+    def test_connectives_skip_only_operands_that_cannot_halt(self, monkeypatch):
+        # Tier 0 evaluates both operands: `6 / d` halts when d is 0, even
+        # where `x > 5` is false.
+        prog = parse_program("""
+            fn main() { int d = nondet(-1, 1); int x = 0;
+                while (x < 3) { if ((x > 5) && (6 / d > 0) || (x < d)) { x = x + 1; } x = x + 1; }
+            }
+        """)
+        source = _tier1_source(prog)
+        assert " & (_divide(" in source and " or (v_x < v_d)" in source
+        runs = _agree_under_every_monitor(monkeypatch, prog)
+        assert [verdict for _, _, verdict, _, _ in runs] == [OK, DIV_BY_ZERO, OK]
+
+    def test_draws_inside_expressions(self, monkeypatch):
+        # Only the AST puts a draw inside an expression: here in call
+        # arguments, and after a division that halts before it when k is 0.
+        prog = parse_program("""
+            fn diff(a, b) { int d; d = a - b; return d; }
+            fn main() { int k = nondet(0, 2); int r; r = diff(0, 0); int x = 0; x = k; }
+        """)
+        prog.main.body[2].args = (Nondet(0, 1), Binary("-", Nondet(5, 6), Var("k")))
+        prog.main.body[4].rhs = Binary("+", Binary("/", IntLit(6), Var("k")), Nondet(-1, 0))
+        runs = _agree_under_every_monitor(monkeypatch, prog)
+        assert [(choices, verdict) for choices, _, verdict, _, _ in runs][:5] == [
+            ((0, 0, 5), DIV_BY_ZERO), ((0, 0, 6), DIV_BY_ZERO), ((0, 1, 5), DIV_BY_ZERO),
+            ((0, 1, 6), DIV_BY_ZERO), ((1, 0, 5, -1), OK)]
+        assert runs[4][1] == {"k": 1, "r": -4, "x": 5}
+
     def test_halts_in_a_segment(self, monkeypatch):
         runs = _agree_under_every_monitor(monkeypatch, parse_program(HALTS_IN_A_SEGMENT))
         assert [(choices, verdict) for choices, _, verdict, _, _ in runs] == [
@@ -919,30 +1082,42 @@ class TestTiers:
     @pytest.mark.parametrize("kind", ["if", "while"])
     def test_outlined_block_reads_and_writes_outer_variables(self, monkeypatch, kind):
         prog = parse_program(_outlined(kind))
-        assert "def _o0(s, o, v_n, v_acc, v_m," in _tier1_source(prog)
+        assert "def _o0(s, v_n, v_acc, v_m," in _tier1_source(prog)
         runs = _agree_under_every_monitor(monkeypatch, prog)
         assert [(env["acc"], verdict) for _, env, verdict, _, _ in runs] == [
             (1, OK), (4, OK), (9, ASSERT_FAILED), (22, OK), (37, OK)]
         for step_limit in range(1, _most_steps(prog) + 2, 3):
             _agree_under_every_monitor(monkeypatch, prog, step_limit)
 
-    def test_environments_keep_tier0_key_order(self, monkeypatch):
+    def test_violations_keep_one_order_on_both_tiers_and_every_hash_seed(self, monkeypatch):
+        # Environments' key order is unspecified, and varies with the run
+        # here; a point's violations follow its analysis state's names.
         prog = parse_program(ORDER_VARIES)
         analyses = analyze_program(prog, AnalysisConfig())
         _shift_up(analyses)
-        for step_limit in range(1, _most_steps(prog) + 2, 2):
-            for record_trace in (True, False):
-                _assert_tiers_agree(monkeypatch, _key_orders(
-                    _executions(prog, step_limit=step_limit, record_trace=record_trace)))
+        limits = range(1, _most_steps(prog) + 2, 2)
+        for step_limit in limits:
+            _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit))
             # Points recorded on tier 1 replay to the violations, in order,
             # that the soundness monitor finds as it runs.
             traced, _, _ = _tiered(monkeypatch, -1, lambda: enumerate_executions(
                 prog, step_limit=step_limit))
             assert check_soundness(prog, analyses, step_limit, executions=traced) == \
                 check_soundness(prog, analyses, step_limit)
-        orders = {tuple(env) for env, _ in _key_orders(_executions(prog))()}
-        assert orders == {("n", "i", "b", "d", "c", "r"), ("n", "i", "b", "a", "c", "d", "r"),
-                          ("n", "i", "a", "b", "c", "d", "r")}
+        src = str(pathlib.Path(intana.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = {subprocess.run(
+            [sys.executable, "-c", _VIOLATIONS_ON_BOTH_TIERS, ORDER_VARIES]
+            + [str(limit) for limit in limits],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            check=True, capture_output=True, text=True).stdout for seed in ("0", "1", "2", "3")}
+        assert len(outputs) == 1
+        tier0, tier1 = json.loads(outputs.pop())
+        assert tier0 == tier1
+        reference = _reference_violations(analyses, enumerate_executions(
+            prog, step_limit=limits[-1]))
+        assert len(reference) > 50
+        assert tier0[-1] == json.loads(json.dumps([dataclasses.astuple(v) for v in reference]))
 
     def test_runs_cut_short_finish_where_tier1_stopped_them(self, monkeypatch, tmp_path,
                                                            capsys):
@@ -981,7 +1156,7 @@ import contextlib, io, json, sys
 import intana.oracle
 from intana.cli import main
 
-def check(tier_up):
+def check(tier_up, unmonitored):
     out, err, tiers = io.StringIO(), io.StringIO(), []
     compile_tier = intana.oracle._tier_up
     def spy(tier0):
@@ -990,13 +1165,14 @@ def check(tier_up):
         return tier
     intana.oracle._tier_up = spy
     intana.oracle.TIER_UP_STEPS_PER_NODE = tier_up
+    intana.oracle.TIER_UP_STEPS_PER_NODE_UNMONITORED = unmonitored
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", sys.argv[1]])
     intana.oracle._tier_up = compile_tier
     return [code, out.getvalue(), err.getvalue(), tiers]
 
-shipped = intana.oracle.TIER_UP_STEPS_PER_NODE
-print(json.dumps([check(float("inf")), check(shipped)]))
+shipped = intana.oracle.TIER_UP_STEPS_PER_NODE, intana.oracle.TIER_UP_STEPS_PER_NODE_UNMONITORED
+print(json.dumps([check(float("inf"), float("inf")), check(*shipped)]))
 """
 
 
