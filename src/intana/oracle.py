@@ -14,8 +14,7 @@ Python's own `if` and `while`, emitted from the AST and `exec`'d once.
 Compiling it costs as much as tier 1 saves over some 70 steps per CFG
 node, or 120 without a monitor, more than most enumerations run, so an
 enumeration compiles it only once its steps reach a budget per CFG node,
-`TIER_UP_STEPS_PER_NODE` or `TIER_UP_STEPS_PER_NODE_UNMONITORED`, or are
-predicted to.  The first execution draws
+`TIER_UP_STEPS_PER_NODE`, or are predicted to.  The first execution draws
 each range's minimum, so it draws every range the enumeration starts
 from: if its steps times the sizes of those ranges reach the budget, tier
 1 is compiled before the second execution.  Otherwise tier 0 runs until
@@ -347,10 +346,13 @@ class _Interpreter:
         before steps that may pass the step limit: run the frame on `env`,
         its environment there, from their first node.  This always raises a
         halt, with verdict ok if the frame runs to its end, which only the
-        entry frame can; a halt in the entry frame carries `env`."""
+        entry frame may: only its loops test a whole iteration ahead.  A
+        halt in the entry frame carries `env`."""
         n, self.steps = deopt.args
         try:
             self.run_function(fname, env, n)
+            if fname != self.entry:
+                raise RuntimeError("tier 1 deoptimized %s before a segment that fits" % fname)
             raise _Halt(OK)
         except _Halt as halt:
             if fname == self.entry:
@@ -358,13 +360,14 @@ class _Interpreter:
             raise
 
 
-# Steps per CFG node that an enumeration with a monitor, or without one,
-# runs, or is predicted to, before it compiles tier 1.  Measured on the
-# oracle-enum programs (Python 3.11, 2 vCPUs) as the machine's load varied,
-# the break-evens were 60-75 and 115-135; near one either side costs about
-# the same, and 100 keeps every corpus and fuzz program's `check` on tier 0.
+# Steps per CFG node that an enumeration runs, or is predicted to, before
+# it compiles tier 1.  Measured on the oracle-enum programs (Python 3.11,
+# 2 vCPUs) as the machine's load varied, the break-evens were 60-75 steps
+# per node with the soundness monitor and 115-135 without one.  Near a
+# break-even either side costs about the same (a budget of 120 for the
+# enumerations without a monitor gained 0-0.7%), so one budget serves both,
+# and 100 keeps every corpus and fuzz program's `check` on tier 0.
 TIER_UP_STEPS_PER_NODE = 100
-TIER_UP_STEPS_PER_NODE_UNMONITORED = 120
 
 # The deepest indentation of a statement in one generated def, whose body
 # sits at 1, or at 2 inside a `try`; a block nested deeper is outlined into
@@ -508,9 +511,9 @@ class _Emitter:
     value)`: `s` counts the steps run so far, and `value` is None when the
     body falls off its end.  Every mini variable is a local `v_<name>`; one
     not yet declared holds `_U`.  Every value the code uses, from literals
-    to analysis bounds, is a namespace constant.  The entry def returns
-    `(verdict, node, env)` alone, at its end and at a failed assume or
-    assert of its own, and any other halt leaving it is given the
+    to analysis bounds, is a namespace constant.  The entry function's
+    value is `(verdict, node, env)`: it returns at its end and at a failed
+    assume or assert of its own, and any other halt leaving it is given the
     environment by its handler.
 
     Steps are counted per segment: a run of simple statements and the node
@@ -663,9 +666,7 @@ class _Emitter:
         return facts
 
     def returned(self, value: str) -> str:
-        """The return statement of the def being emitted; the entry def returns no steps."""
-        if self.entry and self.returns is None:
-            return "return " + value
+        """The return statement of the def being emitted."""
         return "return s, %s%s" % (value, _and_vars(self.returns or ()))
 
     def env(self, facts) -> str:
@@ -876,8 +877,8 @@ class _Emitter:
 class _Compiled:
     """Tier 1: the program as the Python source `_Emitter` writes.  `entry`
     is the entry function's def, called as `entry(0)`, which returns the
-    verdict, its node and the entry frame's environment; it draws from
-    tier 0's chooser."""
+    steps and the verdict, its node and the entry frame's environment; it
+    draws from tier 0's chooser."""
 
     def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
         self.namespace = emitter.namespace
@@ -932,8 +933,7 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
         monitor = _TraceRecorder()
     interp = _Interpreter(prog, step_limit, monitor)
     # The steps tier 0 may still run before tier 1 is compiled.
-    budget = sum(len(cfg.nodes) for cfg in interp.cfgs.values()) * (
-        TIER_UP_STEPS_PER_NODE if monitor is not None else TIER_UP_STEPS_PER_NODE_UNMONITORED)
+    budget = sum(len(cfg.nodes) for cfg in interp.cfgs.values()) * TIER_UP_STEPS_PER_NODE
     results, prefix, highs = [], interp.chooser.values, interp.chooser.highs
     compiled = entry = None
     try:
@@ -956,7 +956,7 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
             else:
                 highs.clear()
                 try:
-                    verdict, node, env = entry(0)
+                    verdict, node, env = entry(0)[1]
                 except _Halt as halt:
                     verdict, node, env = halt.verdict, halt.node, halt.env
                 except _Redo:

@@ -558,7 +558,6 @@ def _tiered(monkeypatch, tier_up, enumerate):
     with monkeypatch.context() as patch:
         if tier_up is not None:
             patch.setattr(intana.oracle, "TIER_UP_STEPS_PER_NODE", tier_up)
-            patch.setattr(intana.oracle, "TIER_UP_STEPS_PER_NODE_UNMONITORED", tier_up)
         patch.setattr(intana.oracle, "_tier_up", spy)
         patch.setattr(intana.oracle._Interpreter, "run", counted)
         result = enumerate()
@@ -803,7 +802,6 @@ def _handbacks(monkeypatch, enumerate):
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
-        patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE_UNMONITORED", -1)
         patch.setattr(oracle, "_tier_up", spy)
         patch.setattr(oracle._Interpreter, "resume", resumed)
         enumerate()
@@ -1019,6 +1017,19 @@ class TestTiers:
                 finished.add(step_limit)
         assert len(finished) >= 3
 
+    def test_resume_finishes_only_the_entry_frame(self):
+        # Only the entry function's loops test an iteration ahead; a callee
+        # frame that tier 0 runs to its end was handed back too early.
+        prog = parse_program("fn f(a) { int b = a + 1; return b; } "
+                             "fn main() { int x; x = f(1); }")
+        tier0 = intana.oracle._Interpreter(prog, 100)
+        with pytest.raises(RuntimeError, match="deoptimized f"):
+            tier0.resume("f", intana.oracle._Deopt(tier0.code["f"][1], 0), {"a": 1})
+        env = {}
+        with pytest.raises(intana.oracle._Halt) as halt:
+            tier0.resume("main", intana.oracle._Deopt(tier0.code["main"][1], 0), env)
+        assert (halt.value.verdict, halt.value.env) == (OK, {"x": 2})
+
     @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
     def test_handbacks_after_draws_leave_tier0_lists(self, monkeypatch, step_limit):
         # At a deopt or a redo, the chooser holds what tier 0 would after
@@ -1156,7 +1167,7 @@ import contextlib, io, json, sys
 import intana.oracle
 from intana.cli import main
 
-def check(tier_up, unmonitored):
+def check(tier_up):
     out, err, tiers = io.StringIO(), io.StringIO(), []
     compile_tier = intana.oracle._tier_up
     def spy(tier0):
@@ -1165,14 +1176,13 @@ def check(tier_up, unmonitored):
         return tier
     intana.oracle._tier_up = spy
     intana.oracle.TIER_UP_STEPS_PER_NODE = tier_up
-    intana.oracle.TIER_UP_STEPS_PER_NODE_UNMONITORED = unmonitored
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["check", sys.argv[1]])
     intana.oracle._tier_up = compile_tier
     return [code, out.getvalue(), err.getvalue(), tiers]
 
-shipped = intana.oracle.TIER_UP_STEPS_PER_NODE, intana.oracle.TIER_UP_STEPS_PER_NODE_UNMONITORED
-print(json.dumps([check(float("inf"), float("inf")), check(*shipped)]))
+shipped = intana.oracle.TIER_UP_STEPS_PER_NODE
+print(json.dumps([check(float("inf")), check(shipped)]))
 """
 
 
