@@ -4,9 +4,17 @@
 `intana.fuzz.random_program` makes for seeds 0-29, to the sha256 of
 stdout, stderr and exit code of each run below: `analyze`, `optimize` and
 `instrument` in text and JSON, and `check`, under the default flags,
-`--no-contractors`, `--no-interval-arith` and both of those.  A change
-that must not alter any output keeps this test green.  After an intended
-output change, regenerate the file with
+`--no-contractors`, `--no-interval-arith` and both of those.
+
+`golden/wide_outputs.json` does the same for the WIDE programs below,
+which have the shape of the benchmark's scale family (8 to 25 variables,
+counted loops of `&&` guards) so that the fixpoint works on wide states:
+`analyze` and `optimize` in JSON and `instrument` in text, under the
+WIDE_CONFIGS flags, which vary the widening delay and the narrowing
+passes as well.
+
+A change that must not alter any output keeps these tests green.  After
+an intended output change, regenerate both files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +34,7 @@ from intana.fuzz import random_program
 HERE = pathlib.Path(__file__).parent
 CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "corpus_outputs.json"
+WIDE_GOLDEN = HERE / "golden" / "wide_outputs.json"
 FUZZ_SEEDS = range(30)
 
 CONFIGS = ([], ["--no-contractors"], ["--no-interval-arith"],
@@ -34,6 +43,56 @@ RUNS = [[cmd, "--format", fmt] + flags
         for flags in CONFIGS
         for cmd in ("analyze", "optimize", "instrument")
         for fmt in ("text", "json")] + [["check"] + flags for flags in CONFIGS]
+
+WIDE_CONFIGS = ([], ["--no-contractors"], ["--no-interval-arith"],
+                ["--narrowing-passes", "0"], ["--narrowing-passes", "1"],
+                ["--narrowing-passes", "5"], ["--widening-delay", "0"])
+WIDE_RUNS = [run + flags
+             for flags in WIDE_CONFIGS
+             for run in (["analyze", "--format", "json"], ["optimize", "--format", "json"],
+                         ["instrument", "--format", "text"])]
+
+
+def _guard(names, k, shape) -> "list[str]":
+    """The k-th guarded update over names: `a < 3 && b > 1` by default,
+    `a < 3 || b > 1` for shape "or" and `a > 1 && a < 5` for "range"."""
+    a, b = names[k % len(names)], names[(2 * k + 1) % len(names)]
+    if b == a:
+        b = names[(2 * k + 2) % len(names)]
+    cond = {"and": "%s < 3 && %s > 1" % (a, b), "or": "%s < 3 || %s > 1" % (a, b),
+            "range": "%s > 1 && %s < 5" % (a, a)}[shape]
+    return ["if (%s) {" % cond, "    %s = %s + 1;" % (a, b), "} else {",
+            "    %s = %s - 1;" % (b, a), "}"]
+
+
+def wide_program(nv: int, loops: int, guards: int, nested: bool, mixed: bool) -> str:
+    """nv variables, two drawn from nondet(0, 2), then `loops` sequential
+    counted loops of `guards` guarded updates each.  A nested loop runs an
+    inner counted loop of the same guards before its own; with `mixed`,
+    the first loop's first guard is an `||` and its second a range."""
+    names = ["v%d" % k for k in range(nv)]
+    lines = ["int %s = %s;" % (name, "nondet(0, 2)" if k < 2 else k % 7 - 3)
+             for k, name in enumerate(names)] + ["int i;", "int j;"]
+    for loop in range(loops):
+        body = []
+        for k in range(guards):
+            shape = ("or", "range")[k] if mixed and loop == 0 and k < 2 else "and"
+            body += _guard(names, loop + k, shape)
+        if nested:
+            body = (["j = 0;", "while (j < 2) {"] + ["    " + line for line in body]
+                    + ["    j = j + 1;", "}"] + body)
+        lines += ["i = 0;", "while (i < 3) {"] + ["    " + line for line in body]
+        lines += ["    i = i + 1;", "}"]
+    return "fn main() {\n%s}\n" % "".join("    %s\n" % line for line in lines)
+
+
+WIDE = {
+    "wide-08-seq": wide_program(8, 2, 2, nested=False, mixed=False),
+    "wide-16-nested": wide_program(16, 2, 3, nested=True, mixed=True),
+    "wide-16-seq": wide_program(16, 3, 4, nested=False, mixed=True),
+    "wide-25-seq": wide_program(25, 4, 5, nested=False, mixed=True),
+    "wide-25-nested": wide_program(25, 2, 4, nested=True, mixed=False),
+}
 
 
 def digest(argv) -> str:
@@ -44,8 +103,8 @@ def digest(argv) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def corpus_digests(path: pathlib.Path) -> "dict[str, str]":
-    return {" ".join(run): digest([run[0], str(path)] + run[1:]) for run in RUNS}
+def corpus_digests(path: pathlib.Path, runs=RUNS) -> "dict[str, str]":
+    return {" ".join(run): digest([run[0], str(path)] + run[1:]) for run in runs}
 
 
 def fuzz_key(seed: int) -> str:
@@ -56,6 +115,12 @@ def fuzz_digests(seed: int, directory: pathlib.Path) -> "dict[str, str]":
     path = directory / ("%s.mini" % fuzz_key(seed))
     path.write_text(random_program(seed))
     return corpus_digests(path)
+
+
+def wide_digests(key: str, directory: pathlib.Path) -> "dict[str, str]":
+    path = directory / ("%s.mini" % key)
+    path.write_text(WIDE[key])
+    return corpus_digests(path, WIDE_RUNS)
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.mini")), ids=lambda p: p.name)
@@ -70,11 +135,19 @@ def test_fuzz_outputs_match_golden(seed, tmp_path):
     assert fuzz_digests(seed, tmp_path) == golden[fuzz_key(seed)]
 
 
+@pytest.mark.parametrize("key", sorted(WIDE))
+def test_wide_outputs_match_golden(key, tmp_path):
+    golden = json.loads(WIDE_GOLDEN.read_text())
+    assert wide_digests(key, tmp_path) == golden[key]
+
+
 if __name__ == "__main__":
     table = {path.name: corpus_digests(path) for path in sorted(CORPUS.glob("*.mini"))}
     with tempfile.TemporaryDirectory() as directory:
         for seed in FUZZ_SEEDS:
             table[fuzz_key(seed)] = fuzz_digests(seed, pathlib.Path(directory))
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    print("wrote %d runs for %d programs to %s"
-          % (sum(map(len, table.values())), len(table), GOLDEN))
+        wide = {key: wide_digests(key, pathlib.Path(directory)) for key in sorted(WIDE)}
+    for path, digests in ((GOLDEN, table), (WIDE_GOLDEN, wide)):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print("wrote %d runs for %d programs to %s"
+              % (sum(map(len, digests.values())), len(digests), path))
