@@ -118,11 +118,12 @@ class AnalysisResult:
 
 
 def _transfer_node(node, state: AbstractState, config: AnalysisConfig) -> AbstractState:
-    if state.is_bottom:
+    # Entry, exit and condition nodes pass their state on unchanged.
+    if state.is_bottom or node.kind != "stmt":
         return state
     stmt = node.stmt
-    if node.kind in ("entry", "exit") or node.kind == "cond":
-        return state
+    if isinstance(stmt, Assign):
+        return transfer_assign(state, stmt.target, stmt.rhs, config)
     if isinstance(stmt, (Skip, Return, Assert)):
         # assert never refines: a violation must stay visible downstream
         return state
@@ -130,8 +131,6 @@ def _transfer_node(node, state: AbstractState, config: AnalysisConfig) -> Abstra
         if stmt.init is None:
             return state
         return transfer_assign(state, stmt.name, stmt.init, config)
-    if isinstance(stmt, Assign):
-        return transfer_assign(state, stmt.target, stmt.rhs, config)
     if isinstance(stmt, Assume):
         return transfer_assume(state, stmt.cond, True, config)
     if isinstance(stmt, Call):
@@ -190,23 +189,30 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
         edges[p, label] = state, out
         return out
 
-    def transfer(n):
+    def transfer(n) -> bool:
+        """Recompute after[n]; whether it changed."""
         state = _transfer_node(cfg.nodes[n], before[n], config)
-        if state != after[n]:
-            after[n] = state
+        if state == after[n]:
+            return False
+        after[n] = state
+        return True
 
+    # Ascending phase.  States only grow in it, and each edge state out of
+    # n is joined into its target once computed, so a visit that leaves
+    # after[n] as it was (and with it n's edge states) changes nothing.
     pending = [(rpo_index[cfg.entry], cfg.entry)]
     queued = {cfg.entry}
     while pending:
         _, n = heapq.heappop(pending)
         queued.discard(n)
-        transfer(n)
+        if not transfer(n):
+            continue
         for m, label in cfg.successors(n):
-            out = edge_state(n, label)
             old = before[m]
-            if out.leq(old):
+            # The join is old itself exactly when the edge state lies in old.
+            merged = old.join(edge_state(n, label))
+            if merged is old:
                 continue
-            merged = old.join(out)
             if m in cfg.loop_heads:
                 head_updates[m] = head_updates.get(m, 0) + 1
                 if head_updates[m] > config.widening_delay:
@@ -220,12 +226,18 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
 
     # Descending phase: recover precision lost to widening.  The worklist
     # left every after[n] equal to the transfer of before[n], and each
-    # narrowing visit keeps it so.
+    # narrowing visit keeps it so.  A visit sets before[n] to a function of
+    # its predecessors' after states (narrow is idempotent on an unchanged
+    # input), so after the first pass a node is visited again only if one
+    # of those changed since its last visit.
+    stale = set(rpo)
+    stale.discard(cfg.entry)
     for _ in range(config.narrowing_passes):
         changed = False
         for n in rpo:
-            if n == cfg.entry:
+            if n not in stale:
                 continue
+            stale.discard(n)
             incoming = bottom
             for p, label in cfg.predecessors(n):
                 incoming = incoming.join(edge_state(p, label))
@@ -233,7 +245,8 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
             if new != before[n]:
                 before[n] = new
                 changed = True
-                transfer(n)
+                if transfer(n):
+                    stale.update(m for m, _ in cfg.successors(n))
         if not changed:
             break
 

@@ -80,17 +80,18 @@ def eval_expr(e: Expr, box: AbstractState, arith: bool = True) -> Interval:
     """Bottom-up interval evaluation of an arithmetic expression."""
     if box.is_bottom:
         return BOTTOM
-    if isinstance(e, IntLit):
-        return Interval.singleton(e.value)
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind is Var:
         return box[e.name]
-    if isinstance(e, Nondet):
-        return Interval(e.lo, e.hi) if e.bounded else TOP
-    if isinstance(e, Unary) and e.op == "neg":
-        return eval_expr(e.operand, box, arith).negate()
-    if isinstance(e, Binary):
+    if kind is IntLit:
+        return Interval(e.value, e.value)
+    if kind is Binary:
         return interval_binop(e.op, eval_expr(e.left, box, arith),
                               eval_expr(e.right, box, arith), arith=arith)
+    if kind is Unary and e.op == "neg":
+        return eval_expr(e.operand, box, arith).negate()
+    if kind is Nondet:
+        return Interval(e.lo, e.hi) if e.bounded else TOP
     raise ValueError("not an arithmetic expression: %r" % (e,))
 
 
@@ -361,7 +362,10 @@ def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> Abstra
             current = contract_condition(item, current, 1)
             if current.is_bottom:
                 return current
-        if current == previous:
+        # One round meets each variable with all of its single-variable
+        # bounds, so a second round of bounds alone would change nothing.
+        if current == previous or all(type(item) is _Code and item.bound is not None
+                                      for item in cond):
             break
     return current
 

@@ -235,10 +235,19 @@ def map_exprs(s: Stmt, f) -> Stmt:
 
 
 def stmt_exprs(s: Stmt) -> "list[Expr]":
-    """The expressions directly held by a statement (not its sub-blocks)."""
-    found = []
-    map_exprs(s, lambda e: found.append(e) or e)
-    return found
+    """The expressions directly held by a statement (not its sub-blocks),
+    those map_exprs passes to its function, in the same order."""
+    if isinstance(s, Decl):
+        return [] if s.init is None else [s.init]
+    if isinstance(s, Assign):
+        return [s.rhs]
+    if isinstance(s, (Assume, Assert, If, While)):
+        return [s.cond]
+    if isinstance(s, Call):
+        return list(s.args)
+    if isinstance(s, Return) and s.value is not None:
+        return [s.value]
+    return []
 
 
 def map_children(s: Stmt, walk) -> Stmt:

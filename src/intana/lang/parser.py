@@ -48,6 +48,8 @@ _KEYWORDS = {
     "fn", "int", "if", "else", "while", "assert", "assume",
     "return", "skip", "nondet", "true", "false",
 }
+# The keywords that start a statement; an identifier starts the others.
+_STATEMENT_KEYWORDS = {"int", "if", "while", "assert", "assume", "return", "skip"}
 
 # One match per token, taking the whitespace and comments before it.  The
 # token alternatives always match where the skipped text ends (`.` takes any
@@ -107,6 +109,8 @@ class Parser:
     def __init__(self, tokens):
         # A second eof lets peek(1) at the end read eof with no bounds check.
         self.tokens = [*tokens, tokens[-1]]
+        # Each token's kind, which the hot paths read by position.
+        self.kinds = [tok.kind for tok in self.tokens]
         self.pos = 0
         self.next_sid = 0
         # The names declared so far in the function, and those of them a
@@ -127,22 +131,28 @@ class Parser:
         return self.tokens[self.pos + ahead]
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        pos = self.pos
+        if self.kinds[pos] != "eof":
+            self.pos = pos + 1
+        return self.tokens[pos]
 
     def accept(self, kind: str) -> "Token | None":
-        """The next token, consumed, if it is of `kind`; otherwise None."""
-        if self.peek().kind == kind:
-            return self.advance()
-        return None
+        """The next token, consumed, if it is of `kind` (never "eof");
+        otherwise None."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            return None
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+        """The next token, consumed; an error unless it is of `kind` (never "eof")."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            tok = self.tokens[pos]
             self.error("expected %r, found %r" % (kind, tok.text or "end of input"), tok)
-        return self.advance()
+        self.pos = pos + 1
+        return self.tokens[pos]
 
     def error(self, message: str, tok: "Token | None" = None):
         raise (tok or self.peek()).error(message)
@@ -155,7 +165,7 @@ class Parser:
 
     def parse_program(self) -> Program:
         functions = {}
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             tok = self.peek()
             fn = self.parse_function()
             if fn.name in functions:
@@ -187,7 +197,7 @@ class Parser:
         """A parenthesized, comma-separated, possibly empty list."""
         self.expect("(")
         items = []
-        if self.peek().kind != ")":
+        if self.kinds[self.pos] != ")":
             items.append(parse_item())
             while self.accept(","):
                 items.append(parse_item())
@@ -198,7 +208,7 @@ class Parser:
         self.expect("{")
         outer, self.scope = self.scope, []
         stmts = []
-        while self.peek().kind != "}":
+        while self.kinds[self.pos] != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
         self.visible.difference_update(self.scope)
@@ -219,7 +229,7 @@ class Parser:
 
     def parse_rhs(self) -> Expr:
         # Assignment right-hand side: nondet(...) or an arithmetic expression.
-        if self.peek().kind == "nondet":
+        if self.kinds[self.pos] == "nondet":
             return self.parse_nondet()
         return self.parse_sorted("int")
 
@@ -227,7 +237,7 @@ class Parser:
         tok = self.expect("nondet")
         self.expect("(")
         lo = hi = None
-        if self.peek().kind != ")":
+        if self.kinds[self.pos] != ")":
             lo = self.parse_int_bound()
             self.expect(",")
             hi = self.parse_int_bound()
@@ -242,33 +252,35 @@ class Parser:
         return -v if neg else v
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if self.accept("int"):
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return self.parse_assign_or_call()
+        if kind not in _STATEMENT_KEYWORDS:
+            tok = self.tokens[self.pos]
+            self.error("expected a statement, found %r" % (tok.text or "end of input"))
+        self.pos += 1
+        if kind == "int":
             return self.parse_decl()
-        if self.accept("if"):
+        if kind == "if":
             return self.parse_if()
-        if self.accept("while"):
+        if kind == "while":
             return self.parse_while()
-        if self.accept("assert") or self.accept("assume"):
+        if kind == "assert" or kind == "assume":
             cond = self.parse_paren_cond()
             self.expect(";")
-            check = Assert if tok.kind == "assert" else Assume
+            check = Assert if kind == "assert" else Assume
             return check(cond=cond, sid=self.fresh_sid())
-        if self.accept("return"):
+        if kind == "return":
             value = self.parse_sorted("int")
             self.expect(";")
             return Return(value=value, sid=self.fresh_sid())
-        if self.accept("skip"):
-            self.expect(";")
-            return Skip(sid=self.fresh_sid())
-        if tok.kind == "ident":
-            return self.parse_assign_or_call()
-        self.error("expected a statement, found %r" % (tok.text or "end of input"))
+        self.expect(";")
+        return Skip(sid=self.fresh_sid())
 
     def parse_assign_or_call(self) -> Stmt:
         nametok = self.expect("ident")
         name = nametok.text
-        if self.peek().kind == "(":
+        if self.kinds[self.pos] == "(":
             return self.parse_call_tail(name, result=None, tok=nametok)
         if not self.accept("="):
             self.error("expected '=' or '(' after %r" % name)
@@ -276,7 +288,7 @@ class Parser:
             self.error("assignment to undeclared variable %r" % name, nametok)
         if name not in self.visible:
             self.error("use of %r outside the block that declares it" % name, nametok)
-        if self.peek().kind == "ident" and self.peek(1).kind == "(":
+        if self.kinds[self.pos] == "ident" and self.kinds[self.pos + 1] == "(":
             calleetok = self.advance()
             return self.parse_call_tail(calleetok.text, result=name, tok=calleetok)
         rhs = self.parse_rhs()
@@ -331,53 +343,61 @@ class Parser:
         unless an earlier node of this expression had one."""
         if self.sort_error is not None:
             return
-        if isinstance(e, Unary):
-            if _sort(e.operand) != _sort(e):
-                self.sort_error = "operand of %r must be %s" % (
-                    "-" if e.op == "neg" else "!", _sort(e))
-        elif e.op in ARITH_OPS or e.op in CMP_OPS:
-            if not _sort(e.left) == _sort(e.right) == "int":
-                kind = "arithmetic operator" if e.op in ARITH_OPS else "comparison"
-                self.sort_error = "%s %r needs integer operands" % (kind, e.op)
-        elif not _sort(e.left) == _sort(e.right) == "bool":
-            self.sort_error = "logical operator %r needs boolean operands" % e.op
+        op = e.op
+        need = _OPERAND_SORT[op]
+        if type(e) is Unary:
+            if _sort(e.operand) != need:
+                self.sort_error = "operand of %r must be %s" % ("-" if op == "neg" else "!", need)
+        elif not _sort(e.left) == _sort(e.right) == need:
+            if need == "bool":
+                self.sort_error = "logical operator %r needs boolean operands" % op
+            else:
+                kind = "arithmetic operator" if op in ARITH_OPS else "comparison"
+                self.sort_error = "%s %r needs integer operands" % (kind, op)
 
     def parse_expr(self, min_prec: int = 1) -> Expr:
-        """Precedence climbing over PRECEDENCE."""
+        """Precedence climbing over PRECEDENCE; an operator's kind is its text."""
         left = self.parse_unary()
+        kinds = self.kinds
         while True:
-            tok = self.peek()
-            prec = PRECEDENCE.get(tok.kind, 0)
+            op = kinds[self.pos]
+            prec = PRECEDENCE.get(op, 0)
             if prec < min_prec:
                 return left
-            self.advance()
-            left = Binary(tok.text, left, self.parse_expr(prec + 1))
+            self.pos += 1
+            left = Binary(op, left, self.parse_expr(prec + 1))
             self.check_operands(left)
 
     def parse_unary(self) -> Expr:
-        tok = self.accept("-") or self.accept("!")
-        if tok is None:
+        kind = self.kinds[self.pos]
+        if kind != "-" and kind != "!":
             return self.parse_primary()
-        e = Unary("neg" if tok.kind == "-" else "not", self.parse_unary())
+        self.pos += 1
+        e = Unary("neg" if kind == "-" else "not", self.parse_unary())
         self.check_operands(e)
         return e
 
     def parse_primary(self) -> Expr:
-        tok = self.peek()
-        if self.accept("number"):
-            return IntLit(int(tok.text))
-        if self.accept("true") or self.accept("false"):
-            return BoolLit(tok.kind == "true")
-        if self.accept("ident"):
+        pos = self.pos
+        kind, tok = self.kinds[pos], self.tokens[pos]
+        if kind == "ident":
+            self.pos = pos + 1
             if tok.text not in self.visible:
                 if tok.text in self.declared:
                     self.error("use of %r outside the block that declares it" % tok.text, tok)
                 self.error("use of undeclared variable %r" % tok.text, tok)
             return Var(tok.text)
-        if self.accept("("):
+        if kind == "number":
+            self.pos = pos + 1
+            return IntLit(int(tok.text))
+        if kind == "(":
+            self.pos = pos + 1
             e = self.parse_expr()
             self.expect(")")
             return e
+        if kind == "true" or kind == "false":
+            self.pos = pos + 1
+            return BoolLit(kind == "true")
         self.error("expected an expression, found %r" % (tok.text or "end of input"))
 
     # --- post-parse call validation ---
@@ -428,13 +448,19 @@ def _reject_recursion(name: str, calls, state) -> None:
     state[name] = "done"
 
 
+# The sort of each operator's operands, and of each node by its type or,
+# for Unary and Binary, by its operator.
+_OPERAND_SORT = {**dict.fromkeys(ARITH_OPS | CMP_OPS | {"neg"}, "int"),
+                 "&&": "bool", "||": "bool", "not": "bool"}
+_NODE_SORT = {IntLit: "int", Var: "int", Nondet: "int", BoolLit: "bool",
+              **dict.fromkeys(ARITH_OPS | {"neg"}, "int"),
+              **dict.fromkeys(CMP_OPS | {"&&", "||", "not"}, "bool")}
+
+
 def _sort(e: Expr) -> str:
     """The sort of a well-sorted expression, read from its top node."""
-    if isinstance(e, Binary):
-        return "int" if e.op in ARITH_OPS else "bool"
-    if isinstance(e, Unary):
-        return "int" if e.op == "neg" else "bool"
-    return "bool" if isinstance(e, BoolLit) else "int"
+    sort = _NODE_SORT.get(type(e))
+    return sort if sort is not None else _NODE_SORT[e.op]
 
 
 def parse_program(source: str) -> Program:

@@ -1,3 +1,4 @@
+import heapq
 import pathlib
 from collections import Counter
 
@@ -21,7 +22,10 @@ from intana.absint import (
 from intana.contractor import lower_condition
 from intana.fuzz import random_program
 from intana.interval import BOTTOM, Interval, TOP, Truth3
-from intana.lang import Binary, CMP_OPS, build_cfg, parse_condition, parse_program, subexprs
+from intana.lang import (Binary, CMP_OPS, build_cfg, free_vars, parse_condition, parse_program,
+                         subexprs)
+from test_contractor import reference_contract
+from test_golden import WIDE
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -282,3 +286,110 @@ class TestLoopAnalysis:
         # With a huge delay the 10-step chain converges without widening.
         assert head not in res.widened_nodes
         assert res.before[head].get("i") == iv(0, 10)
+
+
+def reference_analyze(cfg, init, config):
+    """The fixpoint with an explicit `leq` test before each join, every
+    node's successors visited, and every node visited on each descending
+    pass; intana.absint's transfer functions."""
+    transfer_node, edge_state_of = intana.absint._transfer_node, intana.absint._edge_state
+    bottom = init.as_bottom()
+    rpo = cfg.rpo
+    rpo_index = {n: i for i, n in enumerate(rpo)}
+    before = {n: bottom for n in cfg.nodes}
+    after = {n: bottom for n in cfg.nodes}
+    before[cfg.entry] = init
+    init.forms.clear()
+    head_updates, widened, updates = {}, set(), 0
+    reads = {n: [init.position(v) for v in free_vars(node.stmt.cond)]
+             for n, node in cfg.nodes.items() if node.kind == "cond"}
+    edges = {}
+
+    def edge_state(p, label):
+        state = after[p]
+        if p not in reads:
+            return state
+        source, out = edges.get((p, label), (None, None))
+        if source is state:
+            return out
+        if source is None or source.is_bottom or state.is_bottom or any(
+                state.intervals[i] != source.intervals[i] for i in reads[p]):
+            out = edge_state_of(cfg.nodes[p], state, label, config)
+        elif not out.is_bottom:
+            ivs = list(state.intervals)
+            for i in reads[p]:
+                ivs[i] = out.intervals[i]
+            out = state.replaced(ivs)
+        edges[p, label] = state, out
+        return out
+
+    def transfer(n):
+        state = transfer_node(cfg.nodes[n], before[n], config)
+        if state != after[n]:
+            after[n] = state
+
+    pending, queued = [(rpo_index[cfg.entry], cfg.entry)], {cfg.entry}
+    while pending:
+        _, n = heapq.heappop(pending)
+        queued.discard(n)
+        transfer(n)
+        for m, label in cfg.successors(n):
+            out = edge_state(n, label)
+            old = before[m]
+            if out.leq(old):
+                continue
+            merged = old.join(out)
+            if m in cfg.loop_heads:
+                head_updates[m] = head_updates.get(m, 0) + 1
+                if head_updates[m] > config.widening_delay:
+                    merged = old.widen(merged)
+                    widened.add(m)
+            before[m] = merged
+            updates += 1
+            if m not in queued:
+                heapq.heappush(pending, (rpo_index[m], m))
+                queued.add(m)
+
+    for _ in range(config.narrowing_passes):
+        changed = False
+        for n in rpo:
+            if n == cfg.entry:
+                continue
+            incoming = bottom
+            for p, label in cfg.predecessors(n):
+                incoming = incoming.join(edge_state(p, label))
+            new = before[n].narrow(incoming) if n in cfg.loop_heads else incoming
+            if new != before[n]:
+                before[n] = new
+                changed = True
+                transfer(n)
+        if not changed:
+            break
+    return intana.absint.AnalysisResult(before, after, updates, widened)
+
+
+REFERENCE_SOURCES = ([(path.name, path.read_text()) for path in sorted(CORPUS.glob("*.mini"))]
+                     + [("fuzz-%d" % seed, random_program(seed)) for seed in range(300)]
+                     + sorted(WIDE.items()))
+REFERENCE_CONFIGS = ([AnalysisConfig(narrowing_passes=passes, use_contractors=contractors)
+                      for passes in range(6) for contractors in (True, False)]
+                     + [AnalysisConfig(widening_delay=0, use_contractors=contractors)
+                        for contractors in (True, False)])
+
+
+@pytest.mark.parametrize("config", REFERENCE_CONFIGS, ids=repr)
+def test_fixpoint_equals_reference(config, monkeypatch):
+    """Same states, node by node, as the reference loop run with the
+    reference `&&` round robin."""
+    results = []
+    for name, source in REFERENCE_SOURCES:
+        for fn in parse_program(source).functions.values():
+            cfg = build_cfg(fn)
+            results.append(((name, fn.name), fn, cfg, analyze(cfg, initial_state(fn), config)))
+    monkeypatch.setattr(intana.absint, "contract_condition", reference_contract)
+    for where, fn, cfg, result in results:
+        reference = reference_analyze(cfg, initial_state(fn), config)
+        assert result.before == reference.before, where
+        assert result.after == reference.after, where
+        assert result.iterations == reference.iterations, where
+        assert result.widened_nodes == reference.widened_nodes, where

@@ -17,6 +17,7 @@ from intana.contractor import (
     lower_comparison,
     lower_condition,
     parse_box,
+    _Code,
     _backward,
     _forward,
     _mul_preimage,
@@ -325,6 +326,96 @@ class TestContractFixpoint:
     def test_rejects_nonpositive_rounds(self):
         with pytest.raises(ValueError):
             contract_fixpoint([], parse_box("x:[0,1]"), max_rounds=0)
+        box = parse_box("x:[0,9]")
+        with pytest.raises(ValueError):
+            contract_fixpoint([lowered("x < 3", box)], box, max_rounds=0)
+
+
+def reference_contract(cond, box, max_rounds=10):
+    """contract_condition with its `&&` round robin run until the box is
+    stable, empty or max_rounds rounds have run, whatever the conjuncts."""
+    if box.is_bottom:
+        return box
+    if cond is True or cond is False:
+        return box if cond else box.as_bottom()
+    if type(cond) is _Code:
+        return hc4_revise(cond, box)
+    if isinstance(cond, tuple):
+        left, right = (reference_contract(side, box, max_rounds) for side in cond)
+        return left.join(right)
+    current = box
+    for _ in range(max_rounds):
+        previous = current
+        for item in cond:
+            current = reference_contract(item, current, 1)
+            if current.is_bottom:
+                return current
+        if current == previous:
+            break
+    return current
+
+
+class TestBoundConjunctions:
+    """A `&&` of single-variable bounds stops after one round, with the
+    round robin's result."""
+
+    def random_conjunction(self, rng, box):
+        names, comparisons = list(box), []
+        for _ in range(rng.randint(1, 6)):
+            relation = rng.choice(["==", "!=", "<", "<=", ">", ">="])
+            k = rng.randint(-6, 12)
+            if rng.random() < 0.2:  # two variables: not a bound
+                a, b = rng.sample(names, 2)
+                source = "%s + %s %s %d" % (a, b, relation, k)
+            elif rng.random() < 0.5:
+                source = "%s %s %d" % (rng.choice(names), relation, k)
+            else:
+                source = "%d %s %s" % (k, relation, rng.choice(names))
+            comparisons.append(lowered(source, box))
+        return comparisons
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_round_robin(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            box = AbstractState.of({name: iv(rng.randint(-5, 3), rng.randint(3, 10))
+                                    for name in ("x", "y", "z")})
+            codes = self.random_conjunction(rng, box)
+            for rounds in (1, 2, 3, 10):
+                assert contract_fixpoint(codes, box, rounds) == \
+                    reference_contract(codes, box, rounds)
+
+    def test_variable_bounded_twice(self):
+        box = parse_box("x:[0,10], y:[0,10]")
+        codes = [lowered(source, box) for source in ("x >= 2", "y < 4", "x <= 5", "3 < x")]
+        assert all(code.bound is not None for code in codes)
+        out = contract_fixpoint(codes, box)
+        assert out.as_dict() == {"x": iv(4, 5), "y": iv(0, 3)}
+        assert out == reference_contract(codes, box)
+
+    def test_empty_result(self):
+        box = parse_box("x:[0,10], y:[0,10]")
+        codes = [lowered(source, box) for source in ("x > 5", "y == 1", "x < 3")]
+        assert contract_fixpoint(codes, box).is_bottom
+        assert reference_contract(codes, box).is_bottom
+
+    def test_one_round_of_revisions(self, monkeypatch):
+        calls = []
+        original = contractor.hc4_revise
+
+        def counting(code, box):
+            calls.append(code)
+            return original(code, box)
+
+        monkeypatch.setattr(contractor, "hc4_revise", counting)
+        box = parse_box("x:[0,10], y:[0,10]")
+        bounds = [lowered(source, box) for source in ("x >= 2", "y < 4", "x <= 5")]
+        contract_fixpoint(bounds, box)
+        assert len(calls) == 3  # the round robin took a second round of 3
+        calls.clear()
+        mixed = bounds + [lowered("x + y <= 6", box)]
+        contract_fixpoint(mixed, box)
+        assert len(calls) == 8  # a second round, which changes nothing
 
 
 class TestLowerCondition:

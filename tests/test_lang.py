@@ -24,9 +24,12 @@ from intana.lang import (
     build_cfg,
     expr_to_source,
     free_vars,
+    map_exprs,
     parse_condition,
     parse_program,
+    program_nondets,
     program_to_source,
+    stmt_exprs,
     walk_stmts,
 )
 from intana.lang.parser import tokenize
@@ -461,6 +464,56 @@ class TestPretty:
             assert reparse(tree, sort(outer)) == tree, expr_to_source(tree)
             over = Unary(unary[sort(outer)], tree)
             assert reparse(over, sort(outer)) == over, expr_to_source(over)
+
+
+class TestStmtExprs:
+    SOURCE = """
+        fn f(p, q) { int h; h = p * q; return h + 1; }
+        fn g() { skip; }
+        fn main() {
+            int x = nondet(0, 3);
+            int y;
+            y = x - 2;
+            assume(x > 0 && y < 5);
+            assert(!(x == y));
+            if (x < y) { y = 1; } else { skip; }
+            while (y > 0) { y = y - 1; }
+            f(x, y + 1);
+            y = f(-x, 2);
+            g();
+        }
+    """
+
+    def test_every_statement_kind(self):
+        prog = parse_program(self.SOURCE)
+        listed = {fname: [(type(s).__name__, [expr_to_source(e) for e in stmt_exprs(s)])
+                          for s in walk_stmts(fn.body)]
+                  for fname, fn in prog.functions.items()}
+        assert listed == {
+            "f": [("Decl", []), ("Assign", ["p * q"]), ("Return", ["h + 1"])],
+            "g": [("Skip", [])],
+            "main": [("Decl", ["nondet(0, 3)"]), ("Decl", []), ("Assign", ["x - 2"]),
+                     ("Assume", ["x > 0 && y < 5"]), ("Assert", ["!(x == y)"]),
+                     ("If", ["x < y"]), ("Assign", ["1"]), ("Skip", []),
+                     ("While", ["y > 0"]), ("Assign", ["y - 1"]),
+                     ("Call", ["x", "y + 1"]), ("Call", ["-x", "2"]), ("Call", [])],
+        }
+
+    def test_matches_what_map_exprs_visits(self):
+        sources = [self.SOURCE] + [path.read_text() for path in sorted(CORPUS.glob("*.mini"))]
+        sources += [random_program(seed) for seed in range(100)]
+        for source in sources:
+            for fn in parse_program(source).functions.values():
+                for s in walk_stmts(fn.body):
+                    visited = []
+                    map_exprs(s, lambda e: visited.append(e) or e)
+                    assert stmt_exprs(s) == visited
+                    assert all(a is b for a, b in zip(stmt_exprs(s), visited))
+
+    def test_program_nondets(self):
+        prog = parse_program(self.SOURCE + "fn h() { int z = nondet(); z = nondet(-1, 1); }")
+        assert list(program_nondets(prog)) == [Nondet(0, 3), Nondet(None, None),
+                                               Nondet(-1, 1)]
 
 
 class TestCfg:
