@@ -4,6 +4,13 @@ One abstract state (a box over the function's variables) is kept before
 and after every CFG node.  Loop heads join plainly for `widening_delay`
 updates, then widen; after the ascending phase stabilizes, a bounded
 number of descending passes narrows the infinite bounds back in.
+
+The ascending worklist tests for change with the join itself, which
+returns the old state exactly when the edge state lies in it, and skips
+the successors of a node whose transfer left its after state as it was.
+After the first descending pass, a node is revisited only if one of its
+predecessors' after states changed since its last visit (Bourdoncle
+1993: a node whose inputs did not change cannot change).
 """
 
 from __future__ import annotations
@@ -200,6 +207,7 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
     # Ascending phase.  States only grow in it, and each edge state out of
     # n is joined into its target once computed, so a visit that leaves
     # after[n] as it was (and with it n's edge states) changes nothing.
+    succs, loop_heads = cfg.succs, cfg.loop_heads
     pending = [(rpo_index[cfg.entry], cfg.entry)]
     queued = {cfg.entry}
     while pending:
@@ -207,13 +215,13 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
         queued.discard(n)
         if not transfer(n):
             continue
-        for m, label in cfg.successors(n):
+        for m, label in succs[n]:
             old = before[m]
             # The join is old itself exactly when the edge state lies in old.
-            merged = old.join(edge_state(n, label))
+            merged = old.join(edge_state(n, label) if n in reads else after[n])
             if merged is old:
                 continue
-            if m in cfg.loop_heads:
+            if m in loop_heads:
                 head_updates[m] = head_updates.get(m, 0) + 1
                 if head_updates[m] > config.widening_delay:
                     merged = old.widen(merged)

@@ -12,7 +12,8 @@ variables; a variable against a constant K is one meet with K + range
 (K - range with the variable on the right).  Strict inequalities are
 integer-wise: x < e is x - e <= -1.  The one round-robin loop is the
 `&&` branch of `contract_condition`; `contract_fixpoint` runs it over a
-list of comparisons.
+list of comparisons.  A round of single-variable bounds alone is its
+last: a second would meet each variable with the same bounds again.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def lower_condition(cond: Expr, polarity: bool, box: AbstractState):
 def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> AbstractState:
     """Contract box by a lower_condition form.  `||` is hulled; `&&` contracts
     its conjuncts in turn until the box is stable, empty, or max_rounds
-    rounds have run."""
+    rounds have run, or after one round if all are single-variable bounds."""
     if box.is_bottom:
         return box
     if cond is True or cond is False:

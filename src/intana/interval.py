@@ -320,6 +320,7 @@ class AbstractState:
         return AbstractState(self._space, ivs)
 
     def join(self, other: "AbstractState") -> "AbstractState":
+        # self itself exactly when other lies in self: the fixpoint's change test.
         return self._ascend(Interval.join, other)
 
     def widen(self, new: "AbstractState") -> "AbstractState":

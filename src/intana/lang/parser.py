@@ -448,19 +448,19 @@ def _reject_recursion(name: str, calls, state) -> None:
     state[name] = "done"
 
 
-# The sort of each operator's operands, and of each node by its type or,
-# for Unary and Binary, by its operator.
+# The sort of a leaf by its type, and of a Unary or Binary operator's
+# result and operands.
+_LEAF_SORT = {IntLit: "int", Var: "int", Nondet: "int", BoolLit: "bool"}
+_RESULT_SORT = {**dict.fromkeys(ARITH_OPS | {"neg"}, "int"),
+                **dict.fromkeys(CMP_OPS | {"&&", "||", "not"}, "bool")}
 _OPERAND_SORT = {**dict.fromkeys(ARITH_OPS | CMP_OPS | {"neg"}, "int"),
-                 "&&": "bool", "||": "bool", "not": "bool"}
-_NODE_SORT = {IntLit: "int", Var: "int", Nondet: "int", BoolLit: "bool",
-              **dict.fromkeys(ARITH_OPS | {"neg"}, "int"),
-              **dict.fromkeys(CMP_OPS | {"&&", "||", "not"}, "bool")}
+                 **dict.fromkeys({"&&", "||", "not"}, "bool")}
 
 
 def _sort(e: Expr) -> str:
     """The sort of a well-sorted expression, read from its top node."""
-    sort = _NODE_SORT.get(type(e))
-    return sort if sort is not None else _NODE_SORT[e.op]
+    sort = _LEAF_SORT.get(type(e))
+    return sort if sort is not None else _RESULT_SORT[e.op]
 
 
 def parse_program(source: str) -> Program:

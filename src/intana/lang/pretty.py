@@ -36,17 +36,19 @@ def expr_to_source(e: Expr) -> str:
 
 
 def _expr(e: Expr, parent_prec: int) -> str:
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind is Var:
         return e.name
-    if isinstance(e, Nondet):
-        if e.lo is None:
-            return "nondet()"
-        return "nondet(%d, %d)" % (e.lo, e.hi)
-    if isinstance(e, Unary):
+    if kind is IntLit:
+        return str(e.value)
+    if kind is Binary:
+        prec = PRECEDENCE[e.op]
+        # Left-associative: the right child needs parens at equal strength.
+        left = _expr(e.left, prec)
+        right = _expr(e.right, prec + 1)
+        text = "%s %s %s" % (left, e.op, right)
+        return text if prec >= parent_prec else "(%s)" % text
+    if kind is Unary:
         prec = _UNARY_PREC
         sym = "!" if e.op == "not" else "-"
         inner = _expr(e.operand, prec)
@@ -55,13 +57,12 @@ def _expr(e: Expr, parent_prec: int) -> str:
             inner = "(%s)" % inner
         text = sym + inner
         return text if prec >= parent_prec else "(%s)" % text
-    if isinstance(e, Binary):
-        prec = PRECEDENCE[e.op]
-        # Left-associative: the right child needs parens at equal strength.
-        left = _expr(e.left, prec)
-        right = _expr(e.right, prec + 1)
-        text = "%s %s %s" % (left, e.op, right)
-        return text if prec >= parent_prec else "(%s)" % text
+    if kind is BoolLit:
+        return "true" if e.value else "false"
+    if kind is Nondet:
+        if e.lo is None:
+            return "nondet()"
+        return "nondet(%d, %d)" % (e.lo, e.hi)
     raise TypeError(e)
 
 

@@ -1,5 +1,6 @@
 import heapq
 import pathlib
+import random
 from collections import Counter
 
 import pytest
@@ -81,6 +82,21 @@ class TestAbstractState:
         assert a.leq(a.join(b))
         assert AbstractState.bottom(["x"]).leq(a)
         assert a.leq(AbstractState.top(["x"]))
+
+    def test_join_is_the_old_state_exactly_when_the_other_lies_in_it(self):
+        # analyze tests for change with `old.join(out) is old`.
+        rng = random.Random(0)
+        base = AbstractState.top(["x", "y", "z"])
+        ranges = [BOTTOM, iv(0, 0), iv(0, 3), iv(2, 5), iv(-1, 9), TOP]
+        states = [base.as_bottom()]
+        for _ in range(60):
+            state = rng.choice(states[1:] or [base])
+            for name in rng.sample(base.names, rng.randint(1, 3)):
+                state = state.set(name, rng.choice(ranges))
+            states.append(state)
+        for old in states:
+            for out in states:
+                assert (old.join(out) is old) == out.leq(old), (old, out)
 
     def test_set_get(self):
         state = AbstractState.top(["x", "y"]).set("x", iv(1, 1))
