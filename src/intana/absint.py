@@ -249,12 +249,12 @@ def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = Non
             incoming = bottom
             for p, label in cfg.predecessors(n):
                 incoming = incoming.join(edge_state(p, label))
-            new = before[n].narrow(incoming) if n in cfg.loop_heads else incoming
+            new = before[n].narrow(incoming) if n in loop_heads else incoming
             if new != before[n]:
                 before[n] = new
                 changed = True
                 if transfer(n):
-                    stale.update(m for m, _ in cfg.successors(n))
+                    stale.update(m for m, _ in succs[n])
         if not changed:
             break
 
