@@ -46,8 +46,14 @@ place, so `check_soundness` needs no trace.  A monitor may also have
 `bounds(fname)`, as `_SoundnessMonitor` does: a list, indexed by node id,
 of the `(name, lo, hi)` tests a point passes when the monitor has nothing
 to do there, or None where it always has.  Tier 1 inlines those tests and
-never calls such a monitor: an execution with a point that fails them
-runs again on tier 0 from its start, which shows the monitor every point.
+never calls the monitor: an execution with a point that fails them runs
+again on tier 0 from its start, which shows the monitor every point.
+
+Tier 1 refuses some enumerations, which then stay on tier 0: those whose
+monitor has no `bounds`, such as `_TraceRecorder`, and those of programs
+with a block nested in more than 15 compound statements, an expression
+more than 32 nodes deep, or a statement at two CFG nodes.  CPython rejects
+Python nested as deep as some of those programs are.
 """
 
 from __future__ import annotations
@@ -369,19 +375,16 @@ class _Interpreter:
 # and 100 keeps every corpus and fuzz program's `check` on tier 0.
 TIER_UP_STEPS_PER_NODE = 100
 
-# The deepest indentation of a statement in one generated def, whose body
-# sits at 1, or at 2 inside a `try`; a block nested deeper is outlined into
-# a def of its own.  CPython rejects more than 20 nested blocks (loops and
-# `try`), and 100 indentation levels, in one function.
+# The deepest indentation of a block in one generated def, whose body sits
+# at 2 inside a `try`; tier 1 refuses a program with a block nested deeper.
+# CPython rejects more than 20 nested blocks (loops and `try`), and 100
+# indentation levels, in one function.
 _MAX_DEPTH = 17
 
-# An expression deeper than this is emitted in three-address form, one
-# temporary per operation.  CPython's parser allows 200 nested parentheses
-# and its compiler recurses on an expression's depth.
+# Tier 1 refuses a program with an expression deeper than this.  CPython's
+# parser allows 200 nested parentheses and its compiler recurses on an
+# expression's depth.
 _MAX_INLINE_DEPTH = 32
-
-# What an outlined block returns in place of a value when it falls through.
-_FELL = object()
 
 # The value of a tier-1 variable its frame has not declared yet.
 _U = object()
@@ -402,6 +405,10 @@ class _Deopt(Exception):
     and the steps run before it."""
 
 
+class _Refused(Exception):
+    """Tier 1 does not run this program under this monitor (see `_Emitter`)."""
+
+
 def _env(names, values):
     """A frame's environment from its variables' values in tier 1."""
     return {name: value for name, value in zip(names, values) if value is not _U}
@@ -418,28 +425,6 @@ def _unwinder(tier0, fname):
         if exc.env is None:
             exc.env = env
     return unwind
-
-
-def _watch_steps(fname, step_limit, watch):
-    """What tier-1 code counting each step calls at a point of `fname`."""
-    def point(n, steps, env):
-        if steps > step_limit:
-            raise _Halt(STEP_LIMIT, (fname, n))
-        watch(n, env)
-    return point
-
-
-def _deeper_than(e, limit: int) -> bool:
-    stack = [(e, 1)]
-    while stack:
-        e, depth = stack.pop()
-        if depth > limit:
-            return True
-        if isinstance(e, Unary):
-            stack.append((e.operand, depth + 1))
-        elif isinstance(e, Binary):
-            stack += ((e.left, depth + 1), (e.right, depth + 1))
-    return False
 
 
 def _assigned(stmts) -> "set[str]":
@@ -528,33 +513,31 @@ class _Emitter:
     from the test's first node (`_Interpreter.resume`).  A draw works on
     the chooser's lists, which every def takes as the defaults V and H.  A
     connective is `and` or `or` if its right operand cannot halt or draw,
-    else `&` or `|`.  A block nested too deeply is outlined into a def that
-    takes every variable of its function and returns `(s, _FELL or the
-    value, <what it may assign>)`.
+    else `&` or `|`.
 
-    A monitor with bounds is not called: a point that fails its tests, or
-    whose state is bottom or missing, raises `_Redo`, and tier 0 runs that
+    The monitor is not called: a point that fails its bounds, or whose
+    state is bottom or missing, raises `_Redo`, and tier 0 runs that
     execution again.  So a test that earlier tests, a literal or a draw's
     range imply is left out.  The emitter keeps, per name, `(present, lo,
     hi)`: whether the name is surely declared at the code being emitted,
-    and an interval its value surely lies in if it is.  A monitor without
-    bounds is called at every point with the environment built as a dict,
-    and each step is counted and tested on its own.
+    and an interval its value surely lies in if it is.
+
+    `program` raises `_Refused` for a monitor without bounds, such as the
+    trace recorder, a block nested deeper than `_MAX_DEPTH`, an expression
+    deeper than `_MAX_INLINE_DEPTH` and a statement at two CFG nodes.
     """
 
     def __init__(self, tier0: _Interpreter):
         self.tier0 = tier0
         self.namespace = {"_Halt": _Halt, "_Deopt": _Deopt, "_Redo": _Redo,
-                          "_divide": _divide, "_FELL": _FELL, "_U": _U, "_env": _env,
+                          "_divide": _divide, "_U": _U, "_env": _env,
                           "_V": tier0.chooser.values, "_H": tier0.chooser.highs,
                           "_L": tier0.step_limit,
                           "_OK": OK, "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
         self.names = {fname: "_f%d" % i for i, fname in enumerate(tier0.prog.functions)}
         self.consts = {}
         self.defs = []
-        self.out = []
-        self.temps = self.outlined = 0
-        self.returns = self.iteration = None
+        self.iteration = None
 
     def const(self, value) -> str:
         """The namespace name of a value, one per distinct value: CPython
@@ -568,68 +551,50 @@ class _Emitter:
     def line(self, depth: int, text: str) -> None:
         self.out.append("    " * depth + text)
 
-    def program(self) -> "str | None":
-        """The source, or None if a statement sits at two CFG nodes."""
+    def program(self) -> str:
+        """The source, one def per mini function; raises `_Refused` for
+        what tier 1 does not run (see above)."""
         monitor = self.tier0.monitor
+        if monitor is not None and not hasattr(monitor, "bounds"):
+            raise _Refused
         for fname, fn in self.tier0.prog.functions.items():
             cfg = self.tier0.cfgs[fname]
             self.nodes = {id(node.stmt): n for n, node in cfg.nodes.items()
                           if node.stmt is not None}
             if len(self.nodes) != len(cfg.nodes) - 2:  # all but entry and exit
-                return None
+                raise _Refused
             self.fname, self.exit_node = fname, cfg.exit
             self.entry = fname == self.tier0.entry
             self.variables = fn.variables
             self.declared = set(self.variables)
             self.unwind = self.const(_unwinder(self.tier0, fname))
-            self.bounds = monitor.bounds(fname) if hasattr(monitor, "bounds") else None
-            self.watch = None
-            if monitor is not None and self.bounds is None:
-                self.watch = self.const(self.tier0.code[fname][3])
-                self.hook = self.const(_watch_steps(fname, self.tier0.step_limit,
-                                                    self.tier0.code[fname][3]))
-            facts = {name: (True,) + _ANY for name in fn.params}
-            self.define(self.names[fname], fn.body, facts, None)
+            self.bounds = None if monitor is None else monitor.bounds(fname)
+            self.define(self.names[fname], fn.params, fn.body)
         return "\n".join(self.defs)
 
-    def define(self, name: str, stmts, facts, returns, follow=None):
-        """Emit a def running a block: a mini function's (`returns` None),
-        or an outlined block's, which returns the variables in `returns`
-        after `s` and its value; returns the facts after the block, or None
-        if it cannot fall through."""
-        outer, self.out = (self.out, self.returns), []
-        self.returns = returns
-        if returns is None:
-            params = self.tier0.prog.functions[self.fname].params
-            self.line(0, "def %s(s%s, V=_V, H=_H):" % (name, _and_vars(params)))
-            undeclared = [_var(v) for v in self.variables if v not in params]
-            if undeclared:
-                self.line(1, "%s = _U" % " = ".join(undeclared))
-        else:
-            self.line(0, "def %s(s%s, V=_V, H=_H):" % (name, _and_vars(self.variables)))
-        # What the def's handler catches: a deopt if segments are counted,
-        # and a halt leaving the entry function.
-        caught = ["_Deopt"] * (self.watch is None) + ["_Halt"] * self.entry
-        depth = 2 if caught else 1
-        if caught:
-            self.line(1, "try:")
-        facts = self.block(stmts, depth, facts, follow)
-        if facts is not None and returns is None:
-            self.exit(depth, facts, "None")
-        elif facts is not None:
-            self.line(depth, self.returned("_FELL"))
-        if caught:
-            self.line(1, "except (%s) as x:" % ", ".join(caught))
-            self.line(2, "%s(x, %s)" % (self.unwind, self.env({})))
-            self.line(2, "raise")
+    def define(self, name: str, params, stmts) -> None:
+        """Emit the def of the mini function being emitted."""
+        self.out = []
+        self.line(0, "def %s(s%s, V=_V, H=_H):" % (name, _and_vars(params)))
+        undeclared = [_var(v) for v in self.variables if v not in params]
+        if undeclared:
+            self.line(1, "%s = _U" % " = ".join(undeclared))
+        self.line(1, "try:")
+        facts = self.block(stmts, 2, {v: (True,) + _ANY for v in params})
+        if facts is not None:
+            self.exit(2, facts, "None")
+        # The handler catches a deopt, and a halt leaving the entry function.
+        self.line(1, "except (%s) as x:" % ("_Deopt, _Halt" if self.entry else "_Deopt"))
+        self.line(2, "%s(x, %s)" % (self.unwind, self.env({})))
+        self.line(2, "raise")
         self.defs.append("\n".join(self.out) + "\n")
-        self.out, self.returns = outer
-        return facts
 
     def block(self, stmts, depth: int, facts, follow=None):
         """Emit a block one segment at a time; `follow` is the loop head it
         falls through to, if any.  Returns the facts after it, or None if it
         cannot fall through (its rest is unreachable and not emitted)."""
+        if depth > _MAX_DEPTH:
+            raise _Refused
         facts = dict(facts)
         i, start = 0, len(self.out)
         while True:
@@ -650,25 +615,6 @@ class _Emitter:
             self.line(depth, "pass")
         return facts
 
-    def nested(self, stmts, depth: int, facts, follow=None):
-        """Emit the block of a compound statement, outlined past
-        `_MAX_DEPTH`; returns the facts after it, or None."""
-        if depth <= _MAX_DEPTH:
-            return self.block(stmts, depth, facts, follow)
-        name = "_o%d" % self.outlined
-        self.outlined += 1
-        assigned = _assigned(stmts)
-        returns = [v for v in self.variables if v in assigned]
-        facts = self.define(name, stmts, facts, returns, follow)
-        self.line(depth, "s, r%s = %s(s%s)" % (_and_vars(returns), name,
-                                               _and_vars(self.variables)))
-        self.line(depth, "if r is not _FELL: %s" % self.returned("r"))
-        return facts
-
-    def returned(self, value: str) -> str:
-        """The return statement of the def being emitted."""
-        return "return s, %s%s" % (value, _and_vars(self.returns or ()))
-
     def env(self, facts) -> str:
         """Code for the frame's environment: a dict display if `facts` say
         every variable is declared, else the declared ones picked at run
@@ -683,7 +629,7 @@ class _Emitter:
         """Count a segment's steps, and go back to tier 0 at its first node
         if they pass the step limit; in a loop body whose head tests each
         iteration, only add them, or not at all if the head did."""
-        if self.watch is None and steps and self.iteration != "counted":
+        if steps and self.iteration != "counted":
             self.line(depth, "s += %d" % steps)
             if self.iteration is None:
                 self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (first, steps))
@@ -692,13 +638,16 @@ class _Emitter:
         """The constant naming node n in a halt."""
         return self.const((self.fname, n))
 
-    def tests(self, n: int, facts) -> "str | None":
-        """When point n must go back to tier 0: never (None), always (""),
-        or when the returned condition holds.  Updates `facts` with the
-        tests, which hold past the point."""
+    def point(self, n: int, depth: int, facts) -> None:
+        """The monitor's inlined tests at point n, where it has bounds: go
+        back to tier 0 if they fail.  Updates `facts` with the tests, which
+        hold past the point."""
+        if self.bounds is None:
+            return
         tests = self.bounds[n] if n < len(self.bounds) else None
         if tests is None:  # a bottom or missing state
-            return ""
+            self.line(depth, "raise _Redo")
+            return
         parts = []
         for name, lo, hi in tests:
             if name not in self.declared:  # never in the environment
@@ -710,34 +659,17 @@ class _Emitter:
             test = "%s <= %s <= %s" % (self.const(lo), _var(name), self.const(hi))
             # An undeclared name passes.
             parts.append(test if present else "(%s is _U or %s)" % (_var(name), test))
-        return "not (%s)" % " and ".join(parts) if parts else None
-
-    def point(self, n: int, depth: int, facts) -> None:
-        """The monitor's view of point n: its inlined tests, or a call with
-        the environment after counting node n's step."""
-        if self.watch is not None:
-            self.line(depth, "s += 1")
-            self.line(depth, "%s(%d, s, %s)" % (self.hook, n, self.env(facts)))
-        elif self.bounds is not None:
-            tests = self.tests(n, facts)
-            if tests is not None:
-                self.line(depth, "%sraise _Redo" % (tests and "if %s: " % tests))
+        if parts:
+            self.line(depth, "if not (%s): raise _Redo" % " and ".join(parts))
 
     def exit(self, depth: int, facts, value: str) -> None:
-        """Show the frame's exit state to the monitor like any point, then
-        return `value`, or from the entry function its verdict, no node
-        and its environment."""
-        env = self.env(facts) if self.entry or self.watch is not None else None
-        if self.watch is not None:
-            if self.entry:
-                self.line(depth, "e = %s" % env)
-                env = "e"
-            self.line(depth, "%s(%d, %s)" % (self.watch, self.exit_node, env))
-        elif self.bounds is not None:
-            tests = self.tests(self.exit_node, facts)
-            if tests is not None:
-                self.line(depth, "%sraise _Redo" % (tests and "if %s: " % tests))
-        self.line(depth, self.returned("(_OK, None, %s)" % env if self.entry else value))
+        """Test the frame's exit state like any point, then return `value`,
+        or from the entry function its verdict, no node and its
+        environment."""
+        if self.entry:
+            value = "(_OK, None, %s)" % self.env(facts)
+        self.point(self.exit_node, depth, facts)
+        self.line(depth, "return s, " + value)
 
     def stmt(self, stmt, n: int, depth: int, facts):
         """Emit the statement at node n, whose step its segment counted;
@@ -749,29 +681,29 @@ class _Emitter:
             start = len(self.out)
             self.line(depth, "while True:")
             self.point(n, depth + 1, facts)
-            cond = self.expr(stmt.cond, n, depth + 1)
+            cond = self.expr(stmt.cond, n)
             if len(self.out) == start + 1:
                 self.out[start] = "    " * depth + "while %s:" % cond
             else:
                 self.line(depth + 1, "if not %s: break" % cond)
-            steps = _steps(stmt.body) if self.entry and self.watch is None else None
+            steps = _steps(stmt.body) if self.entry else None
             if steps is not None:
                 first = self.nodes[id(stmt.body[0])] if stmt.body else n
                 self.line(depth + 1, "if s + %d > _L: raise _Deopt(%d, s)" % (steps[1] + 1, first))
                 if steps[0] == steps[1]:
                     self.line(depth + 1, "s += %d" % (steps[1] + 1))
                 self.iteration = "counted" if steps[0] == steps[1] else "tested"
-            self.nested(stmt.body, depth + 1, facts, follow=n)
+            self.block(stmt.body, depth + 1, facts, follow=n)
             self.iteration = None
             return facts
         self.point(n, depth, facts)
         if isinstance(stmt, If):
-            self.line(depth, "if %s:" % self.expr(stmt.cond, n, depth))
-            then = self.nested(stmt.then, depth + 1, facts)
+            self.line(depth, "if %s:" % self.expr(stmt.cond, n))
+            then = self.block(stmt.then, depth + 1, facts)
             orelse = facts
             if stmt.orelse:
                 self.line(depth, "else:")
-                orelse = self.nested(stmt.orelse, depth + 1, facts)
+                orelse = self.block(stmt.orelse, depth + 1, facts)
             if then is None or orelse is None:
                 return orelse if then is None else then
             return _merge(then, orelse)
@@ -779,26 +711,21 @@ class _Emitter:
             name, value = ((stmt.name, stmt.init) if isinstance(stmt, Decl)
                            else (stmt.target, stmt.rhs))
             facts[name] = (True,) + _range(IntLit(0) if value is None else value)
-            if isinstance(value, Nondet):  # the draw of `operation`, in two statements
+            if isinstance(value, Nondet):  # the draw of `expr`, in two statements
                 lo = self.const(value.lo)
                 self.line(depth, "%s = V[d] if (d := len(H)) < len(V) else V.append(%s) or %s"
                           % (_var(name), lo, lo))
                 self.line(depth, "H.append(%s)" % self.const(value.hi))
             else:
-                text = self.const(0) if value is None else self.expr(value, n, depth)
+                text = self.const(0) if value is None else self.expr(value, n)
                 self.line(depth, "%s = %s" % (_var(name), text))
         elif isinstance(stmt, (Assume, Assert)):
             verdict = "_ASSUME" if isinstance(stmt, Assume) else "_ASSERT"
-            halt = (self.returned("(%s, %s, %s)" % (verdict, self.where(n), self.env(facts)))
+            halt = ("return s, (%s, %s, %s)" % (verdict, self.where(n), self.env(facts))
                     if self.entry else "raise _Halt(%s, %s)" % (verdict, self.where(n)))
-            self.line(depth, "if not %s: %s" % (self.expr(stmt.cond, n, depth), halt))
+            self.line(depth, "if not %s: %s" % (self.expr(stmt.cond, n), halt))
         elif isinstance(stmt, Call):
-            args = stmt.args
-            if any(_deeper_than(arg, _MAX_INLINE_DEPTH) for arg in args):
-                # Each argument into a temporary, so they still run in order.
-                args = [self.temp(self.expr(arg, n, depth), depth) for arg in args]
-            else:
-                args = [self.inline(arg, n) for arg in args]
+            args = [self.expr(arg, n) for arg in stmt.args]
             target = "_"
             if stmt.result is not None:
                 facts[stmt.result] = (True,) + _ANY
@@ -806,47 +733,15 @@ class _Emitter:
             self.line(depth, "s, %s = %s(%s)" % (target, self.names[stmt.callee],
                                                  ", ".join(["s"] + args)))
         elif isinstance(stmt, Return):
-            self.line(depth, "r = %s" % self.expr(stmt.value, n, depth))
+            self.line(depth, "r = %s" % self.expr(stmt.value, n))
             self.exit(depth, facts, "r")
             return None
         return facts
 
-    def temp(self, text: str, depth: int) -> str:
-        name = "_t%d" % self.temps
-        self.temps += 1
-        self.line(depth, "%s = %s" % (name, text))
-        return name
-
-    def expr(self, e, n: int, depth: int) -> str:
-        """Code for e at node n.  A deep e is first emitted at `depth` in
-        three-address form, in tier 0's evaluation order; its last
-        temporary is returned."""
-        if not _deeper_than(e, _MAX_INLINE_DEPTH):
-            return self.inline(e, n)
-        operands, stack = [], [(e, False)]
-        while stack:
-            e, ready = stack.pop()
-            if not ready and isinstance(e, (Unary, Binary)):
-                stack.append((e, True))
-                stack += ([(e.operand, False)] if isinstance(e, Unary)
-                          else [(e.right, False), (e.left, False)])
-                continue
-            if isinstance(e, Binary):
-                right = operands.pop()
-                text = self.operation(e, [operands.pop(), right], n)
-            else:
-                text = self.operation(e, [operands.pop()] if isinstance(e, Unary) else [], n)
-            operands.append(text if isinstance(e, (IntLit, BoolLit)) else self.temp(text, depth))
-        return operands.pop()
-
-    def inline(self, e, n: int) -> str:
-        """Code for an expression no deeper than `_MAX_INLINE_DEPTH`."""
-        children = (e.operand,) if isinstance(e, Unary) else (
-            (e.left, e.right) if isinstance(e, Binary) else ())
-        return self.operation(e, [self.inline(c, n) for c in children], n)
-
-    def operation(self, e, operands, n: int) -> str:
-        """Code for e's own operation on its operands' code."""
+    def expr(self, e, n: int, depth: int = 1) -> str:
+        """Code for e at node n, at `depth` in the statement's expression."""
+        if depth > _MAX_INLINE_DEPTH:
+            raise _Refused
         if isinstance(e, (IntLit, BoolLit)):
             return self.const(e.value)
         if isinstance(e, Var):
@@ -858,8 +753,9 @@ class _Emitter:
             return "(V[d] if H.append(%s) or (d := len(H) - 1) < len(V) else V.append(%s) or %s)" \
                 % (hi, lo, lo)
         if isinstance(e, Unary):
-            return "(%s%s)" % ("-" if e.op == "neg" else "not ", operands[0])
-        left, right = operands
+            return "(%s%s)" % ("-" if e.op == "neg" else "not ",
+                               self.expr(e.operand, n, depth + 1))
+        left, right = self.expr(e.left, n, depth + 1), self.expr(e.right, n, depth + 1)
         if e.op == "/":
             return "_divide(%s, %s, %s)" % (left, right, self.where(n))
         op = e.op
@@ -891,10 +787,13 @@ class _Compiled:
 
 
 def _tier_up(tier0: _Interpreter) -> "_Compiled | None":
-    """Tier 1 for tier 0's program, or None if it cannot be emitted."""
+    """Tier 1 for tier 0's program, or None if the emitter refuses it."""
     emitter = _Emitter(tier0)
-    source = emitter.program()
-    return None if source is None else _Compiled(tier0, emitter, source)
+    try:
+        source = emitter.program()
+    except _Refused:
+        return None
+    return _Compiled(tier0, emitter, source)
 
 
 class _TraceRecorder:
@@ -920,7 +819,8 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
     Deterministic: executions are produced in lexicographic choice order.
     `monitor` (see the module docstring) sees every point of every
     execution as it runs.  Without one, `record_trace` fills each state's
-    `trace` with a copy of every point; with one, no trace is recorded.
+    `trace` with a copy of every point, on tier 0 alone; with one, no trace
+    is recorded.
     """
     if step_limit < 1:
         raise ValueError("step_limit must be >= 1")

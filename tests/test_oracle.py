@@ -625,18 +625,52 @@ def _soundness(prog, analyses, step_limit=10_000):
     return check
 
 
-def _agree_under_every_monitor(monkeypatch, prog, step_limit=10_000):
-    """Tier 1 gives tier 0's results without a monitor, with traces, and
-    under the soundness monitor on a sound and on a shifted analysis;
-    returns the runs without a monitor."""
-    runs, _ = _assert_tiers_agree(
-        monkeypatch, _executions(prog, step_limit=step_limit, record_trace=False))
-    _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=step_limit))
+def _agree_under_every_monitor(monkeypatch, prog, step_limit=10_000, tier_up=-1):
+    """Tier 1 gives tier 0's results without a monitor, and under the
+    soundness monitor on a sound and on a shifted analysis; returns the
+    runs without a monitor and how many of them ran on tier 0 before tier 1.
+    Tier 1 runs no trace recorder, so none of these records a trace."""
+    result = _assert_tiers_agree(
+        monkeypatch, _executions(prog, step_limit=step_limit, record_trace=False), tier_up)
     analyses = analyze_program(prog, AnalysisConfig())
-    assert _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit))[0][0] == []
+    assert _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit),
+                               tier_up)[0][0] == []
     _shift_up(analyses)
-    _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit))
-    return runs
+    _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit), tier_up)
+    return result
+
+
+class _PointCounter:
+    """A monitor without bounds: it counts the points it is shown."""
+
+    def __init__(self):
+        self.points = 0
+
+    def watch(self, fname):
+        def seen(n, env):
+            self.points += 1
+        return seen
+
+    def end(self, state):
+        pass
+
+
+def _refused(monkeypatch, enumerate):
+    """`enumerate()` gives tier 0's result with tier 1 due before the first
+    execution, and the emitter refuses it: nothing is compiled.  Returns
+    the result."""
+    reference, _, _ = _tiered(monkeypatch, NEVER, enumerate)
+    compiled = []
+
+    def spy(*args):
+        compiled.append(args)
+        return compile(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(intana.oracle, "compile", spy, raising=False)
+        got, _, tiers = _tiered(monkeypatch, -1, enumerate)
+    assert tiers == [None] and compiled == []
+    assert got == reference
+    return reference
 
 
 def _most_steps(prog):
@@ -847,9 +881,9 @@ print(json.dumps(found))
 """
 
 
-def _outlined(kind: str, depth: int = 20) -> str:
-    """A block nested `depth` deep in ifs or loops, deep enough to be
-    outlined, that reads and writes the variables declared outside it."""
+def _deep_block(kind: str, depth: int = 20) -> str:
+    """A block nested `depth` deep in ifs or loops, with a loop of its own,
+    that reads and writes the variables declared outside it."""
     body = ("int inner = n * 2; while (m < n) { acc = acc + inner; m = m + 1; }"
             " assert(acc != 9);")
     for i in reversed(range(depth)):
@@ -861,7 +895,7 @@ def _outlined(kind: str, depth: int = 20) -> str:
 
 
 class TestTiers:
-    """Tier 1 gives tier 0's executions, traces and violations."""
+    """Tier 1 gives tier 0's executions and violations."""
 
     SOURCES = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
         + [random_program(seed) for seed in range(300)]
@@ -869,8 +903,7 @@ class TestTiers:
     @pytest.mark.parametrize("step_limit", [10_000, 30])
     def test_corpus_and_fuzz_programs(self, monkeypatch, step_limit):
         for source in self.SOURCES:
-            prog = parse_program(source)
-            _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=step_limit))
+            _agree_under_every_monitor(monkeypatch, parse_program(source), step_limit)
 
     @pytest.mark.parametrize("contractors", [True, False])
     def test_violations_under_corrupted_analyses(self, monkeypatch, contractors):
@@ -915,7 +948,7 @@ class TestTiers:
         assert _tier_ups(monkeypatch, lambda: intana.oracle.enumerate_executions(prog)) \
             == [None]
 
-    @pytest.mark.parametrize("record_trace", [True, False])
+    @pytest.mark.parametrize("monitored", [True, False])
     @pytest.mark.parametrize("source,step_limit,verdict", [
         (LOOP_PAST_THE_LIMIT, 200, STEP_LIMIT),
         ("fn main() { int k = nondet(0, 99); int i = 0; while (i < 20) { i = i + 1; }"
@@ -924,38 +957,45 @@ class TestTiers:
          " while (i >= 0) { s = s + k / i; i = i - 1; } }", 10_000, DIV_BY_ZERO),
     ], ids=["step-limit", "assert", "div-by-zero"])
     def test_every_execution_halts_after_predicted_tier_up(self, monkeypatch, source,
-                                                           step_limit, verdict, record_trace):
+                                                           step_limit, verdict, monitored):
         prog = parse_program(source)
-        runs, tier0_runs = _assert_tiers_agree(
-            monkeypatch, _executions(prog, step_limit=step_limit, record_trace=record_trace),
-            tier_up=None)
+        if monitored:
+            # Under the soundness monitor, on a sound and on a shifted analysis.
+            analyses = analyze_program(prog, AnalysisConfig())
+            (violations, runs), tier0_runs = _assert_tiers_agree(
+                monkeypatch, _soundness(prog, analyses, step_limit), tier_up=None)
+            assert violations == []
+            _shift_up(analyses)
+            _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit), tier_up=None)
+        else:
+            runs, tier0_runs = _assert_tiers_agree(
+                monkeypatch, _executions(prog, step_limit=step_limit, record_trace=False),
+                tier_up=None)
         assert tier0_runs == 1
         assert {v for _, _, v, _, _ in runs} == {verdict} and len(runs) > 50
 
     def test_switch_mid_enumeration(self, monkeypatch):
         prog = parse_program(NONDET_IN_LOOP_AND_CALLEE[2])
         nodes = sum(len(build_cfg(fn).nodes) for fn in prog.functions.values())
-        runs, tier0_runs = _assert_tiers_agree(monkeypatch, _executions(prog),
-                                               tier_up=40 / nodes)
+        runs, tier0_runs = _agree_under_every_monitor(monkeypatch, prog, tier_up=40 / nodes)
         assert 1 < tier0_runs < len(runs)
 
     @pytest.mark.parametrize("step_limit", [10_000, 25])
     @pytest.mark.parametrize("source", NONDET_IN_LOOP_AND_CALLEE,
                              ids=["loop", "callee-then-loop", "loop-calls-callee"])
     def test_nondet_in_loops_and_callees(self, monkeypatch, source, step_limit):
-        prog = parse_program(source)
-        _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=step_limit))
+        _agree_under_every_monitor(monkeypatch, parse_program(source), step_limit)
 
     def test_step_limit_inside_callee(self, monkeypatch):
         prog = parse_program(STEP_LIMIT_IN_CALLEE)
-        runs, _ = _assert_tiers_agree(monkeypatch, _executions(prog, step_limit=40))
+        runs, _ = _agree_under_every_monitor(monkeypatch, prog, step_limit=40)
         halts = [node[0] for _, _, verdict, node, _ in runs if verdict == STEP_LIMIT]
         assert halts == ["main", "spin", "spin", "spin"]
 
     @pytest.mark.parametrize("source", [DIV_BY_ZERO_IN_CONDITION, DIV_BY_ZERO_IN_ARGUMENT],
                              ids=["condition", "call-argument"])
     def test_division_by_zero(self, monkeypatch, source):
-        runs, _ = _assert_tiers_agree(monkeypatch, _executions(parse_program(source)))
+        runs, _ = _agree_under_every_monitor(monkeypatch, parse_program(source))
         assert [(verdict, node and node[0]) for _, _, verdict, node, _ in runs] \
             == [(OK, None), (OK, None), (DIV_BY_ZERO, "main"), (OK, None), (OK, None)]
 
@@ -968,13 +1008,19 @@ class TestTiers:
             }
             fn main() { int k = nondet(0, 12); int r; r = find(k); }
         """)
-        runs, _ = _assert_tiers_agree(monkeypatch, _executions(prog))
-        exit_node = build_cfg(prog.functions["find"]).exit
-        assert [[env for fname, node, env in trace if (fname, node) == ("find", exit_node)]
-                for _, _, _, _, trace in runs][9:11] == [[{"n": 9, "i": 9}], [{"n": 10, "i": 10}]]
+        _agree_under_every_monitor(monkeypatch, prog)
+        # A wrong exit state of `find`: the frames that leave it with i > 8
+        # fail it, whether they return inside the loop or after it.
+        analyses = analyze_program(prog, AnalysisConfig())
+        fa = analyses["find"]
+        exit_node = fa.cfg.exit
+        fa.result.before[exit_node] = fa.result.before[exit_node].set("i", Interval(0, 8))
+        violations, _ = _assert_tiers_agree(monkeypatch, _soundness(prog, analyses))[0]
+        assert [(v.function, v.node, v.var, v.value, v.choices) for v in violations] == [
+            ("find", exit_node, "i", i, (k,)) for k, i in [(9, 9), (10, 10), (11, 10), (12, 10)]]
 
     def test_mini_names_that_are_python_names(self, monkeypatch):
-        runs = _agree_under_every_monitor(monkeypatch, parse_program(PYTHON_NAMES))
+        runs, _ = _agree_under_every_monitor(monkeypatch, parse_program(PYTHON_NAMES))
         assert len(runs) == 12
         assert set(runs[0][1]) == {"x", "v_x", "True", "class", "_L", "_k0", "s", "env"}
         assert [env.get("lambda") for _, env, _, _, _ in runs] == [
@@ -989,7 +1035,7 @@ class TestTiers:
         prog = parse_program(source)
         halts = set()
         for step_limit in range(1, _most_steps(prog) + 2):
-            runs = _agree_under_every_monitor(monkeypatch, prog, step_limit)
+            runs, _ = _agree_under_every_monitor(monkeypatch, prog, step_limit)
             halts |= {node for _, _, verdict, node, _ in runs if verdict == STEP_LIMIT}
         nodes = {(fname, n) for fname, fn in prog.functions.items()
                  for n, node in build_cfg(fn).nodes.items() if node.kind in ("stmt", "cond")}
@@ -1063,7 +1109,7 @@ class TestTiers:
         """)
         source = _tier1_source(prog)
         assert " & (_divide(" in source and " or (v_x < v_d)" in source
-        runs = _agree_under_every_monitor(monkeypatch, prog)
+        runs, _ = _agree_under_every_monitor(monkeypatch, prog)
         assert [verdict for _, _, verdict, _, _ in runs] == [OK, DIV_BY_ZERO, OK]
 
     def test_draws_inside_expressions(self, monkeypatch):
@@ -1075,14 +1121,14 @@ class TestTiers:
         """)
         prog.main.body[2].args = (Nondet(0, 1), Binary("-", Nondet(5, 6), Var("k")))
         prog.main.body[4].rhs = Binary("+", Binary("/", IntLit(6), Var("k")), Nondet(-1, 0))
-        runs = _agree_under_every_monitor(monkeypatch, prog)
+        runs, _ = _agree_under_every_monitor(monkeypatch, prog)
         assert [(choices, verdict) for choices, _, verdict, _, _ in runs][:5] == [
             ((0, 0, 5), DIV_BY_ZERO), ((0, 0, 6), DIV_BY_ZERO), ((0, 1, 5), DIV_BY_ZERO),
             ((0, 1, 6), DIV_BY_ZERO), ((1, 0, 5, -1), OK)]
         assert runs[4][1] == {"k": 1, "r": -4, "x": 5}
 
     def test_halts_in_a_segment(self, monkeypatch):
-        runs = _agree_under_every_monitor(monkeypatch, parse_program(HALTS_IN_A_SEGMENT))
+        runs, _ = _agree_under_every_monitor(monkeypatch, parse_program(HALTS_IN_A_SEGMENT))
         assert [(choices, verdict) for choices, _, verdict, _, _ in runs] == [
             ((-1, 0), OK), ((-1, 1), ASSUME_INFEASIBLE), ((-1, 2), OK),
             ((0, 0), DIV_BY_ZERO), ((0, 1), DIV_BY_ZERO), ((0, 2), DIV_BY_ZERO),
@@ -1091,14 +1137,27 @@ class TestTiers:
         assert [env["x"] for _, env, _, _, _ in runs] == [-10, -6, -10, 1, 2, 3, 7, 6, 7]
 
     @pytest.mark.parametrize("kind", ["if", "while"])
-    def test_outlined_block_reads_and_writes_outer_variables(self, monkeypatch, kind):
-        prog = parse_program(_outlined(kind))
-        assert "def _o0(s, v_n, v_acc, v_m," in _tier1_source(prog)
-        runs = _agree_under_every_monitor(monkeypatch, prog)
+    def test_deep_block_stays_on_tier0(self, monkeypatch, kind):
+        # Nested deeper than one generated def may hold its blocks.
+        prog = parse_program(_deep_block(kind))
+        runs = _refused(monkeypatch, _executions(prog, record_trace=False))
         assert [(env["acc"], verdict) for _, env, verdict, _, _ in runs] == [
             (1, OK), (4, OK), (9, ASSERT_FAILED), (22, OK), (37, OK)]
-        for step_limit in range(1, _most_steps(prog) + 2, 3):
-            _agree_under_every_monitor(monkeypatch, prog, step_limit)
+        analyses = analyze_program(prog, AnalysisConfig())
+        _shift_up(analyses)
+        assert _refused(monkeypatch, _soundness(prog, analyses))[0]
+
+    def test_monitor_without_bounds_stays_on_tier0(self, monkeypatch):
+        # Tier 1 only inlines a monitor's bounds, so it never runs the trace
+        # recorder or another monitor that must see every point.
+        prog = parse_program(ORACLE_ENUM_SHAPED)
+        runs = _refused(monkeypatch, _executions(prog))
+        assert len(runs) == 392 and all(trace for *_, trace in runs)
+
+        def counted():
+            monitor = _PointCounter()
+            return _states(enumerate_executions(prog, monitor=monitor)), monitor.points
+        assert _refused(monkeypatch, counted)[1] == sum(len(trace) for *_, trace in runs)
 
     def test_violations_keep_one_order_on_both_tiers_and_every_hash_seed(self, monkeypatch):
         # Environments' key order is unspecified, and varies with the run
@@ -1109,10 +1168,9 @@ class TestTiers:
         limits = range(1, _most_steps(prog) + 2, 2)
         for step_limit in limits:
             _assert_tiers_agree(monkeypatch, _soundness(prog, analyses, step_limit))
-            # Points recorded on tier 1 replay to the violations, in order,
-            # that the soundness monitor finds as it runs.
-            traced, _, _ = _tiered(monkeypatch, -1, lambda: enumerate_executions(
-                prog, step_limit=step_limit))
+            # Recorded points replay to the violations, in order, that the
+            # soundness monitor finds as it runs.
+            traced = enumerate_executions(prog, step_limit=step_limit)
             assert check_soundness(prog, analyses, step_limit, executions=traced) == \
                 check_soundness(prog, analyses, step_limit)
         src = str(pathlib.Path(intana.__file__).parents[1])
@@ -1187,21 +1245,27 @@ print(json.dumps([check(float("inf")), check(shipped)]))
 
 
 class TestCompilerLimits:
-    """Inputs at depths `check` accepts, heavy enough that tier 1 runs them,
-    check exactly as on tier 0 alone: the emitter outlines deep blocks and
-    writes deep expressions in three-address form."""
+    """Inputs at depths `check` accepts, heavy enough that tier 1 would run
+    them, check exactly as on tier 0 alone.  The emitter refuses a program
+    with a block or an expression deeper than one generated def may hold,
+    and tiers up the deepest it accepts."""
 
-    @pytest.mark.parametrize("source", [
-        _nested_whiles(21),
-        _nested_whiles(40),
-        _assignment(" + ".join(["x"] * 250)),
-        _assignment(" + ".join(["x"] * 980)),
-        _assignment("(" * 320 + "x" + ")" * 320),
-        _assignment("x + (" * 239 + "x" + ")" * 239),
-        _conjunction(490),
-    ], ids=["while-21", "while-40", "sum-250", "sum-980", "parens-320",
-            "right-nested-240", "and-490"])
-    def test_check_matches_tier0(self, tmp_path, source):
+    @pytest.mark.parametrize("source,compiled", [
+        (_nested_whiles(15), True),
+        (_nested_whiles(16), False),
+        (_nested_whiles(21), False),
+        (_nested_whiles(40), False),
+        (_assignment(" + ".join(["x"] * 32)), True),
+        (_assignment(" + ".join(["x"] * 33)), False),
+        (_assignment(" + ".join(["x"] * 250)), False),
+        (_assignment(" + ".join(["x"] * 980)), False),
+        # Parentheses add no node: this is `x`, and tier 1 runs it.
+        (_assignment("(" * 320 + "x" + ")" * 320), True),
+        (_assignment("x + (" * 239 + "x" + ")" * 239), False),
+        (_conjunction(490), False),
+    ], ids=["while-15", "while-16", "while-21", "while-40", "sum-32", "sum-33", "sum-250",
+            "sum-980", "parens-320", "right-nested-240", "and-490"])
+    def test_check_matches_tier0(self, tmp_path, source, compiled):
         path = tmp_path / "deep.mini"
         path.write_text(source)
         src = str(pathlib.Path(intana.__file__).parents[1])
@@ -1212,4 +1276,5 @@ class TestCompilerLimits:
             capture_output=True, text=True).stdout)
         assert tier0[:3] == shipped[:3]
         assert tier0[0] == 0 and tier0[1].endswith("result: clean\n")
-        assert tier0[3] == [] and "_Compiled" in shipped[3]
+        assert tier0[3] == [] and shipped[3]
+        assert ("_Compiled" in shipped[3]) == compiled, shipped[3]
