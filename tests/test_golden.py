@@ -30,12 +30,16 @@ import pytest
 
 from intana.cli import main
 from intana.fuzz import random_program
+from intana.lang import parse_program
+from intana.oracle import enumerate_executions
 
 HERE = pathlib.Path(__file__).parent
 CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "corpus_outputs.json"
 WIDE_GOLDEN = HERE / "golden" / "wide_outputs.json"
+TRACE_GOLDEN = HERE / "golden" / "oracle_traces.json"
 FUZZ_SEEDS = range(30)
+TRACE_STEP_LIMITS = (10_000, 30, 7)
 
 CONFIGS = ([], ["--no-contractors"], ["--no-interval-arith"],
            ["--no-contractors", "--no-interval-arith"])
@@ -123,6 +127,25 @@ def wide_digests(key: str, directory: pathlib.Path) -> "dict[str, str]":
     return corpus_digests(path, WIDE_RUNS)
 
 
+def trace_digests(source: str) -> "dict[str, str]":
+    """Per step limit, the sha256 of every execution with its trace."""
+    prog = parse_program(source)
+    digests = {}
+    for step_limit in TRACE_STEP_LIMITS:
+        h = hashlib.sha256()
+        for run in enumerate_executions(prog, step_limit=step_limit):
+            h.update(repr((run.choices, run.verdict, run.verdict_node, sorted(run.env.items()),
+                           [(fname, node, sorted(env.items()))
+                            for fname, node, env in run.trace])).encode())
+        digests[str(step_limit)] = h.hexdigest()
+    return digests
+
+
+# The programs whose traces are pinned, by golden key.
+TRACE_SOURCES = {path.name: path.read_text() for path in sorted(CORPUS.glob("*.mini"))}
+TRACE_SOURCES.update((fuzz_key(seed), random_program(seed)) for seed in FUZZ_SEEDS)
+
+
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.mini")), ids=lambda p: p.name)
 def test_outputs_match_golden(path):
     golden = json.loads(GOLDEN.read_text())
@@ -141,13 +164,20 @@ def test_wide_outputs_match_golden(key, tmp_path):
     assert wide_digests(key, tmp_path) == golden[key]
 
 
+@pytest.mark.parametrize("key", sorted(TRACE_SOURCES))
+def test_oracle_traces_match_golden(key):
+    golden = json.loads(TRACE_GOLDEN.read_text())
+    assert trace_digests(TRACE_SOURCES[key]) == golden[key]
+
+
 if __name__ == "__main__":
     table = {path.name: corpus_digests(path) for path in sorted(CORPUS.glob("*.mini"))}
     with tempfile.TemporaryDirectory() as directory:
         for seed in FUZZ_SEEDS:
             table[fuzz_key(seed)] = fuzz_digests(seed, pathlib.Path(directory))
         wide = {key: wide_digests(key, pathlib.Path(directory)) for key in sorted(WIDE)}
-    for path, digests in ((GOLDEN, table), (WIDE_GOLDEN, wide)):
+    traces = {key: trace_digests(source) for key, source in TRACE_SOURCES.items()}
+    for path, digests in ((GOLDEN, table), (WIDE_GOLDEN, wide), (TRACE_GOLDEN, traces)):
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
         print("wrote %d runs for %d programs to %s"
               % (sum(map(len, digests.values())), len(digests), path))
