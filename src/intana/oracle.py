@@ -6,22 +6,21 @@ of choices (in dynamic program order, so nondet inside loops and callees
 is handled uniformly).  This is the ground truth against which analysis
 soundness and rewrite equivalence are checked.
 
-An enumeration runs on two tiers.  It starts on tier 0, which compiles
-the program once into closures: every CFG node becomes a tuple holding a
-Python closure for its statement or condition, and the executions walk
-those tuples.  Tier 1 is Python source, one `def` per mini function with
-Python's own `if` and `while`, emitted from the AST and `exec`'d once.
-Compiling it costs as much as tier 1 saves over some 70 steps per CFG
-node, or 120 without a monitor, more than most enumerations run, so an
-enumeration compiles it only once its steps reach a budget per CFG node,
-`TIER_UP_STEPS_PER_NODE`, or are predicted to.  The first execution draws
-each range's minimum, so it draws every range the enumeration starts
-from: if its steps times the sizes of those ranges reach the budget, tier
-1 is compiled before the second execution.  Otherwise tier 0 runs until
-the steps it has run pass the budget.  Tier 1 then runs every remaining
-execution in one loop.  Both tiers share one chooser and one set of CFGs
-and halt on the same node, so the moment of the switch changes no result,
-and a wrong prediction costs one compile.
+An enumeration runs on two tiers.  It starts on tier 0, which walks the
+program's CFGs node by node and evaluates each expression from its AST,
+so it builds nothing but the CFGs.  Tier 1 is Python source, one `def`
+per mini function with Python's own `if` and `while`, emitted from the
+AST and `exec`'d once.  Compiling it costs as much as tier 1 saves over
+some 45 steps per CFG node, or 60 without a monitor, more than most
+enumerations run, so an enumeration compiles it only once its steps
+reach a budget per CFG node, `TIER_UP_STEPS_PER_NODE`, or are predicted
+to.  The first execution draws each range's minimum, so it draws every
+range the enumeration starts from: if its steps times the sizes of those
+ranges reach the budget, tier 1 is compiled before the second execution.
+Otherwise tier 0 runs until the steps it has run pass the budget.  Tier
+1 then runs every remaining execution in one loop.  Both tiers share one
+chooser and one set of CFGs and halt on the same node, so the moment of
+the switch changes no result, and a wrong prediction costs one compile.
 
 Tier 1 keeps each mini variable in a Python local of its def, draws
 inline on the chooser's lists, and builds a frame's environment as a dict
@@ -36,7 +35,7 @@ is for its longest path, so tier 0 may finish the entry frame.
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
 each frame's environment at its exit.  A monitor has two methods.
-`watch(fname)` is called once per function when the program is compiled
+`watch(fname)` is called once per function when the enumeration starts
 and returns a callable `(node, env)` that is called at each point of that
 function; it must not keep or change `env`.  `end(state)` is called with
 each finished `ConcreteState`.  Two monitors exist: `_TraceRecorder`
@@ -67,12 +66,10 @@ from .lang import (
     Assume,
     Binary,
     BoolLit,
-    BRANCH_FALSE,
     BRANCH_TRUE,
     Call,
     CONCRETE,
     Decl,
-    FALLTHROUGH,
     If,
     IntLit,
     Nondet,
@@ -130,11 +127,19 @@ class _Halt(Exception):
 _TDIV = CONCRETE["/"]
 
 
-def _divide(a, b, where):
-    """`a / b` on both tiers; a zero divisor halts at `where`."""
+def _divide(a, b, where=None):
+    """`a / b` on both tiers; a zero divisor halts at `where`, the
+    (function, node) tier 1 names, or on tier 0 at the node that
+    `_Interpreter.run_function` is running."""
     if b == 0:
         raise _Halt(DIV_BY_ZERO, where)
     return _TDIV(a, b)
+
+
+# Each binary operator on its operands' values; tier 0 evaluates both
+# operands of `&&` and `||` before it applies the connective.
+_OPERATORS = {**CONCRETE, "/": _divide,
+              "&&": lambda a, b: a and b, "||": lambda a, b: a or b}
 
 
 class _Chooser:
@@ -164,114 +169,16 @@ class _Chooser:
         return lo
 
 
-def _compile_expr(e, choose, where):
-    """A closure env -> value; `where` is the (function, node) a halt names."""
-    if isinstance(e, (IntLit, BoolLit)):
-        value = e.value
-        return lambda env: value
-    if isinstance(e, Var):
-        name = e.name
-        return lambda env: env[name]
-    if isinstance(e, Nondet):
-        lo, hi = e.lo, e.hi
-        return lambda env: choose(lo, hi)
-    if isinstance(e, Unary):
-        f = _compile_expr(e.operand, choose, where)
-        if e.op == "neg":
-            return lambda env: -f(env)
-        return lambda env: not f(env)
-    if isinstance(e, Binary):
-        left = _compile_expr(e.left, choose, where)
-        right = _compile_expr(e.right, choose, where)
-        if e.op in ("&&", "||"):
-            # Strict connectives: both operands always evaluate.
-            conj = e.op == "&&"
-
-            def connective(env):
-                a = bool(left(env))
-                b = bool(right(env))
-                return a and b if conj else a or b
-            return connective
-        if e.op == "/":
-            return lambda env: _divide(left(env), right(env), where)
-        op = CONCRETE[e.op]
-        # Variable and literal operands are read in place: most conditions
-        # and updates are of these shapes, and each saves a call.
-        if isinstance(e.left, Var) and isinstance(e.right, Var):
-            a, b = e.left.name, e.right.name
-            return lambda env: op(env[a], env[b])
-        if isinstance(e.left, Var) and isinstance(e.right, IntLit):
-            a, c = e.left.name, e.right.value
-            return lambda env: op(env[a], c)
-        return lambda env: op(left(env), right(env))
-    raise TypeError(e)
-
-
-# Node kinds of a compiled CFG.
-_EXIT, _ASSIGN, _CHECK, _COND, _CALL, _RETURN = range(6)
-
-
-def _compile_node(prog, fname, n, node, succ, choose):
-    """(kind, action, next, other) for one CFG node other than the entry.
-
-    `next` is the fall-through or true successor.  `other` is the false
-    successor of a condition, the target of an assignment, the verdict
-    of a failed assume or assert, or (callee, result variable) of a call.
-    """
-    where = (fname, n)
-    stmt = node.stmt
-    if node.kind == "exit":
-        return _EXIT, None, None, None
-    if node.kind == "cond":
-        return (_COND, _compile_expr(stmt.cond, choose, where),
-                succ[BRANCH_TRUE], succ[BRANCH_FALSE])
-    if isinstance(stmt, Decl):
-        value = (_compile_expr(stmt.init, choose, where) if stmt.init is not None
-                 else lambda env: 0)
-        return _ASSIGN, value, succ[FALLTHROUGH], stmt.name
-    if isinstance(stmt, Assign):
-        return _ASSIGN, _compile_expr(stmt.rhs, choose, where), succ[FALLTHROUGH], stmt.target
-    if isinstance(stmt, (Assume, Assert)):
-        verdict = ASSUME_INFEASIBLE if isinstance(stmt, Assume) else ASSERT_FAILED
-        return _CHECK, _compile_expr(stmt.cond, choose, where), succ[FALLTHROUGH], verdict
-    if isinstance(stmt, Skip):  # a check that always holds
-        return _CHECK, lambda env: True, succ[FALLTHROUGH], None
-    if isinstance(stmt, Call):
-        params = prog.functions[stmt.callee].params
-        args = [_compile_expr(arg, choose, where) for arg in stmt.args]
-
-        def frame(env):
-            return dict(zip(params, [arg(env) for arg in args]))
-        return _CALL, frame, succ[FALLTHROUGH], (stmt.callee, stmt.result)
-    if isinstance(stmt, Return):
-        return _RETURN, _compile_expr(stmt.value, choose, where), None, None
-    raise TypeError(stmt)
-
-
-def _compile_cfg(prog, fname, cfg, choose):
-    """A function's nodes compiled into a list indexed by node id, the node
-    its entry falls through to, and its exit node."""
-    code = [None] * (max(cfg.nodes) + 1)
-    succ = {n: {label: m for m, label in cfg.successors(n)} for n in cfg.nodes}
-    for n, node in cfg.nodes.items():
-        if n != cfg.entry:
-            code[n] = _compile_node(prog, fname, n, node, succ[n], choose)
-    return code, succ[cfg.entry][FALLTHROUGH], cfg.exit
-
-
 class _Interpreter:
-    """Tier 0: runs the executions of one program, whose CFGs it compiles
-    once into closures.  `steps` counts the last run's steps."""
+    """Tier 0: runs the executions of one program by walking its CFGs.
+    `steps` counts the last run's steps."""
 
     def __init__(self, prog: Program, step_limit: int, monitor=None):
         self.chooser = _Chooser()
-        choose = self.chooser.choose
         self.prog = prog
-        self.cfgs, self.code = {}, {}
-        for fname, fn in prog.functions.items():
-            watch = monitor.watch(fname) if monitor is not None else None
-            cfg = self.cfgs[fname] = build_cfg(fn)
-            self.code[fname] = _compile_cfg(prog, fname, cfg, choose) + (watch,)
+        self.cfgs = {fname: build_cfg(fn) for fname, fn in prog.functions.items()}
+        self.watches = {fname: monitor.watch(fname) if monitor is not None else None
+                        for fname in prog.functions}
         self.entry = prog.entry
         self.step_limit = step_limit
         self.monitor = monitor
@@ -301,51 +208,78 @@ class _Interpreter:
                      start: "int | None" = None) -> "int | None":
         """Run one function frame, mutating env in place, from its first
         node or from node `start`."""
-        code, n, exit_node, watch = self.code[fname]
-        if start is not None:
-            n = start
+        cfg, watch = self.cfgs[fname], self.watches[fname]
+        nodes, succs, exit_node = cfg.nodes, cfg.succs, cfg.exit
+        n = succs[cfg.entry][0][0] if start is None else start
+        evaluate = self.evaluate
         limit = self.step_limit
         steps = self.steps
         value = None
         try:
-            while True:
-                kind, action, succ, other = code[n]
-                if kind == _EXIT:
-                    break
+            while n != exit_node:
                 steps += 1
                 if steps > limit:
                     raise _Halt(STEP_LIMIT, (fname, n))
                 if watch is not None:
                     watch(n, env)
-                if kind == _ASSIGN:
-                    env[other] = action(env)
-                    n = succ
-                elif kind == _COND:
-                    n = succ if action(env) else other
-                elif kind == _CHECK:
-                    if not action(env):
-                        raise _Halt(other, (fname, n))
-                    n = succ
-                elif kind == _CALL:
-                    callee, result = other
-                    frame = action(env)
+                node = nodes[n]
+                stmt = node.stmt
+                if node.kind == "cond":
+                    (taken, label), (other, _) = succs[n]
+                    if label != BRANCH_TRUE:
+                        taken, other = other, taken
+                    n = taken if evaluate(stmt.cond, env) else other
+                    continue
+                kind = type(stmt)
+                if kind is Assign:
+                    env[stmt.target] = evaluate(stmt.rhs, env)
+                elif kind is Decl:
+                    env[stmt.name] = 0 if stmt.init is None else evaluate(stmt.init, env)
+                elif kind is Assume or kind is Assert:
+                    if not evaluate(stmt.cond, env):
+                        raise _Halt(ASSUME_INFEASIBLE if kind is Assume else ASSERT_FAILED,
+                                    (fname, n))
+                elif kind is Call:
+                    params = self.prog.functions[stmt.callee].params
+                    frame = dict(zip(params, [evaluate(arg, env) for arg in stmt.args]))
                     self.steps = steps
-                    rv = self.run_function(callee, frame)
+                    rv = self.run_function(stmt.callee, frame)
                     steps = self.steps
-                    if result is not None:
-                        env[result] = rv
-                    n = succ
-                else:
-                    value = action(env)
+                    if stmt.result is not None:
+                        env[stmt.result] = rv
+                elif kind is Return:
+                    value = evaluate(stmt.value, env)
                     break
-        except _Halt:
+                n = succs[n][0][0]  # the one successor; `skip` does nothing else
+        except _Halt as halt:
             if steps > self.steps:  # it halted in this frame, not in a callee
                 self.steps = steps
+            if halt.node is None:  # a zero divisor in an expression of node n
+                halt.node = (fname, n)
             raise
         self.steps = steps
         if watch is not None:  # the frame's exit state, checked like any other
             watch(exit_node, env)
         return value
+
+    def evaluate(self, e, env: "dict[str, int]"):
+        """The value of e in env.  Both operands of `&&` and `||` are
+        evaluated, left first.  A zero divisor raises a halt that names no
+        node; `run_function` names the node whose expression it was."""
+        kind = type(e)
+        if kind is Var:
+            return env[e.name]
+        if kind is Binary:
+            a, b = self.evaluate(e.left, env), self.evaluate(e.right, env)
+            return _OPERATORS[e.op](a, b)
+        if kind is IntLit or kind is BoolLit:
+            return e.value
+        if kind is Nondet:
+            return self.chooser.choose(e.lo, e.hi)
+        if kind is Unary:
+            a = self.evaluate(e.operand, env)
+            return -a if e.op == "neg" else not a
+        raise TypeError(e)
 
     def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> None:
         """Finish an execution that tier 1 stopped in a frame of `fname`
@@ -368,11 +302,13 @@ class _Interpreter:
 
 # Steps per CFG node that an enumeration runs, or is predicted to, before
 # it compiles tier 1.  Measured on the oracle-enum programs (Python 3.11,
-# 2 vCPUs) as the machine's load varied, the break-evens were 60-75 steps
-# per node with the soundness monitor and 115-135 without one.  Near a
-# break-even either side costs about the same (a budget of 120 for the
-# enumerations without a monitor gained 0-0.7%), so one budget serves both,
-# and 100 keeps every corpus and fuzz program's `check` on tier 0.
+# 2 vCPUs) as the machine's load varied, the break-evens are 42-48 steps
+# per node with the soundness monitor and 58-67 without one.  They were
+# 60-75 and 115-135 when tier 0 ran closures compiled from each node, and
+# near a break-even either side cost about the same (a budget of 120 for
+# the enumerations without a monitor gained 0-0.7%), so one budget served
+# both.  100 keeps every corpus and fuzz program's `check` on tier 0; 70
+# would tier up `random_program(203)`.
 TIER_UP_STEPS_PER_NODE = 100
 
 # The deepest indentation of a block in one generated def, whose body sits

@@ -535,6 +535,17 @@ class TestErrors:
         assert code == 2
         assert err.strip() == "error: input nests too deeply"
 
+    def test_long_sums_in_a_callee_and_its_caller_check_clean(self, capsys, tmp_path):
+        # The analysis and the oracle recurse once per term of a flat sum;
+        # Python's default recursion limit of 1000 leaves room for 800.
+        sums = " + ".join(["a"] * 800), " + ".join(["y"] * 800)
+        source = tmp_path / "p.mini"
+        source.write_text("fn f(a) { return %s; }\nfn main() { int x = nondet(0, 1);"
+                          " int y; y = f(x); int z = %s; }\n" % sums)
+        code, out, err = run(capsys, "check", str(source))
+        assert (code, err) == (0, "")
+        assert out.endswith("result: clean\n")
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(args):
             raise TypeError("unsupported operand")

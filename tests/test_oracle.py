@@ -999,6 +999,28 @@ class TestTiers:
         assert [(verdict, node and node[0]) for _, _, verdict, node, _ in runs] \
             == [(OK, None), (OK, None), (DIV_BY_ZERO, "main"), (OK, None), (OK, None)]
 
+    @pytest.mark.parametrize("source,fname,index", [
+        ("fn half(v) { int h; h = v / 2; return h; }"
+         " fn main() { int d = nondet(0, 1); int r; r = half(6 / d); }", "main", 2),
+        ("fn main() { int d = nondet(0, 1); int x = 0; if (6 / d > 1) { x = 1; } }", "main", 2),
+        ("fn main() { int d = nondet(0, 1); int x = 0; while (x < 6 / d) { x = x + 3; } }",
+         "main", 2),
+        ("fn main() { int d = nondet(0, 1); assert(6 / d > 0); }", "main", 1),
+        ("fn ratio(v) { return 6 / v; } fn main() { int d = nondet(0, 1); int r; r = ratio(d); }",
+         "ratio", 0),
+    ], ids=["call-argument", "if", "while", "assert", "return"])
+    def test_zero_divisor_names_its_node(self, monkeypatch, source, fname, index):
+        # The node of the statement whose expression divides: for a call
+        # argument, the caller's call node.
+        prog = parse_program(source)
+        fn = prog.functions[fname]
+        node = (fname, build_cfg(fn).stmt_node[fn.body[index].sid])
+        expected = [((0,), DIV_BY_ZERO, node), ((1,), OK, None)]
+        traced = enumerate_executions(prog)  # the trace recorder keeps tier 0
+        assert [(r.choices, r.verdict, r.verdict_node) for r in traced] == expected
+        runs, _ = _agree_under_every_monitor(monkeypatch, prog)
+        assert [(choices, verdict, where) for choices, _, verdict, where, _ in runs] == expected
+
     def test_exit_after_return_inside_loop(self, monkeypatch):
         prog = parse_program("""
             fn find(n) {
@@ -1069,11 +1091,15 @@ class TestTiers:
         prog = parse_program("fn f(a) { int b = a + 1; return b; } "
                              "fn main() { int x; x = f(1); }")
         tier0 = intana.oracle._Interpreter(prog, 100)
+
+        def first(fname):  # the node a function's entry falls through to
+            cfg = tier0.cfgs[fname]
+            return cfg.successors(cfg.entry)[0][0]
         with pytest.raises(RuntimeError, match="deoptimized f"):
-            tier0.resume("f", intana.oracle._Deopt(tier0.code["f"][1], 0), {"a": 1})
+            tier0.resume("f", intana.oracle._Deopt(first("f"), 0), {"a": 1})
         env = {}
         with pytest.raises(intana.oracle._Halt) as halt:
-            tier0.resume("main", intana.oracle._Deopt(tier0.code["main"][1], 0), env)
+            tier0.resume("main", intana.oracle._Deopt(first("main"), 0), env)
         assert (halt.value.verdict, halt.value.env) == (OK, {"x": 2})
 
     @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
