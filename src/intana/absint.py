@@ -84,9 +84,8 @@ def _simple_prune(form, state: AbstractState, arith: bool) -> AbstractState:
 
 
 def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,
-                    config: "AnalysisConfig | None" = None) -> AbstractState:
+                    config: AnalysisConfig = AnalysisConfig()) -> AbstractState:
     """Refine a state by a condition (or its negation)."""
-    config = config or AnalysisConfig()
     if state.is_bottom:
         return state
     form = lower_condition(cond, polarity, state)
@@ -98,19 +97,17 @@ def transfer_assume(state: AbstractState, cond: Expr, polarity: bool = True,
 
 
 def condition_verdict(cond: Expr, state: AbstractState,
-                      config: "AnalysisConfig | None" = None) -> Truth3:
+                      config: AnalysisConfig = AnalysisConfig()) -> Truth3:
     """TRUE or FALSE when cond is shown to hold or to fail in every
     concrete state that state covers, MAYBE otherwise; by contraction or
     by plain evaluation of its lowered form, as config says."""
-    config = config or AnalysisConfig()
     if config.use_contractors:
         return classify_condition(cond, state).verdict
     return eval_cond3(lower_condition(cond, True, state), state, config.interval_arith)
 
 
 def transfer_assign(state: AbstractState, target: str, rhs: Expr,
-                    config: "AnalysisConfig | None" = None) -> AbstractState:
-    config = config or AnalysisConfig()
+                    config: AnalysisConfig = AnalysisConfig()) -> AbstractState:
     if state.is_bottom:
         return state
     return state.set(target, eval_expr(rhs, state, config.interval_arith))
@@ -154,8 +151,7 @@ def _edge_state(node, after: AbstractState, label: str, config: AnalysisConfig) 
     return after
 
 
-def analyze(cfg: Cfg, init: AbstractState, config: "AnalysisConfig | None" = None) -> AnalysisResult:
-    config = config or AnalysisConfig()
+def analyze(cfg: Cfg, init: AbstractState, config: AnalysisConfig = AnalysisConfig()) -> AnalysisResult:
     bottom = init.as_bottom()
     rpo = cfg.rpo
     rpo_index = {n: i for i, n in enumerate(rpo)}
@@ -281,8 +277,7 @@ def initial_state(func) -> AbstractState:
     return AbstractState.top(sorted(func.variables))
 
 
-def analyze_program(prog: Program, config: "AnalysisConfig | None" = None) -> "dict[str, FunctionAnalysis]":
-    config = config or AnalysisConfig()
+def analyze_program(prog: Program, config: AnalysisConfig = AnalysisConfig()) -> "dict[str, FunctionAnalysis]":
     out = {}
     for name, fn in prog.functions.items():
         cfg = build_cfg(fn)

@@ -118,8 +118,7 @@ class _Instrumenter:
 
 
 def instrument_program(prog: Program, analyses,
-                       config: "AnalysisConfig | None" = None
+                       config: AnalysisConfig = AnalysisConfig()
                        ) -> "tuple[Program, list[InstrumentationPoint]]":
-    config = config or AnalysisConfig()
     worker = _Instrumenter(prog, analyses, config)
     return map_program(prog, worker.stmt), worker.points

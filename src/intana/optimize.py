@@ -173,8 +173,7 @@ def _resolve_cond(cond: Expr, state: "AbstractState | None",
 
 
 def guard_eliminate(prog: Program, analyses,
-                    config: "AnalysisConfig | None" = None) -> "tuple[Program, RewriteReport]":
-    config = config or AnalysisConfig()
+                    config: AnalysisConfig = AnalysisConfig()) -> "tuple[Program, RewriteReport]":
     report = RewriteReport()
 
     def eliminate(name, stmt, walk):
@@ -245,13 +244,12 @@ def const_fold(prog: Program) -> "tuple[Program, RewriteReport]":
 
 # --- pipeline ----------------------------------------------------------------
 
-def optimize_program(prog: Program, config: "AnalysisConfig | None" = None
+def optimize_program(prog: Program, config: AnalysisConfig = AnalysisConfig()
                      ) -> "tuple[Program, RewriteReport, dict[str, FunctionAnalysis]]":
     """analyze, propagate singletons, eliminate guards, fold constants.
 
     The analyses returned are those of prog, as analyze_program gives them.
     """
-    config = config or AnalysisConfig()
     analyses = analyze_program(prog, config)
     # Statement ids survive rewriting, so one analysis serves both passes.
     propagated, report = singleton_propagate(prog, analyses)

@@ -26,11 +26,11 @@ Tier 1 keeps each mini variable in a Python local of its def, draws
 inline on the chooser's lists, and builds a frame's environment as a dict
 only where one is seen; the key order of `ConcreteState.env` is
 unspecified.  It tests the step limit once per segment, a straight-line
-run of nodes, or per loop iteration (see `_Emitter`).  A failed test
-deoptimizes (Hölzle, Chambers & Ungar 1992): tier 0 takes over the frame
-at the test's first node, with the steps run before it and the frame's
-environment, and finishes the execution exactly; a loop iteration's test
-is for its longest path, so tier 0 may finish the entry frame.
+run of nodes, or per loop iteration (see `_Emitter`).  A test fails only
+where the steps it guards pass the limit, and then deoptimizes (Hölzle,
+Chambers & Ungar 1992): tier 0 takes over the frame at the test's first
+node, with the steps run before it and the frame's environment, and runs
+it to the halt.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -42,17 +42,18 @@ each finished `ConcreteState`.  Two monitors exist: `_TraceRecorder`
 copies every point into `ConcreteState.trace` (`record_trace=True`), and
 `_SoundnessMonitor` tests every point against the analysis states in
 place, so `check_soundness` needs no trace.  A monitor may also have
-`bounds(fname)`, as `_SoundnessMonitor` does: a list, indexed by node id,
-of the `(name, lo, hi)` tests a point passes when the monitor has nothing
-to do there, or None where it always has.  Tier 1 inlines those tests and
+`bounds(fname)`, as `_SoundnessMonitor` does: a dict from node id to the
+`(name, lo, hi)` tests a point passes when the monitor has nothing to do
+there, or None where it always has.  Tier 1 inlines those tests and
 never calls the monitor: an execution with a point that fails them runs
 again on tier 0 from its start, which shows the monitor every point.
 
 Tier 1 refuses some enumerations, which then stay on tier 0: those whose
 monitor has no `bounds`, such as `_TraceRecorder`, and those of programs
 with a block nested in more than 15 compound statements, an expression
-more than 32 nodes deep, or a statement at two CFG nodes.  CPython rejects
-Python nested as deep as some of those programs are.
+more than 32 nodes deep or with a draw inside (only an AST has one), or a
+statement at two CFG nodes.  CPython rejects Python nested as deep as
+some of those programs are.
 """
 
 from __future__ import annotations
@@ -283,21 +284,17 @@ class _Interpreter:
 
     def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> None:
         """Finish an execution that tier 1 stopped in a frame of `fname`
-        before steps that may pass the step limit: run the frame on `env`,
-        its environment there, from their first node.  This always raises a
-        halt, with verdict ok if the frame runs to its end, which only the
-        entry frame may: only its loops test a whole iteration ahead.  A
+        before steps that pass the step limit: run the frame on `env`, its
+        environment there, from their first node, to the halt it raises.  A
         halt in the entry frame carries `env`."""
         n, self.steps = deopt.args
         try:
             self.run_function(fname, env, n)
-            if fname != self.entry:
-                raise RuntimeError("tier 1 deoptimized %s before a segment that fits" % fname)
-            raise _Halt(OK)
         except _Halt as halt:
             if fname == self.entry:
                 halt.env = env
             raise
+        raise RuntimeError("tier 1 deoptimized %s before steps that fit" % fname)
 
 
 # Steps per CFG node that an enumeration runs, or is predicted to, before
@@ -376,22 +373,21 @@ def _assigned(stmts) -> "set[str]":
     return names
 
 
-def _steps(stmts) -> "tuple[int, int] | None":
-    """The fewest and the most steps a run through a block takes, or None
-    if the block holds a loop, a call or a return."""
-    fewest = most = 0
+def _steps(stmts) -> "int | None":
+    """The steps every run through a block takes, or None if runs differ
+    in length or the block holds a loop, a call or a return."""
+    steps = 0
     for stmt in stmts:
         if isinstance(stmt, If):
-            branches = [_steps(stmt.then), _steps(stmt.orelse or [])]
-            if None in branches:
+            then = _steps(stmt.then)
+            if then is None or then != _steps(stmt.orelse or []):
                 return None
-            fewest += 1 + min(b[0] for b in branches)
-            most += 1 + max(b[1] for b in branches)
+            steps += 1 + then
         elif isinstance(stmt, _SIMPLE):
-            fewest, most = fewest + 1, most + 1
+            steps += 1
         else:
             return None
-    return fewest, most
+    return steps
 
 
 def _range(e) -> "tuple":
@@ -440,16 +436,14 @@ class _Emitter:
     Steps are counted per segment: a run of simple statements and the node
     that ends it (a condition, loop head, call or return), or the loop head
     a loop body's last run falls through to.  A segment adds its length to
-    `s` and tests the limit once, before its first node.  In the entry
-    function, a loop whose body has no loop, call or return tests each
-    iteration, at its top, against the longest path back to the head; its
-    segments only add their lengths, or if every path is that long, the
-    head adds it.  A failed test
-    raises `_Deopt`, and the def's handler has tier 0 finish the execution
-    from the test's first node (`_Interpreter.resume`).  A draw works on
-    the chooser's lists, which every def takes as the defaults V and H.  A
-    connective is `and` or `or` if its right operand cannot halt or draw,
-    else `&` or `|`.
+    `s` and tests the limit once, before its first node.  A loop whose body
+    has no loop, call or return, and whose every path back to the head
+    takes the same steps, adds and tests them once per iteration, at its
+    top, and its segments do neither.  A failed test raises `_Deopt`, and
+    the def's handler has tier 0 finish the execution from the test's
+    first node (`_Interpreter.resume`).  A draw works on the chooser's
+    lists, which every def takes as the defaults V and H.  A connective is
+    `and` or `or` if its right operand cannot halt, else `&` or `|`.
 
     The monitor is not called: a point that fails its bounds, or whose
     state is bottom or missing, raises `_Redo`, and tier 0 runs that
@@ -460,7 +454,8 @@ class _Emitter:
 
     `program` raises `_Refused` for a monitor without bounds, such as the
     trace recorder, a block nested deeper than `_MAX_DEPTH`, an expression
-    deeper than `_MAX_INLINE_DEPTH` and a statement at two CFG nodes.
+    deeper than `_MAX_INLINE_DEPTH` or with a draw, and a statement at two
+    CFG nodes.
     """
 
     def __init__(self, tier0: _Interpreter):
@@ -473,7 +468,7 @@ class _Emitter:
         self.names = {fname: "_f%d" % i for i, fname in enumerate(tier0.prog.functions)}
         self.consts = {}
         self.defs = []
-        self.iteration = None
+        self.iteration = False  # in a loop body whose head counts its steps
 
     def const(self, value) -> str:
         """The namespace name of a value, one per distinct value: CPython
@@ -563,12 +558,10 @@ class _Emitter:
 
     def count(self, first: int, steps: int, depth: int) -> None:
         """Count a segment's steps, and go back to tier 0 at its first node
-        if they pass the step limit; in a loop body whose head tests each
-        iteration, only add them, or not at all if the head did."""
-        if steps and self.iteration != "counted":
+        if they pass the step limit, unless its loop's head counted them."""
+        if steps and not self.iteration:
             self.line(depth, "s += %d" % steps)
-            if self.iteration is None:
-                self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (first, steps))
+            self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (first, steps))
 
     def where(self, n: int) -> str:
         """The constant naming node n in a halt."""
@@ -580,7 +573,7 @@ class _Emitter:
         hold past the point."""
         if self.bounds is None:
             return
-        tests = self.bounds[n] if n < len(self.bounds) else None
+        tests = self.bounds.get(n)
         if tests is None:  # a bottom or missing state
             self.line(depth, "raise _Redo")
             return
@@ -622,15 +615,14 @@ class _Emitter:
                 self.out[start] = "    " * depth + "while %s:" % cond
             else:
                 self.line(depth + 1, "if not %s: break" % cond)
-            steps = _steps(stmt.body) if self.entry else None
+            steps = _steps(stmt.body)
             if steps is not None:
                 first = self.nodes[id(stmt.body[0])] if stmt.body else n
-                self.line(depth + 1, "if s + %d > _L: raise _Deopt(%d, s)" % (steps[1] + 1, first))
-                if steps[0] == steps[1]:
-                    self.line(depth + 1, "s += %d" % (steps[1] + 1))
-                self.iteration = "counted" if steps[0] == steps[1] else "tested"
+                self.line(depth + 1, "if s + %d > _L: raise _Deopt(%d, s)" % (steps + 1, first))
+                self.line(depth + 1, "s += %d" % (steps + 1))
+            self.iteration = steps is not None
             self.block(stmt.body, depth + 1, facts, follow=n)
-            self.iteration = None
+            self.iteration = False
             return facts
         self.point(n, depth, facts)
         if isinstance(stmt, If):
@@ -647,7 +639,9 @@ class _Emitter:
             name, value = ((stmt.name, stmt.init) if isinstance(stmt, Decl)
                            else (stmt.target, stmt.rhs))
             facts[name] = (True,) + _range(IntLit(0) if value is None else value)
-            if isinstance(value, Nondet):  # the draw of `expr`, in two statements
+            if isinstance(value, Nondet):
+                # `_Chooser.choose`: the value at the next index of V, or a
+                # new range minimum; H gets the range's high end.
                 lo = self.const(value.lo)
                 self.line(depth, "%s = V[d] if (d := len(H)) < len(V) else V.append(%s) or %s"
                           % (_var(name), lo, lo))
@@ -676,18 +670,12 @@ class _Emitter:
 
     def expr(self, e, n: int, depth: int = 1) -> str:
         """Code for e at node n, at `depth` in the statement's expression."""
-        if depth > _MAX_INLINE_DEPTH:
+        if depth > _MAX_INLINE_DEPTH or isinstance(e, Nondet):
             raise _Refused
         if isinstance(e, (IntLit, BoolLit)):
             return self.const(e.value)
         if isinstance(e, Var):
             return _var(e.name)
-        if isinstance(e, Nondet):
-            # `_Chooser.choose`: the value at the next index of V, or a new
-            # range minimum; H gets the range's high end.
-            lo, hi = self.const(e.lo), self.const(e.hi)
-            return "(V[d] if H.append(%s) or (d := len(H) - 1) < len(V) else V.append(%s) or %s)" \
-                % (hi, lo, lo)
         if isinstance(e, Unary):
             return "(%s%s)" % ("-" if e.op == "neg" else "not ",
                                self.expr(e.operand, n, depth + 1))
@@ -698,10 +686,9 @@ class _Emitter:
         if op in ("&&", "||"):
             # The operands are of sort bool, so Python bools.  Tier 0
             # evaluates both; `and` and `or` skip the right one where the
-            # left decides, which only shows if it could halt or draw, and
-            # `&` and `|` evaluate both.
-            strict = any(isinstance(sub, Nondet) or isinstance(sub, Binary) and sub.op == "/"
-                         for sub in subexprs(e.right))
+            # left decides, which only shows if it could halt, and `&` and
+            # `|` evaluate both.
+            strict = any(isinstance(sub, Binary) and sub.op == "/" for sub in subexprs(e.right))
             op = {"&&": "&", "||": "|"}[op] if strict else {"&&": "and", "||": "or"}[op]
         return "(%s %s %s)" % (left, op, right)
 
@@ -842,15 +829,14 @@ class SoundnessViolation:
 class _SoundnessMonitor:
     """The monitor that tests every point against its analysis state.
 
-    Per function it holds a list, indexed by node id, of the node's
-    `(name, lo, hi)` bounds; unbounded intervals are left out, as no value
-    falls outside them.  Tier 0's `watch` callable and tier 1's inlined
-    tests read that one list.  A point is tested in place, only on the
-    names its environment has.  On tier 0 a node's entry is None until the
-    node is first reached; `bounds` fills the rest for tier 1.  It stays
-    None if the node's state is bottom or missing; such a point, and any
-    point that fails, takes the slow path, which walks the environment
-    against the state to build the violations.
+    Per function it holds a dict from node id to the node's `(name, lo,
+    hi)` bounds, filled when `watch` is called; unbounded intervals are
+    left out, as no value falls outside them.  Tier 0's `watch` callable
+    and tier 1's inlined tests read that one table.  A point is tested in
+    place, only on the names its environment has.  A node whose state is
+    bottom has None, and a node without a state has no entry; such a
+    point, and any point that fails, walks the environment against the
+    state to build the violations.
     """
 
     def __init__(self, analyses):
@@ -861,42 +847,31 @@ class _SoundnessMonitor:
 
     def watch(self, fname: str):
         before = self.analyses[fname].result.before
-        bounds = self.tables[fname] = [None] * (max(before, default=-1) + 1)
-        pending = self.pending
-
-        def slow(n, env):
-            state = before.get(n)
-            if state is None:
-                pending.append((fname, n, "<missing>", 0, "no state"))
-                return
-            abstract = state.as_dict()
-            bounds[n] = _bounds(abstract)
-            for var, iv in abstract.items():
-                # A bottom has lo > hi.
-                if var in env and not iv.lo <= env[var] <= iv.hi:
-                    pending.append((fname, n, var, env[var], iv.render()))
+        bounds = self.tables[fname] = {n: _bounds(state.as_dict())
+                                       for n, state in before.items()}
+        node_bounds, pending = bounds.get, self.pending
 
         def check(n, env):
-            try:
-                node_bounds = bounds[n]
-            except IndexError:
-                node_bounds = None
-            if node_bounds is not None:
-                for name, lo, hi in node_bounds:
+            tests = node_bounds(n)
+            if tests is not None:
+                for name, lo, hi in tests:
                     if name in env and not lo <= env[name] <= hi:
                         break
                 else:
                     return
-            slow(n, env)
+            state = before.get(n)
+            if state is None:
+                pending.append((fname, n, "<missing>", 0, "no state"))
+                return
+            for var, iv in state.as_dict().items():
+                # A bottom has lo > hi.
+                if var in env and not iv.lo <= env[var] <= iv.hi:
+                    pending.append((fname, n, var, env[var], iv.render()))
         return check
 
     def bounds(self, fname: str):
-        """The bounds list of a function `watch` has seen, every entry filled."""
-        bounds = self.tables[fname]
-        for n, state in self.analyses[fname].result.before.items():
-            if bounds[n] is None:
-                bounds[n] = _bounds(state.as_dict())
-        return bounds
+        """The bounds table of a function `watch` has seen."""
+        return self.tables[fname]
 
     def end(self, state: ConcreteState) -> None:
         if self.pending:

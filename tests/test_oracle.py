@@ -766,10 +766,9 @@ HALTS_IN_A_SEGMENT = """
         x = x + c; x = 6 / d; assume(c != 1); x = x + 1; assert(x != 7); x = x * 2;
     }
 """
-# Loops whose iterations tier 1 tests at the head, once each, against the
-# longest path back to it: one whose branches differ in length, so the
-# test can stop a run whose path would have fit; a loop in a loop; a loop
-# in a callee, which tests each segment instead; and draws in a loop body.
+# Loops: one whose branches differ in length, so tier 1 tests each
+# segment of its body; a loop in a loop; a loop in a callee, uneven too;
+# and draws in a loop body.
 UNEVEN_BRANCHES = """
     fn main() {
         int k = nondet(0, 5); int i = 0; int s = 0;
@@ -790,6 +789,13 @@ LOOP_IN_CALLEE = """
     fn sum(n) { int i = 0; int t = 0;
         while (i < n) { if (i > 1) { t = t + i; } i = i + 1; } return t; }
     fn main() { int k = nondet(0, 4); int r; r = sum(k); int q; q = sum(2); }
+"""
+# A loop in a callee whose every path back to the head is 4 steps long, so
+# tier 1 counts and tests each iteration once, at the head.
+EVEN_LOOP_IN_CALLEE = """
+    fn f(a) { int t = 0; int i = 0;
+        while (i < a) { if (i > 1) { t = t + i; } else { t = t - 1; } i = i + 1; } return t; }
+    fn main() { int j = nondet(0, 9); int r; r = f(j); assert(r >= 0); }
 """
 DRAWS_IN_A_LOOP = """
     fn main() {
@@ -1072,35 +1078,38 @@ class TestTiers:
         for step_limit in range(1, _most_steps(prog) + 2):
             _agree_under_every_monitor(monkeypatch, prog, step_limit)
 
-    def test_head_test_stops_runs_that_would_fit(self, monkeypatch):
-        # Some limits lie between a run's steps and what the head test
-        # assumed its iteration might take: tier 0 finishes such a run.
-        prog = parse_program(UNEVEN_BRANCHES)
-        assert "if s + 6 > _L: raise _Deopt(" in _tier1_source(prog)
-        finished = set()
-        for step_limit in range(1, _most_steps(prog) + 2):
-            handbacks = _handbacks(monkeypatch, _executions(
-                prog, step_limit=step_limit, record_trace=False))
-            if any(verdict != STEP_LIMIT for *_, verdict in handbacks):
-                finished.add(step_limit)
-        assert len(finished) >= 3
+    def test_step_tests_are_exact(self, monkeypatch):
+        # A loop whose paths back to the head differ in length tests each
+        # segment; one whose paths are equally long tests each iteration at
+        # its head, in a callee too.
+        uneven = _tier1_source(parse_program(UNEVEN_BRANCHES))
+        assert "if s > _L: raise _Deopt(" in uneven and "if s + " not in uneven
+        callee = _tier1_source(parse_program(EVEN_LOOP_IN_CALLEE)).split("def ")[1]
+        assert callee.startswith("_f0(") and "if s + 4 > _L: raise _Deopt(" in callee
+        # So a failed test hands tier 0 only runs that halt within the steps
+        # it guards: tier 0 never runs a frame to its end.
+        verdicts = set()
+        for source in (UNEVEN_BRANCHES, LOOP_IN_CALLEE, EVEN_LOOP_IN_CALLEE):
+            prog = parse_program(source)
+            for step_limit in range(1, _most_steps(prog) + 2):
+                handbacks = _handbacks(monkeypatch, _executions(
+                    prog, step_limit=step_limit, record_trace=False))
+                verdicts |= {verdict for kind, *_, verdict in handbacks if kind == "_Deopt"}
+                if source is EVEN_LOOP_IN_CALLEE:
+                    _agree_under_every_monitor(monkeypatch, prog, step_limit)
+        assert verdicts == {STEP_LIMIT}
 
-    def test_resume_finishes_only_the_entry_frame(self):
-        # Only the entry function's loops test an iteration ahead; a callee
-        # frame that tier 0 runs to its end was handed back too early.
+    def test_resume_raises_for_a_frame_run_to_its_end(self):
+        # Every step test is exact, so a frame that tier 0 runs to its end,
+        # the entry frame's too, was handed back before steps that fit.
         prog = parse_program("fn f(a) { int b = a + 1; return b; } "
                              "fn main() { int x; x = f(1); }")
         tier0 = intana.oracle._Interpreter(prog, 100)
-
-        def first(fname):  # the node a function's entry falls through to
+        for fname, env in (("f", {"a": 1}), ("main", {})):
             cfg = tier0.cfgs[fname]
-            return cfg.successors(cfg.entry)[0][0]
-        with pytest.raises(RuntimeError, match="deoptimized f"):
-            tier0.resume("f", intana.oracle._Deopt(first("f"), 0), {"a": 1})
-        env = {}
-        with pytest.raises(intana.oracle._Halt) as halt:
-            tier0.resume("main", intana.oracle._Deopt(first("main"), 0), env)
-        assert (halt.value.verdict, halt.value.env) == (OK, {"x": 2})
+            first = cfg.successors(cfg.entry)[0][0]  # the node the entry falls through to
+            with pytest.raises(RuntimeError, match="deoptimized %s" % fname):
+                tier0.resume(fname, intana.oracle._Deopt(first, 0), env)
 
     @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
     def test_handbacks_after_draws_leave_tier0_lists(self, monkeypatch, step_limit):
@@ -1141,13 +1150,16 @@ class TestTiers:
     def test_draws_inside_expressions(self, monkeypatch):
         # Only the AST puts a draw inside an expression: here in call
         # arguments, and after a division that halts before it when k is 0.
+        # Tier 1 refuses such a program, and tier 0 runs it.
         prog = parse_program("""
             fn diff(a, b) { int d; d = a - b; return d; }
             fn main() { int k = nondet(0, 2); int r; r = diff(0, 0); int x = 0; x = k; }
         """)
         prog.main.body[2].args = (Nondet(0, 1), Binary("-", Nondet(5, 6), Var("k")))
         prog.main.body[4].rhs = Binary("+", Binary("/", IntLit(6), Var("k")), Nondet(-1, 0))
-        runs, _ = _agree_under_every_monitor(monkeypatch, prog)
+        runs = _refused(monkeypatch, _executions(prog, record_trace=False))
+        assert _refused(monkeypatch, _soundness(prog, analyze_program(prog, AnalysisConfig())))[0] \
+            == []
         assert [(choices, verdict) for choices, _, verdict, _, _ in runs][:5] == [
             ((0, 0, 5), DIV_BY_ZERO), ((0, 0, 6), DIV_BY_ZERO), ((0, 1, 5), DIV_BY_ZERO),
             ((0, 1, 6), DIV_BY_ZERO), ((1, 0, 5, -1), OK)]
