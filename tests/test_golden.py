@@ -14,9 +14,12 @@ WIDE_CONFIGS flags, which vary the widening delay and the narrowing
 passes as well.
 
 A change that must not alter any output keeps these tests green.  After
-an intended output change, regenerate both files with
+an intended output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each program and run whose digest it changed, so a re-pin
+can be reviewed run by run.
 """
 
 import contextlib
@@ -178,6 +181,11 @@ if __name__ == "__main__":
         wide = {key: wide_digests(key, pathlib.Path(directory)) for key in sorted(WIDE)}
     traces = {key: trace_digests(source) for key, source in TRACE_SOURCES.items()}
     for path, digests in ((GOLDEN, table), (WIDE_GOLDEN, wide), (TRACE_GOLDEN, traces)):
+        old = json.loads(path.read_text()) if path.exists() else {}
+        for key in sorted(digests):
+            for run in sorted(digests[key]):
+                if old.get(key, {}).get(run) != digests[key][run]:
+                    print("changed %s: %s: %s" % (path.name, key, run))
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
         print("wrote %d runs for %d programs to %s"
               % (sum(map(len, digests.values())), len(digests), path))
