@@ -3,7 +3,11 @@
 Structured statements are lowered to nodes and labeled edges; `while`
 produces a back edge to its condition node.  One depth-first search from
 the entry then drops the nodes it does not reach, and gives the loop
-heads (the targets of its back edges) and the reverse postorder.
+heads (the targets of its back edges) and the reverse postorder.  That
+order puts every loop body before the loop's exit path, so the
+analyzer's worklist stabilizes a loop before leaving it: Bourdoncle's
+recursive iteration strategy (Bourdoncle 1993, "Efficient chaotic
+iteration strategies with widenings").
 """
 
 from __future__ import annotations
@@ -131,15 +135,24 @@ def build_cfg(func: Function) -> Cfg:
 
 
 def _depth_first(cfg: Cfg):
-    """Depth-first search from the entry, successors in edge order.
+    """Depth-first search from the entry, successors in edge order except
+    at a `while` condition, whose exit edge it takes before its body edge.
 
     Returns the postorder of the nodes it reaches and the targets of its
-    back edges (edges to a node still on the search stack).  Iterative, so
-    a long straight-line function does not exhaust Python's stack.
+    back edges (edges to a node still on the search stack).  Taking the
+    exit first puts the whole loop body before the loop's exit path in the
+    reverse postorder, so a worklist popped in that order stabilizes each
+    loop before the code after it sees its state (Bourdoncle 1993,
+    "Efficient chaotic iteration strategies with widenings").  Iterative,
+    so a long straight-line function does not exhaust Python's stack.
     """
+    def successors(n):
+        succs = cfg.successors(n)
+        return reversed(succs) if isinstance(cfg.nodes[n].stmt, While) else iter(succs)
+
     postorder, heads = [], set()
     seen, on_stack = {cfg.entry}, {cfg.entry}
-    stack = [(cfg.entry, iter(cfg.successors(cfg.entry)))]
+    stack = [(cfg.entry, successors(cfg.entry))]
     while stack:
         n, succs = stack[-1]
         for m, _ in succs:
@@ -148,7 +161,7 @@ def _depth_first(cfg: Cfg):
             elif m not in seen:
                 seen.add(m)
                 on_stack.add(m)
-                stack.append((m, iter(cfg.successors(m))))
+                stack.append((m, successors(m)))
                 break
         else:
             stack.pop()

@@ -1,4 +1,6 @@
+import contextlib
 import heapq
+import io
 import pathlib
 import random
 from collections import Counter
@@ -6,6 +8,7 @@ from collections import Counter
 import pytest
 
 import intana.absint
+import intana.cli
 import intana.contractor
 from intana.absint import (
     AbstractState,
@@ -26,7 +29,7 @@ from intana.interval import BOTTOM, Interval, TOP, Truth3
 from intana.lang import (Binary, CMP_OPS, build_cfg, free_vars, parse_condition, parse_program,
                          subexprs)
 from test_contractor import reference_contract
-from test_golden import WIDE
+from test_golden import WIDE, WIDE_CONFIGS
 
 CORPUS = pathlib.Path(__file__).parent.parent / "corpus"
 
@@ -51,6 +54,33 @@ def analysis_of(source, **kwargs):
 
 def node_of(fa, kind):
     return next(n.id for n in fa.cfg.nodes.values() if n.kind == kind)
+
+
+def scale_shape(nv: int, loops: int, guards: int) -> str:
+    """The benchmark's scale family shape, variables unshuffled: nv
+    variables, two drawn from nondet(0, 2), then `loops` sequential
+    counted loops of `guards` `&&`-guarded updates each."""
+    names = ["v%d" % k for k in range(nv)]
+    lines = ["int %s = %s;" % (name, "nondet(0, 2)" if k < 2 else k % 7 - 3)
+             for k, name in enumerate(names)] + ["int i;"]
+    for loop in range(loops):
+        lines += ["i = 0;", "while (i < 3) {"]
+        for k in range(guards):
+            a, b = names[(loop + k) % nv], names[(loop + 2 * k + 1) % nv]
+            if b == a:
+                b = names[(loop + 2 * k + 2) % nv]
+            lines += ["    if (%s < 3 && %s > 1) {" % (a, b), "        %s = %s + 1;" % (a, b),
+                      "    } else {", "        %s = %s - 1;" % (b, a), "    }"]
+        lines += ["    i = i + 1;", "}"]
+    return "fn main() {\n%s}\n" % "".join("    %s\n" % line for line in lines)
+
+
+GROWTH = {"scale-12-%02d-3" % loops: scale_shape(12, loops, 3) for loops in (1, 2, 4, 8, 16)}
+
+
+def config_of(flags) -> AnalysisConfig:
+    """The analysis configuration the CLI builds from flags."""
+    return intana.cli._config(intana.cli.build_parser().parse_args(["check", "-"] + flags))
 
 
 class TestConfig:
@@ -236,6 +266,31 @@ class TestLoopAnalysis:
                 for prog in programs:
                     for fa in analyze_program(prog, config).values():
                         assert check_post_fixpoint(fa.cfg, fa.result, config)
+
+    @pytest.mark.parametrize("flags", WIDE_CONFIGS, ids=" ".join)
+    def test_post_fixpoint_and_clean_check_on_wide_programs(self, flags, tmp_path):
+        # Where the iteration order sets the path to the fixpoint: wide
+        # states, sequential and nested loops of `&&` guards.
+        config = config_of(flags)
+        for name, source in sorted(WIDE.items()) + sorted(GROWTH.items()):
+            for fa in analyze_program(parse_program(source), config).values():
+                assert check_post_fixpoint(fa.cfg, fa.result, config), name
+            path = tmp_path / ("%s.mini" % name)
+            path.write_text(source)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = intana.cli.main(["check", str(path)] + flags)
+            assert code == 0 and "result: clean" in out.getvalue().splitlines(), name
+
+    def test_sequential_loops_iterate_linearly(self):
+        # Each loop is stabilized before the code after it runs, so a loop
+        # added after the others costs about the same iterations as they
+        # did: the count at 16 loops stays near twice that at 8.
+        iterations = {}
+        for name, source in GROWTH.items():
+            (fa,) = analyze_program(parse_program(source)).values()
+            iterations[name] = fa.result.iterations
+        assert iterations["scale-12-16-3"] <= 2.1 * iterations["scale-12-08-3"], iterations
 
     def test_narrowing_recomputes_nothing_without_loops(self, monkeypatch):
         # A loop-free function is exact after the worklist, so narrowing

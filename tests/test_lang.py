@@ -9,6 +9,7 @@ import pytest
 from intana.fuzz import random_program
 from intana.lang import (
     ARITH_OPS,
+    BRANCH_FALSE,
     Binary,
     BoolLit,
     Call,
@@ -562,6 +563,78 @@ class TestCfg:
         order = cfg.rpo
         assert order[0] == cfg.entry
         assert set(order) == set(cfg.nodes)
+
+    LOOP_PLACES = {
+        "nested": """fn main() { int i = 0; int j;
+            while (i < 3) { j = 0; while (j < 2) { j = j + 1; } i = i + 1; }
+            i = 7; }""",
+        "in-then": """fn main() { int x = nondet(0, 2);
+            if (x > 0) { while (x < 5) { x = x + 1; } } else { x = 1; } x = x - 1; }""",
+        "in-else": """fn main() { int x = nondet(0, 2);
+            if (x > 0) { x = 1; } else { while (x < 5) { x = x + 1; } } x = x - 1; }""",
+        "return-in-body": """fn g(x) {
+            while (x < 5) { if (x == 3) { return x; } x = x + 1; } x = 9; return x; }
+            fn main() { int y; y = g(0); }""",
+        "last-statement": """fn main() { int i = 0; int j;
+            while (i < 3) { i = i + 1; j = 0; while (j < i) { j = j + 1; } } }""",
+        "in-callee": """fn f(a) { int s = 0; while (a > 0) { s = s + a; a = a - 1; } return s; }
+            fn main() { int y; y = f(3); y = y + 1; }""",
+        "empty-body": "fn main() { int x = nondet(0, 1); while (x > 5) { } x = 2; }",
+    }
+
+    @staticmethod
+    def loop_orders(fn):
+        """Per `while` of fn, the reverse-postorder positions of its body
+        nodes and of the nodes its exit edge reaches along forward edges.
+
+        Loops are found in the AST, not from the CFG's search: a back edge
+        enters a `while` condition from the condition or its own body.  An
+        exit edge that is itself a back edge (the loop ends an outer
+        loop's body) reaches nothing forward.
+        """
+        cfg = build_cfg(fn)
+        position = {n: k for k, n in enumerate(cfg.rpo)}
+        loops = {}
+        for s in walk_stmts(fn.body):
+            if isinstance(s, While) and s.sid in cfg.stmt_node:
+                body = {cfg.stmt_node[b.sid] for b in walk_stmts(s.body)
+                        if b.sid in cfg.stmt_node}
+                loops[cfg.stmt_node[s.sid]] = body
+        back = {(u, h) for h, body in loops.items() for u in body | {h}}
+        orders = []
+        for head, body in loops.items():
+            exit_edges = [(head, m) for m, label in cfg.successors(head)
+                          if label == BRANCH_FALSE and (head, m) not in back]
+            reached, todo = set(), [m for _, m in exit_edges]
+            while todo:
+                n = todo.pop()
+                if n not in reached:
+                    reached.add(n)
+                    todo += [m for m, _ in cfg.successors(n) if (n, m) not in back]
+            assert not reached & (body | {head})
+            orders.append(([position[n] for n in body], [position[n] for n in reached]))
+        return orders
+
+    def assert_bodies_before_exits(self, source) -> int:
+        """Every loop's body precedes all its exit edge reaches in cfg.rpo;
+        returns how many loops had a body and a forward exit path."""
+        checked = 0
+        for fn in parse_program(source).functions.values():
+            for body, reached in self.loop_orders(fn):
+                if body and reached:
+                    assert max(body) < min(reached), fn.name
+                    checked += 1
+        return checked
+
+    @pytest.mark.parametrize("place", sorted(LOOP_PLACES))
+    def test_loop_body_before_exit_path(self, place):
+        expected = {"nested": 2, "last-statement": 1, "empty-body": 0}.get(place, 1)
+        assert self.assert_bodies_before_exits(self.LOOP_PLACES[place]) == expected
+
+    def test_loop_body_before_exit_path_on_corpus_and_fuzz(self):
+        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))]
+        sources += [random_program(seed) for seed in range(300)]
+        assert sum(map(self.assert_bodies_before_exits, sources)) >= 200
 
 
 if __name__ == "__main__":
