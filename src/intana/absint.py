@@ -5,12 +5,11 @@ and after every CFG node.  Loop heads join plainly for `widening_delay`
 updates, then widen; after the ascending phase stabilizes, a bounded
 number of descending passes narrows the infinite bounds back in.
 
-The ascending worklist pops the pending node first in `cfg.rpo`, which
-puts every loop body before the loop's exit path, so a loop is
-stabilized before the code after it sees its state: the recursive
-iteration strategy of Bourdoncle 1993 ("Efficient chaotic iteration
-strategies with widenings"), and with it the iterations grow about
-linearly in the number of sequential loops.  The worklist tests for
+The ascending worklist pops the pending node that comes first in
+`cfg.rpo`, which puts every loop body before the loop's exit path, so a
+loop is stabilized before the code after it sees its state: the
+recursive iteration strategy of Bourdoncle 1993 ("Efficient chaotic
+iteration strategies with widenings").  The worklist tests for
 change with the join itself, which returns the old state exactly when
 the edge state lies in it, and skips the successors of a node whose
 transfer left its after state as it was.

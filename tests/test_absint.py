@@ -78,11 +78,6 @@ def scale_shape(nv: int, loops: int, guards: int) -> str:
 GROWTH = {"scale-12-%02d-3" % loops: scale_shape(12, loops, 3) for loops in (1, 2, 4, 8, 16)}
 
 
-def config_of(flags) -> AnalysisConfig:
-    """The analysis configuration the CLI builds from flags."""
-    return intana.cli._config(intana.cli.build_parser().parse_args(["check", "-"] + flags))
-
-
 class TestConfig:
     def test_defaults(self):
         config = AnalysisConfig()
@@ -267,11 +262,11 @@ class TestLoopAnalysis:
                     for fa in analyze_program(prog, config).values():
                         assert check_post_fixpoint(fa.cfg, fa.result, config)
 
-    @pytest.mark.parametrize("flags", WIDE_CONFIGS, ids=" ".join)
+    @pytest.mark.parametrize("flags", WIDE_CONFIGS, ids=lambda flags: " ".join(flags) or "default")
     def test_post_fixpoint_and_clean_check_on_wide_programs(self, flags, tmp_path):
         # Where the iteration order sets the path to the fixpoint: wide
         # states, sequential and nested loops of `&&` guards.
-        config = config_of(flags)
+        config = intana.cli._config(intana.cli.build_parser().parse_args(["check", "-"] + flags))
         for name, source in sorted(WIDE.items()) + sorted(GROWTH.items()):
             for fa in analyze_program(parse_program(source), config).values():
                 assert check_post_fixpoint(fa.cfg, fa.result, config), name
@@ -286,11 +281,9 @@ class TestLoopAnalysis:
         # Each loop is stabilized before the code after it runs, so a loop
         # added after the others costs about the same iterations as they
         # did: the count at 16 loops stays near twice that at 8.
-        iterations = {}
-        for name, source in GROWTH.items():
-            (fa,) = analyze_program(parse_program(source)).values()
-            iterations[name] = fa.result.iterations
-        assert iterations["scale-12-16-3"] <= 2.1 * iterations["scale-12-08-3"], iterations
+        eight, sixteen = (analyze_program(parse_program(GROWTH[name]))["main"].result.iterations
+                          for name in ("scale-12-08-3", "scale-12-16-3"))
+        assert sixteen <= 2.1 * eight, (eight, sixteen)
 
     def test_narrowing_recomputes_nothing_without_loops(self, monkeypatch):
         # A loop-free function is exact after the worklist, so narrowing

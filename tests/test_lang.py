@@ -603,9 +603,9 @@ class TestCfg:
         back = {(u, h) for h, body in loops.items() for u in body | {h}}
         orders = []
         for head, body in loops.items():
-            exit_edges = [(head, m) for m, label in cfg.successors(head)
-                          if label == BRANCH_FALSE and (head, m) not in back]
-            reached, todo = set(), [m for _, m in exit_edges]
+            reached = set()
+            todo = [m for m, label in cfg.successors(head)
+                    if label == BRANCH_FALSE and (head, m) not in back]
             while todo:
                 n = todo.pop()
                 if n not in reached:
