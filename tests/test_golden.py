@@ -13,6 +13,12 @@ counted loops of `&&` guards) so that the fixpoint works on wide states:
 WIDE_CONFIGS flags, which vary the widening delay and the narrowing
 passes as well.
 
+`golden/oracle_traces.json` pins every execution, with its trace, that
+the oracle enumerates for the corpus and fuzz programs, and
+`golden/tier1_sources.json` pins the Python source tier 1 emits for the
+same programs (or `refused`), without a monitor and under the soundness
+monitor of the program's default analysis.
+
 A change that must not alter any output keeps these tests green.  After
 an intended output change, regenerate the files with
 
@@ -31,16 +37,19 @@ import tempfile
 
 import pytest
 
+from intana.absint import AnalysisConfig, analyze_program
 from intana.cli import main
 from intana.fuzz import random_program
 from intana.lang import parse_program
-from intana.oracle import enumerate_executions
+from intana.oracle import (_Emitter, _Interpreter, _Refused, _SoundnessMonitor,
+                           enumerate_executions)
 
 HERE = pathlib.Path(__file__).parent
 CORPUS = HERE.parent / "corpus"
 GOLDEN = HERE / "golden" / "corpus_outputs.json"
 WIDE_GOLDEN = HERE / "golden" / "wide_outputs.json"
 TRACE_GOLDEN = HERE / "golden" / "oracle_traces.json"
+TIER1_GOLDEN = HERE / "golden" / "tier1_sources.json"
 FUZZ_SEEDS = range(30)
 TRACE_STEP_LIMITS = (10_000, 30, 7)
 
@@ -144,7 +153,23 @@ def trace_digests(source: str) -> "dict[str, str]":
     return digests
 
 
-# The programs whose traces are pinned, by golden key.
+def tier1_digests(source: str) -> "dict[str, str]":
+    """Per monitor, the sha256 of the tier-1 source, or `refused`."""
+    prog = parse_program(source)
+    monitors = {"none": None,
+                "soundness": _SoundnessMonitor(analyze_program(prog, AnalysisConfig()))}
+    digests = {}
+    for key, monitor in monitors.items():
+        try:
+            emitted = _Emitter(_Interpreter(prog, 10_000, monitor)).program()
+        except _Refused:
+            digests[key] = "refused"
+        else:
+            digests[key] = hashlib.sha256(emitted.encode()).hexdigest()
+    return digests
+
+
+# The programs whose traces and tier-1 sources are pinned, by golden key.
 TRACE_SOURCES = {path.name: path.read_text() for path in sorted(CORPUS.glob("*.mini"))}
 TRACE_SOURCES.update((fuzz_key(seed), random_program(seed)) for seed in FUZZ_SEEDS)
 
@@ -173,6 +198,12 @@ def test_oracle_traces_match_golden(key):
     assert trace_digests(TRACE_SOURCES[key]) == golden[key]
 
 
+@pytest.mark.parametrize("key", sorted(TRACE_SOURCES))
+def test_tier1_sources_match_golden(key):
+    golden = json.loads(TIER1_GOLDEN.read_text())
+    assert tier1_digests(TRACE_SOURCES[key]) == golden[key]
+
+
 if __name__ == "__main__":
     table = {path.name: corpus_digests(path) for path in sorted(CORPUS.glob("*.mini"))}
     with tempfile.TemporaryDirectory() as directory:
@@ -180,7 +211,9 @@ if __name__ == "__main__":
             table[fuzz_key(seed)] = fuzz_digests(seed, pathlib.Path(directory))
         wide = {key: wide_digests(key, pathlib.Path(directory)) for key in sorted(WIDE)}
     traces = {key: trace_digests(source) for key, source in TRACE_SOURCES.items()}
-    for path, digests in ((GOLDEN, table), (WIDE_GOLDEN, wide), (TRACE_GOLDEN, traces)):
+    tier1 = {key: tier1_digests(source) for key, source in TRACE_SOURCES.items()}
+    for path, digests in ((GOLDEN, table), (WIDE_GOLDEN, wide), (TRACE_GOLDEN, traces),
+                          (TIER1_GOLDEN, tier1)):
         old = json.loads(path.read_text()) if path.exists() else {}
         for key in sorted(digests):
             for run in sorted(digests[key]):
