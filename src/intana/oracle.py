@@ -19,18 +19,20 @@ range the enumeration starts from: if its steps times the sizes of those
 ranges reach the budget, tier 1 is compiled before the second execution.
 Otherwise tier 0 runs until the steps it has run pass the budget.  Tier
 1 then runs every remaining execution in one loop.  Both tiers share one
-chooser and one set of CFGs and halt on the same node, so the moment of
-the switch changes no result, and a wrong prediction costs one compile.
+chooser and one set of CFGs, halt on the same node and return the same
+outcome, `(verdict, node, env)`, from which `enumerate_executions` alone
+builds each `ConcreteState`; so the moment of the switch changes no
+result, and a wrong prediction costs one compile.
 
 Tier 1 keeps each mini variable in a Python local of its def, draws
 inline on the chooser's lists, and builds a frame's environment as a dict
-only where one is seen; the key order of `ConcreteState.env` is
-unspecified.  It tests the step limit once per segment, a straight-line
-run of nodes, or per loop iteration (see `_Emitter`).  A test fails only
-where the steps it guards pass the limit, and then deoptimizes (Hölzle,
-Chambers & Ungar 1992): tier 0 takes over the frame at the test's first
-node, with the steps run before it and the frame's environment, and runs
-it to the halt.
+only where one is seen: in an outcome, or where tier 0 takes the frame
+over; the key order of `ConcreteState.env` is unspecified.  It tests the
+step limit once per segment, a straight-line run of nodes, or per loop
+iteration (see `_Emitter`).  A test fails only where the steps it guards
+pass the limit, and then deoptimizes (Hölzle, Chambers & Ungar 1992):
+tier 0 takes over the frame at the test's first node, with the steps run
+before it and the frame's environment, and runs it to the halt.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -118,7 +120,7 @@ class ConcreteState:
 
 
 class _Halt(Exception):
-    env = None  # the entry frame's environment, set as tier 1 unwinds
+    """An execution halts: its verdict and the (function, node) it names."""
 
     def __init__(self, verdict, node=None):
         self.verdict = verdict
@@ -185,25 +187,17 @@ class _Interpreter:
         self.monitor = monitor
         self.steps = 0
 
-    def run(self, prefix) -> ConcreteState:
-        """One execution that replays `prefix`, then takes each range minimum."""
+    def run(self, prefix) -> tuple:
+        """One execution that replays `prefix`, then takes each range
+        minimum; returns its outcome, `(verdict, node, env)`."""
         self.chooser.reset(prefix)
         self.steps = 0
         env = {}
-        verdict, node = OK, None
         try:
             self.run_function(self.entry, env)
         except _Halt as halt:
-            verdict, node = halt.verdict, halt.node
-        state = ConcreteState(
-            choices=tuple(self.chooser.values),
-            env=env,
-            verdict=verdict,
-            verdict_node=node,
-        )
-        if self.monitor is not None:
-            self.monitor.end(state)
-        return state
+            return halt.verdict, halt.node, env
+        return OK, None, env
 
     def run_function(self, fname: str, env: "dict[str, int]",
                      start: "int | None" = None) -> "int | None":
@@ -282,18 +276,19 @@ class _Interpreter:
             return -a if e.op == "neg" else not a
         raise TypeError(e)
 
-    def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> None:
+    def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> tuple:
         """Finish an execution that tier 1 stopped in a frame of `fname`
         before steps that pass the step limit: run the frame on `env`, its
-        environment there, from their first node, to the halt it raises.  A
-        halt in the entry frame carries `env`."""
+        environment there, from their first node, to the halt it raises.
+        Returns the entry frame's outcome, as `run` does; a callee frame's
+        halt is raised on to the entry function's def."""
         n, self.steps = deopt.args
         try:
             self.run_function(fname, env, n)
         except _Halt as halt:
-            if fname == self.entry:
-                halt.env = env
-            raise
+            if fname != self.entry:
+                raise
+            return halt.verdict, halt.node, env
         raise RuntimeError("tier 1 deoptimized %s before steps that fit" % fname)
 
 
@@ -345,19 +340,6 @@ class _Refused(Exception):
 def _env(names, values):
     """A frame's environment from its variables' values in tier 1."""
     return {name: value for name, value in zip(names, values) if value is not _U}
-
-
-def _unwinder(tier0, fname):
-    """What a tier-1 def of `fname` calls with the `_Deopt` or `_Halt`
-    leaving it and the frame's environment: a deopt has tier 0 finish the
-    execution, and a halt leaving the entry function gets the environment.
-    The def then re-raises the halt."""
-    def unwind(exc, env):
-        if isinstance(exc, _Deopt):
-            tier0.resume(fname, exc, env)
-        if exc.env is None:
-            exc.env = env
-    return unwind
 
 
 def _assigned(stmts) -> "set[str]":
@@ -429,9 +411,9 @@ class _Emitter:
     body falls off its end.  Every mini variable is a local `v_<name>`; one
     not yet declared holds `_U`.  Every value the code uses, from literals
     to analysis bounds, is a namespace constant.  The entry function's
-    value is `(verdict, node, env)`: it returns at its end and at a failed
-    assume or assert of its own, and any other halt leaving it is given the
-    environment by its handler.
+    value is the execution's outcome, `(verdict, node, env)`: at its end,
+    at a failed assume or assert of its own, and from its handler at any
+    other halt.  Only `_Redo` leaves it.
 
     Steps are counted per segment: a run of simple statements and the node
     that ends it (a condition, loop head, call or return), or the loop head
@@ -440,10 +422,10 @@ class _Emitter:
     has no loop, call or return, and whose every path back to the head
     takes the same steps, adds and tests them once per iteration, at its
     top, and its segments do neither.  A failed test raises `_Deopt`, and
-    the def's handler has tier 0 finish the execution from the test's
-    first node (`_Interpreter.resume`).  A draw works on the chooser's
-    lists, which every def takes as the defaults V and H.  A connective is
-    `and` or `or` if its right operand cannot halt, else `&` or `|`.
+    the def's handler has tier 0 finish the frame from the test's first
+    node (`_Interpreter.resume`).  A draw works on the chooser's lists,
+    which every def takes as the defaults V and H.  A connective is `and`
+    or `or` if its right operand cannot halt, else `&` or `|`.
 
     The monitor is not called: a point that fails its bounds, or whose
     state is bottom or missing, raises `_Redo`, and tier 0 runs that
@@ -461,7 +443,7 @@ class _Emitter:
     def __init__(self, tier0: _Interpreter):
         self.tier0 = tier0
         self.namespace = {"_Halt": _Halt, "_Deopt": _Deopt, "_Redo": _Redo,
-                          "_divide": _divide, "_U": _U, "_env": _env,
+                          "_resume": tier0.resume, "_divide": _divide, "_U": _U, "_env": _env,
                           "_V": tier0.chooser.values, "_H": tier0.chooser.highs,
                           "_L": tier0.step_limit,
                           "_OK": OK, "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
@@ -498,7 +480,7 @@ class _Emitter:
             self.entry = fname == self.tier0.entry
             self.variables = fn.variables
             self.declared = set(self.variables)
-            self.unwind = self.const(_unwinder(self.tier0, fname))
+            self.frame = self.const(fname)  # the function's name, for its handler
             self.bounds = None if monitor is None else monitor.bounds(fname)
             self.define(self.names[fname], fn.params, fn.body)
         return "\n".join(self.defs)
@@ -514,10 +496,12 @@ class _Emitter:
         facts = self.block(stmts, 2, {v: (True,) + _ANY for v in params})
         if facts is not None:
             self.exit(2, facts, "None")
-        # The handler catches a deopt, and a halt leaving the entry function.
-        self.line(1, "except (%s) as x:" % ("_Deopt, _Halt" if self.entry else "_Deopt"))
-        self.line(2, "%s(x, %s)" % (self.unwind, self.env({})))
-        self.line(2, "raise")
+        # A deopt has tier 0 finish the frame; the entry function's handler
+        # also ends the execution at a zero divisor in it or a callee's halt.
+        env = self.env({})
+        self.line(1, "except _Deopt as x: return s, _resume(%s, x, %s)" % (self.frame, env))
+        if self.entry:
+            self.line(1, "except _Halt as x: return s, (x.verdict, x.node, %s)" % env)
         self.defs.append("\n".join(self.out) + "\n")
 
     def block(self, stmts, depth: int, facts, follow=None):
@@ -696,8 +680,8 @@ class _Emitter:
 class _Compiled:
     """Tier 1: the program as the Python source `_Emitter` writes.  `entry`
     is the entry function's def, called as `entry(0)`, which returns the
-    steps and the verdict, its node and the entry frame's environment; it
-    draws from tier 0's chooser."""
+    steps and the execution's outcome or raises `_Redo`; it draws from tier
+    0's chooser."""
 
     def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
         self.namespace = emitter.namespace
@@ -766,8 +750,8 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 if compiled is not None:
                     entry = compiled.entry
             if entry is None:
-                results.append(interp.run(prefix))
-                if len(results) == 1:
+                verdict, node, env = interp.run(prefix)
+                if not results:
                     # The first run drew each range's minimum: were every
                     # run as long, the enumeration would take `work` steps.
                     work = interp.steps
@@ -780,20 +764,15 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 highs.clear()
                 try:
                     verdict, node, env = entry(0)[1]
-                except _Halt as halt:
-                    verdict, node, env = halt.verdict, halt.node, halt.env
                 except _Redo:
-                    verdict = None
-                if verdict is None:
                     # Tier 0 runs it again and shows the monitor every
                     # point.  The values this run appended to `prefix` are
                     # range minimums, the values tier 0 would draw.
-                    results.append(interp.run(prefix))
-                else:
-                    state = ConcreteState(tuple(prefix), env, verdict, node)
-                    if monitor is not None:
-                        monitor.end(state)
-                    results.append(state)
+                    verdict, node, env = interp.run(prefix)
+            state = ConcreteState(tuple(prefix), env, verdict, node)
+            if monitor is not None:
+                monitor.end(state)
+            results.append(state)
             if len(results) > cap:
                 raise EnumerationCapError("more than %d executions" % cap)
             # The next prefix: drop the trailing choices at their range's high

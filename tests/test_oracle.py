@@ -410,7 +410,8 @@ def _reference_choices(prog, step_limit, monkeypatch):
         interp = intana.oracle._Interpreter(prog, step_limit)
     out, prefix = [], ()
     while True:
-        out.append(interp.run(prefix).choices)
+        interp.run(prefix)
+        out.append(tuple(interp.chooser.values))
         taken = interp.chooser.taken
         while taken and taken[-1][0] >= taken[-1][2]:
             taken.pop()
@@ -814,7 +815,8 @@ def _handbacks(monkeypatch, enumerate):
     """`enumerate()`, then each time tier 1 handed an execution to tier 0:
     the kind (`_Deopt` or `_Redo`), the chooser's values when the execution
     started, its values and highs then, and for a deopt the verdict tier 0
-    finished with."""
+    finished with: that of the outcome `resume` returns for the entry
+    frame, or of the halt it raises for a callee's."""
     oracle, found = intana.oracle, []
     compile_tier, resume = oracle._tier_up, oracle._Interpreter.resume
 
@@ -835,10 +837,12 @@ def _handbacks(monkeypatch, enumerate):
     def resumed(self, fname, deopt, env):
         lists = list(self.chooser.values), list(self.chooser.highs)
         try:
-            resume(self, fname, deopt, env)
+            outcome = resume(self, fname, deopt, env)
         except oracle._Halt as halt:
             found[-1] = ("_Deopt", found[-1]) + lists + (halt.verdict,)
             raise
+        found[-1] = ("_Deopt", found[-1]) + lists + (outcome[0],)
+        return outcome
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
@@ -846,6 +850,52 @@ def _handbacks(monkeypatch, enumerate):
         patch.setattr(oracle._Interpreter, "resume", resumed)
         enumerate()
     return [found_ for found_ in found if isinstance(found_, tuple)]
+
+
+def _entry_calls(monkeypatch, enumerate):
+    """`enumerate()` with tier 1 compiled before the first execution, then
+    what each call of the entry def gave: the verdict and the function of
+    the node of the outcome it returned, `_Redo`, or the name of any other
+    exception it raised."""
+    oracle, found = intana.oracle, []
+    compile_tier = oracle._tier_up
+
+    def spy(tier0):
+        compiled = compile_tier(tier0)
+        entry = compiled.entry
+
+        def watched(s):
+            try:
+                steps, (verdict, node, env) = result = entry(s)
+            except oracle._Redo:
+                found.append("_Redo")
+                raise
+            except Exception as exc:
+                found.append(type(exc).__name__)
+                raise
+            assert type(steps) is int and type(env) is dict
+            assert (node is None) == (verdict == OK) and verdict in VERDICTS
+            found.append((verdict, node and node[0]))
+            return result
+        compiled.entry = watched
+        return compiled
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
+        patch.setattr(oracle, "_tier_up", spy)
+        enumerate()
+    return found
+
+
+VERDICTS = {OK, ASSERT_FAILED, ASSUME_INFEASIBLE, DIV_BY_ZERO, STEP_LIMIT}
+RETURN_IN_MAIN = """
+    fn main() { int k = nondet(0, 3); if (k > 1) { return k; } k = k + 1; }
+"""
+# A zero divisor (v = 0) and a failed assert (v = 2) in a callee.
+HALTS_IN_A_CALLEE = """
+    fn ratio(v) { assert(v != 2); return 6 / v; }
+    fn main() { int d = nondet(0, 3); int r; r = ratio(d); }
+"""
 
 
 # Names get their first value in an order that varies with the run: `a` is
@@ -1133,6 +1183,31 @@ class TestTiers:
             tier0.run(list(start))
             assert highs == tier0.chooser.highs[:len(highs)]
             assert values == tier0.chooser.values[:max(len(start), len(highs))]
+
+    @pytest.mark.parametrize("source,step_limit,shifted,expected", [
+        (HALTS_IN_A_SEGMENT, 10_000, False,
+         {(OK, None), (ASSUME_INFEASIBLE, "main"), (ASSERT_FAILED, "main"),
+          (DIV_BY_ZERO, "main")}),
+        (RETURN_IN_MAIN, 10_000, False, {(OK, None)}),
+        (HALTS_IN_A_CALLEE, 10_000, False,
+         {(OK, None), (DIV_BY_ZERO, "ratio"), (ASSERT_FAILED, "ratio")}),
+        (UNEVEN_BRANCHES, 20, False, {(STEP_LIMIT, "main")}),
+        (STEP_LIMIT_IN_CALLEE, 40, False, {(OK, None), (STEP_LIMIT, "main"), (STEP_LIMIT, "spin")}),
+        (HALTS_IN_A_SEGMENT, 10_000, True, {"_Redo"}),
+    ], ids=["main-halts", "return-in-main", "callee-halts", "step-limit-in-main",
+            "step-limit-in-callee", "failed-bounds"])
+    def test_entry_def_returns_an_outcome_or_raises_redo(self, monkeypatch, source, step_limit,
+                                                        shifted, expected):
+        # Every way an execution ends on tier 1, a deopt's included, is an
+        # outcome the entry def returns; only a redo leaves it.
+        prog = parse_program(source)
+        if shifted:
+            analyses = analyze_program(prog, AnalysisConfig())
+            _shift_up(analyses)
+            enumerate = _soundness(prog, analyses, step_limit)
+        else:
+            enumerate = _executions(prog, step_limit=step_limit, record_trace=False)
+        assert set(_entry_calls(monkeypatch, enumerate)) == expected
 
     def test_connectives_skip_only_operands_that_cannot_halt(self, monkeypatch):
         # Tier 0 evaluates both operands: `6 / d` halts when d is 0, even
