@@ -196,11 +196,10 @@ class Function:
 @dataclass
 class Program:
     functions: "dict[str, Function]"
-    entry: str = "main"
 
     @property
     def main(self) -> Function:
-        return self.functions[self.entry]
+        return self.functions["main"]
 
 
 def walk_stmts(block):
@@ -280,7 +279,7 @@ def map_block(block, fn) -> "list[Stmt]":
 def map_program(prog: Program, fn) -> Program:
     """Rewrite every function body with map_block(body, fn(name, stmt, walk))."""
     return Program({name: replace(f, body=map_block(f.body, partial(fn, name)))
-                    for name, f in prog.functions.items()}, prog.entry)
+                    for name, f in prog.functions.items()})
 
 
 def program_nondets(prog: Program):

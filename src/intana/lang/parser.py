@@ -173,7 +173,7 @@ class Parser:
             functions[fn.name] = fn
         if "main" not in functions:
             self.error("no entry function 'main'")
-        prog = Program(functions=functions, entry="main")
+        prog = Program(functions=functions)
         self._validate_calls(prog)
         return prog
 

@@ -182,7 +182,7 @@ class _Interpreter:
         self.cfgs = {fname: build_cfg(fn) for fname, fn in prog.functions.items()}
         self.watches = {fname: monitor.watch(fname) if monitor is not None else None
                         for fname in prog.functions}
-        self.entry = prog.entry
+        self.entry = prog.main.name
         self.step_limit = step_limit
         self.monitor = monitor
         self.steps = 0
@@ -734,7 +734,7 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
     for nd in program_nondets(prog):
         if not nd.bounded:
             raise UnboundedNondetError("program contains unbounded nondet()")
-    if prog.functions[prog.entry].params:
+    if prog.main.params:
         raise UnboundedNondetError("entry function must not take parameters")
     if monitor is None and record_trace:
         monitor = _TraceRecorder()
