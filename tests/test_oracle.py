@@ -1201,6 +1201,7 @@ class TestTiers:
         # Every way an execution ends on tier 1, a deopt's included, is an
         # outcome the entry def returns; only a redo leaves it.
         prog = parse_program(source)
+        _agree_under_every_monitor(monkeypatch, prog, step_limit)
         if shifted:
             analyses = analyze_program(prog, AnalysisConfig())
             _shift_up(analyses)
