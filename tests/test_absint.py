@@ -285,6 +285,25 @@ class TestLoopAnalysis:
                           for name in ("scale-12-08-3", "scale-12-16-3"))
         assert sixteen <= 2.1 * eight, (eight, sixteen)
 
+    # Per WIDE program, the default analysis's worklist updates and HC4
+    # revisions: a change that only makes the fixpoint cheaper keeps both.
+    WIDE_WORK = {"wide-08-seq": (55, 44), "wide-16-nested": (130, 91),
+                 "wide-16-seq": (125, 95), "wide-25-25-seq": (1135, 889),
+                 "wide-25-nested": (155, 112), "wide-25-seq": (189, 140)}
+
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_work_on_wide_programs(self, name, monkeypatch):
+        calls = []
+        original = intana.contractor.hc4_revise
+
+        def counting(code, box):
+            calls.append(code)
+            return original(code, box)
+
+        monkeypatch.setattr(intana.contractor, "hc4_revise", counting)
+        [fa] = analyze_program(parse_program(WIDE[name])).values()
+        assert (fa.result.iterations, len(calls)) == self.WIDE_WORK[name]
+
     def test_narrowing_recomputes_nothing_without_loops(self, monkeypatch):
         # A loop-free function is exact after the worklist, so narrowing
         # finds every edge state computed already and contracts nothing.

@@ -108,6 +108,7 @@ WIDE = {
     "wide-16-seq": wide_program(16, 3, 4, nested=False, mixed=True),
     "wide-25-seq": wide_program(25, 4, 5, nested=False, mixed=True),
     "wide-25-nested": wide_program(25, 2, 4, nested=True, mixed=False),
+    "wide-25-25-seq": wide_program(25, 25, 5, nested=False, mixed=False),
 }
 
 
