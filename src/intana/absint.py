@@ -187,7 +187,8 @@ def analyze(cfg: Cfg, init: AbstractState, config: AnalysisConfig = AnalysisConf
         if source is state:
             return out
         if source is None or source.is_bottom or state.is_bottom or any(
-                state.intervals[i] != source.intervals[i] for i in reads[p]):
+                state.intervals[i] is not source.intervals[i]
+                and state.intervals[i] != source.intervals[i] for i in reads[p]):
             out = _edge_state(cfg.nodes[p], state, label, config)
         elif not out.is_bottom:
             ivs = list(state.intervals)
@@ -200,7 +201,8 @@ def analyze(cfg: Cfg, init: AbstractState, config: AnalysisConfig = AnalysisConf
     def transfer(n) -> bool:
         """Recompute after[n]; whether it changed."""
         state = _transfer_node(cfg.nodes[n], before[n], config)
-        if state == after[n]:
+        # Every state of the analysis is over init's names.
+        if state.intervals == after[n].intervals:
             return False
         after[n] = state
         return True
@@ -251,7 +253,7 @@ def analyze(cfg: Cfg, init: AbstractState, config: AnalysisConfig = AnalysisConf
             for p, label in cfg.predecessors(n):
                 incoming = incoming.join(edge_state(p, label))
             new = before[n].narrow(incoming) if n in loop_heads else incoming
-            if new != before[n]:
+            if new.intervals != before[n].intervals:
                 before[n] = new
                 changed = True
                 if transfer(n):

@@ -2,15 +2,19 @@
 
 `eval_expr` walks an expression tree; the analyzer's transfer functions
 use it.  The contractors take one input form only: a condition lowered
-once over a box's names.  `lower_comparison` lowers `lhs <rel> rhs` to
-`lhs - rhs` as a postorder slot array that reads variables by position,
-with variable-free subtrees folded, and `lower_condition` lowers a whole
-condition or its negation, once per analysis.  HC4-revise sweeps a
-comparison forward, meets the root with the relation's range from
-`interval.RELATION_RANGE`, and sweeps the inverse projections back to the
-variables; a variable against a constant K is one meet with K + range
-(K - range with the variable on the right).  Strict inequalities are
-integer-wise: x < e is x - e <= -1.  The one round-robin loop is the
+once over a box's names.  `lower_comparison` lowers a variable against an
+integer literal K, under any relation but `!=`, straight to one bound on
+the variable's position, K + range (K - range with the variable on the
+right), where range is the relation's from `interval.RELATION_RANGE`; no
+slots are built.  Any other `lhs <rel> rhs` is lowered to `lhs - rhs` as
+a postorder slot array that reads variables by position, with
+variable-free subtrees folded, and is one bound too if the fold leaves a
+variable against a constant.  `lower_condition` lowers a whole condition
+or its negation, once per analysis.  HC4-revise meets a bound's variable
+with it by position; it sweeps any other comparison forward, meets the
+root with the relation's range, and sweeps the inverse projections back
+to the variables.  Strict inequalities are integer-wise: x < e is
+x - e <= -1.  The one round-robin loop is the
 `&&` branch of `contract_condition`; `contract_fixpoint` runs it over a
 list of comparisons.  A round of single-variable bounds alone is its
 last: a second would meet each variable with the same bounds again.
@@ -77,6 +81,10 @@ def parse_box(text: str) -> AbstractState:
 
 # --- forward evaluation ------------------------------------------------------
 
+# The intervals of small literals, made once rather than at every visit.
+_LITERALS = {v: Interval(v, v) for v in range(-256, 257)}
+
+
 def eval_expr(e: Expr, box: AbstractState, arith: bool = True) -> Interval:
     """Bottom-up interval evaluation of an arithmetic expression."""
     if box.is_bottom:
@@ -85,7 +93,8 @@ def eval_expr(e: Expr, box: AbstractState, arith: bool = True) -> Interval:
     if kind is Var:
         return box[e.name]
     if kind is IntLit:
-        return Interval(e.value, e.value)
+        iv = _LITERALS.get(e.value)
+        return Interval(e.value, e.value) if iv is None else iv
     if kind is Binary:
         return interval_binop(e.op, eval_expr(e.left, box, arith),
                               eval_expr(e.right, box, arith), arith=arith)
@@ -212,7 +221,8 @@ def _inv_square(z: Interval, x: Interval) -> Interval:
 
 # A comparison lowered over one box's names (see lower_comparison): a
 # `bound` on the variable at `position` if the other side is constant, else
-# `lhs - rhs` as postorder `slots` and one interval per slot in `vals`.
+# `lhs - rhs` as postorder `slots` and one interval per slot in `vals`
+# (both None for a variable against a literal).
 _Code = namedtuple("_Code", "relation lhs rhs required position bound slots vals")
 
 
@@ -250,6 +260,13 @@ def lower_comparison(e: Expr, box: AbstractState, polarity: bool = True) -> _Cod
         raise ValueError("not a comparison: %s" % expr_to_source(e))
     relation, lhs, rhs = e.op if polarity else _NEGATED_CMP[e.op], e.left, e.right
     required = None if relation == "!=" else RELATION_RANGE[relation]
+    if required is not None:  # x <rel> K or K <rel> x: one bound, no slots
+        if type(lhs) is Var and type(rhs) is IntLit:
+            return _Code(relation, lhs, rhs, required, box.position(lhs.name),
+                         required.shift(rhs.value), None, None)
+        if type(lhs) is IntLit and type(rhs) is Var:
+            return _Code(relation, lhs, rhs, required, box.position(rhs.name),
+                         required.negate().shift(lhs.value), None, None)
     slots, position, bound = [], None, None
     a, b = _emit(lhs, box, slots), _emit(rhs, box, slots)
     if required is not None and len(slots) == 2 and slots[0][0] != slots[1][0]:
@@ -282,9 +299,15 @@ _INVERSE = {
 def _backward(code: _Code, box: AbstractState) -> AbstractState:
     """box narrowed to code's relation, after the forward sweep over box."""
     if code.bound is not None:
-        old = box.intervals[code.position]
-        refined = old.meet(code.bound)
-        return box if refined is old else box.set(box.names[code.position], refined)
+        ivs = box.intervals
+        refined = ivs[code.position].meet(code.bound)
+        if refined is ivs[code.position]:
+            return box
+        if refined.is_bottom:
+            return box.as_bottom()
+        ivs = list(ivs)
+        ivs[code.position] = refined
+        return box.replaced(ivs)
     ivs, vals = list(box.intervals), code.vals
     vals[-1] = vals[-1].meet(code.required)
     # A slot's value is narrowed by its parent's before it is visited.
@@ -323,8 +346,9 @@ def lower_condition(cond: Expr, polarity: bool, box: AbstractState):
     under (id, polarity), the sub-condition pinned, until the next analysis
     over these names clears it."""
     forms, key = box.forms, (id(cond), polarity)
-    if key in forms:
-        return forms[key][1]
+    known = forms.get(key)
+    if known is not None:
+        return known[1]
     if isinstance(cond, BoolLit):
         form = cond.value == polarity
     elif isinstance(cond, Unary) and cond.op == "not":
@@ -354,19 +378,21 @@ def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> Abstra
     if type(cond) is _Code:
         return hc4_revise(cond, box)
     if isinstance(cond, tuple):
-        left, right = (contract_condition(side, box, max_rounds) for side in cond)
-        return left.join(right)
+        left, right = cond
+        return contract_condition(left, box, max_rounds).join(
+            contract_condition(right, box, max_rounds))
+    # One round meets each variable with all of its single-variable
+    # bounds, so a second round of bounds alone would change nothing.
+    bounds_only = all(type(item) is _Code and item.bound is not None for item in cond)
     current = box
     for _ in range(max_rounds):
         previous = current
         for item in cond:
-            current = contract_condition(item, current, 1)
+            current = (hc4_revise(item, current) if type(item) is _Code
+                       else contract_condition(item, current, 1))
             if current.is_bottom:
                 return current
-        # One round meets each variable with all of its single-variable
-        # bounds, so a second round of bounds alone would change nothing.
-        if current == previous or all(type(item) is _Code and item.bound is not None
-                                      for item in cond):
+        if bounds_only or current == previous:
             break
     return current
 

@@ -124,8 +124,8 @@ class Interval:
             return None
         return self.hi - self.lo + 1
 
-    # join, meet and widen return an operand, not a copy, whenever the
-    # result equals it: the fixpoint then finds unchanged components by `is`.
+    # join, meet, widen and narrow return an operand, not a copy, whenever
+    # the result equals it: the fixpoint then finds unchanged components by `is`.
 
     def join(self, other: "Interval") -> "Interval":
         if self.lo > self.hi:
@@ -173,6 +173,10 @@ class Interval:
             return BOTTOM
         lo = new.lo if self.lo == NEG_INF else self.lo
         hi = new.hi if self.hi == POS_INF else self.hi
+        if lo == self.lo and hi == self.hi:
+            return self
+        if lo == new.lo and hi == new.hi:
+            return new
         return Interval.make(lo, hi)
 
     def negate(self) -> "Interval":
@@ -303,35 +307,49 @@ class AbstractState:
         ivs[self._space.index[name]] = iv
         return AbstractState(self._space, tuple(ivs))
 
-    def _ascend(self, op, other: "AbstractState") -> "AbstractState":
-        # join and widen: bottom is the identity on either side.  States
-        # derived by `set` or `replaced` share most components, and an
-        # operand that already is the result is returned as it is.
-        if self.is_bottom:
-            return other
-        if other.is_bottom or self.intervals is other.intervals:
-            return self
-        ivs = tuple([a if a is b else op(a, b)
-                     for a, b in zip(self.intervals, other.intervals)])
-        if ivs == self.intervals:
-            return self
-        if ivs == other.intervals:
-            return other
-        return AbstractState(self._space, ivs)
+    def _ascending(op):
+        """join or widen by Interval's op: bottom is the identity on either
+        side.  States derived by `set` or `replaced` share most components,
+        so op runs only where the two differ; it returns its left operand
+        exactly when that is the result, and an operand that already is the
+        result is returned as it is."""
 
-    def join(self, other: "AbstractState") -> "AbstractState":
-        # self itself exactly when other lies in self: the fixpoint's change test.
-        return self._ascend(Interval.join, other)
+        def ascend(self, other: "AbstractState") -> "AbstractState":
+            if self.is_bottom:
+                return other
+            mine, theirs = self.intervals, other.intervals
+            if other.is_bottom or mine is theirs:
+                return self
+            ivs, i = None, 0
+            for a, b in zip(mine, theirs):
+                if a is not b:
+                    c = op(a, b)
+                    if c is not a:
+                        if ivs is None:
+                            ivs = list(mine)
+                        ivs[i] = c
+                i += 1
+            if ivs is None:
+                return self
+            ivs = tuple(ivs)
+            return other if ivs == theirs else AbstractState(self._space, ivs)
 
-    def widen(self, new: "AbstractState") -> "AbstractState":
-        return self._ascend(Interval.widen, new)
+        return ascend
+
+    # join is self itself exactly when other lies in self: the fixpoint's change test.
+    join = _ascending(Interval.join)
+    widen = _ascending(Interval.widen)
+    del _ascending
 
     def narrow(self, new: "AbstractState") -> "AbstractState":
         # A bottom operand's components are all bottom, and so is the result.
-        ivs = tuple(map(Interval.narrow, self.intervals, new.intervals))
+        mine = self.intervals
+        ivs = tuple(map(Interval.narrow, mine, new.intervals))
+        if ivs == mine:
+            return self
         if any(iv.is_bottom for iv in ivs):
             return self._space.bottom()
-        return AbstractState(self._space, ivs)
+        return new if ivs == new.intervals else AbstractState(self._space, ivs)
 
     def leq(self, other: "AbstractState") -> bool:
         if self.is_bottom or other.is_bottom:

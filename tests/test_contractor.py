@@ -5,9 +5,11 @@ import re
 import pytest
 
 import intana.contractor as contractor
+from intana.absint import _simple_prune, eval_cond3
 from intana.contractor import (
     box_render,
     classify_condition,
+    contract_condition,
     contract_fixpoint,
     eval_expr,
     hc4_revise,
@@ -151,6 +153,60 @@ class TestForwardBackward:
     def test_not_equal_keeps_the_sweep(self):
         box = parse_box("x:[0,10]")
         assert lowered("x != 3", box).bound is None
+
+
+class TestDirectBounds:
+    """A variable against an integer literal is lowered straight to its
+    bound, without slots; `x + 0` in its place keeps the slot sweep, and
+    every consumer of the two forms agrees."""
+
+    RELATIONS = ("==", "!=", "<", "<=", ">", ">=")
+
+    @staticmethod
+    def cases():
+        """(direct, reference, box): x <rel> K and K <rel> x, built as trees
+        so that a negative K is one literal, as constant folding makes it."""
+        x, x0 = Var("x"), Binary("+", Var("x"), IntLit(0))
+        for k in (-2, 0, 3):
+            # finite, half-infinite, top, a singleton, and missing each side of k
+            components = [iv(-5, 5), iv(float("-inf"), 1), iv(1, float("inf")),
+                          iv(float("-inf"), float("inf")), iv(k, k), iv(k + 1, k + 4),
+                          iv(k - 4, k - 1)]
+            for relation in TestDirectBounds.RELATIONS:
+                for direct, reference in ((Binary(relation, x, IntLit(k)), Binary(relation, x0, IntLit(k))),
+                                          (Binary(relation, IntLit(k), x), Binary(relation, IntLit(k), x0))):
+                    for component in components:
+                        yield direct, reference, AbstractState.of({"y": iv(0, 4), "x": component})
+
+    def test_no_slots_unless_not_equal(self):
+        box = parse_box("y:[0,4], x:[0,10]")
+        for direct, reference, _ in self.cases():
+            for polarity in (True, False):
+                code = lower_comparison(direct, box, polarity)
+                assert (code.slots is None) == (code.relation != "!="), (direct, polarity)
+                assert lower_comparison(reference, box, polarity).slots is not None
+
+    def test_same_boxes_and_verdicts_as_the_sweep(self):
+        other = Binary(">", Var("y"), IntLit(1))
+        for direct, reference, box in self.cases():
+            for polarity in (True, False):
+                d, r = (lower_comparison(e, box, polarity) for e in (direct, reference))
+                where = (direct, polarity, box)
+                assert hc4_revise(d, box) == hc4_revise(r, box), where
+                assert eval_cond3(d, box) is eval_cond3(r, box), where
+                if d.relation == "!=":  # prunes nothing without contractors
+                    assert _simple_prune(d, box, True) is box, where
+                else:
+                    assert _simple_prune(d, box, True) == hc4_revise(r, box), where
+            for join in (lambda c: c, lambda c: Binary("&&", c, other),
+                         lambda c: Binary("||", c, other), lambda c: Binary("&&", other, c),
+                         lambda c: Binary("||", other, c)):
+                d, r = join(direct), join(reference)
+                for polarity in (True, False):
+                    assert (contract_condition(lower_condition(d, polarity, box), box)
+                            == contract_condition(lower_condition(r, polarity, box), box)), \
+                        (d, polarity, box)
+                assert classify_condition(d, box).verdict is classify_condition(r, box).verdict
 
 
 class TestHc4Revise:

@@ -399,6 +399,12 @@ def plain_widen(a, b):
     return Interval(NEG_INF if b.lo < a.lo else a.lo, POS_INF if b.hi > a.hi else a.hi)
 
 
+def plain_narrow(a, b):
+    if a.is_bottom or b.is_bottom:
+        return BOTTOM
+    return Interval.make(b.lo if a.lo == NEG_INF else a.lo, b.hi if a.hi == POS_INF else a.hi)
+
+
 # Equal operands come both as one object and as two.
 interval_pairs = st.one_of(
     st.tuples(components, components),
@@ -447,6 +453,7 @@ class TestFastPaths:
         assert a.meet(b) == plain_meet(a, b)
         assert a.leq(b) == plain_leq(a, b)
         assert a.widen(b) == plain_widen(a, b)
+        assert a.narrow(b) == plain_narrow(a, b)
 
     @given(interval_pairs)
     def test_join_and_meet_return_a_containing_or_contained_operand(self, pair):
@@ -461,6 +468,15 @@ class TestFastPaths:
             return
         assert any(a.join(b) is x for x in join)
         assert any(a.meet(b) is x for x in meet)
+
+    @given(interval_pairs)
+    def test_narrow_returns_an_equal_operand(self, pair):
+        a, b = pair
+        want = plain_narrow(a, b)
+        if want == a:
+            assert a.narrow(b) is a
+        elif want == b:
+            assert a.narrow(b) is b
 
     @given(related_states())
     def test_state_operations_match_the_formulas(self, pair):
@@ -482,3 +498,73 @@ class TestFastPaths:
             assert a.join(b) is a
         elif a.leq(b):
             assert a.join(b) is b
+
+    @given(related_states())
+    def test_state_narrow_matches_the_formula(self, pair):
+        a, b = pair
+        check_narrow(a, b)
+
+
+def check_narrow(a, b):
+    """a.narrow(b) is the per-variable narrowing, and a or b itself when equal to it."""
+    ivs = [plain_narrow(x, y) for x, y in zip(a.intervals, b.intervals)]
+    got = a.narrow(b)
+    assert got.is_bottom == any(iv.is_bottom for iv in ivs)
+    if not got.is_bottom:
+        assert list(got.intervals) == ivs
+    if got == a:
+        assert got is a
+    elif got == b:
+        assert got is b
+
+
+# --- wide states: 20-30 names, a few components differ ------------------------
+
+non_bottom = st.one_of(
+    intervals(),
+    st.just(TOP),
+    bounded.map(lambda b: Interval(NEG_INF, b)),
+    bounded.map(lambda b: Interval(b, POS_INF)),
+)
+
+
+@st.composite
+def wide_states(draw):
+    """A state over 20-30 names and one that differs from it in 0-3
+    components: by a new interval, by an equal but distinct object, or by
+    bottom; in either order."""
+    names = ["v%d" % k for k in range(draw(st.integers(20, 30)))]
+    a = AbstractState.top(names).replaced([draw(non_bottom) for _ in names])
+    b = a
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        how = draw(st.sampled_from(["new", "copy", "bottom"]))
+        old = a[name]
+        b = b.set(name, draw(non_bottom) if how == "new"
+                  else Interval(old.lo, old.hi) if how == "copy" else BOTTOM)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+class TestWideStates:
+    @given(wide_states())
+    def test_operations_match_the_formulas(self, pair):
+        a, b = pair
+        for op, plain in (("join", plain_join), ("widen", plain_widen)):
+            got = getattr(a, op)(b)
+            ivs, is_bottom = plain_state(a, b, plain)
+            assert got.is_bottom == is_bottom
+            if not is_bottom:
+                assert list(got.intervals) == ivs
+        check_narrow(a, b)
+        assert a.leq(b) == (a.is_bottom or (not b.is_bottom and all(
+            plain_leq(x, y) for x, y in zip(a.intervals, b.intervals))))
+
+    @given(wide_states())
+    def test_join_and_widen_return_an_operand(self, pair):
+        # Either is self exactly when other lies in self, and else other
+        # itself when the result equals it.
+        a, b = pair
+        for op in ("join", "widen"):
+            got = getattr(a, op)(b)
+            assert (got is a) == b.leq(a), op
+            if got is not a and got == b:
+                assert got is b, op
