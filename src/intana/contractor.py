@@ -270,7 +270,7 @@ def lower_comparison(e: Expr, box: AbstractState, polarity: bool = True) -> _Cod
     slots, position, bound = [], None, None
     a, b = _emit(lhs, box, slots), _emit(rhs, box, slots)
     if required is not None and len(slots) == 2 and slots[0][0] != slots[1][0]:
-        # x - K or K - x in range: x in K + range or K - range, one meet.
+        # x - K or K - x for a folded constant K: x in K + range or K - range.
         (_, position, _), (_, const, _) = slots if slots[0][0] == "var" else slots[::-1]
         bound = interval_binop("+" if slots[0][0] == "var" else "-", const, required)
     _push(slots, "-", a, b)
@@ -297,7 +297,8 @@ _INVERSE = {
 
 
 def _backward(code: _Code, box: AbstractState) -> AbstractState:
-    """box narrowed to code's relation, after the forward sweep over box."""
+    """box narrowed to code's relation, after the forward sweep over box
+    (a bound needs none)."""
     if code.bound is not None:
         ivs = box.intervals
         refined = ivs[code.position].meet(code.bound)
