@@ -269,7 +269,13 @@ def map_block(block, fn) -> "list[Stmt]":
     walk rewrites a nested block the same way; fn decides which sub-blocks
     to visit, usually through map_children.
     """
-    walk = partial(map_block, fn=fn)
+    return _map_block(fn, block)
+
+
+def _map_block(fn, block) -> "list[Stmt]":
+    # CPython calls a partial of positional arguments only without a frame
+    # of its own, so each nested block adds only fn's and map_children's.
+    walk = partial(_map_block, fn)
     out = []
     for s in block:
         out.extend(fn(s, walk))
@@ -278,7 +284,7 @@ def map_block(block, fn) -> "list[Stmt]":
 
 def map_program(prog: Program, fn) -> Program:
     """Rewrite every function body with map_block(body, fn(name, stmt, walk))."""
-    return Program({name: replace(f, body=map_block(f.body, partial(fn, name)))
+    return Program({name: replace(f, body=_map_block(partial(fn, name), f.body))
                     for name, f in prog.functions.items()})
 
 

@@ -82,21 +82,17 @@ def division_safe(e: Expr, state: AbstractState, arith: bool) -> bool:
     return True
 
 
-def _prune(stmt: Stmt, walk, report: RewriteReport) -> "list[Stmt]":
-    """Flatten an If or While whose condition is now a literal.
-
-    Only the live branch is walked; any other statement keeps its
-    sub-blocks, rewritten by walk.
-    """
+def _prune(stmt: Stmt, report: RewriteReport) -> "list[Stmt] | None":
+    """The statements, not yet walked, that replace an If or While whose
+    condition is now a literal: its live branch, or none.  None for any
+    other statement, which keeps its sub-blocks."""
     cond = stmt.cond if isinstance(stmt, (If, While)) else None
-    if isinstance(cond, BoolLit):
-        if isinstance(stmt, If):
-            report.dead_branches_removed += 1
-            return walk(stmt.then if cond.value else (stmt.orelse or []))
-        if not cond.value:
-            report.dead_branches_removed += 1
-            return []
-    return [map_children(stmt, walk)]
+    if not isinstance(cond, BoolLit) or isinstance(stmt, While) and cond.value:
+        return None  # a loop whose condition is true stays
+    report.dead_branches_removed += 1
+    if isinstance(stmt, While):
+        return []
+    return stmt.then if cond.value else (stmt.orelse or [])
 
 
 # --- singleton propagation ---------------------------------------------------
@@ -180,7 +176,8 @@ def guard_eliminate(prog: Program, analyses,
         if isinstance(stmt, (Assume, Assert, If, While)):
             state = analyses[name].state_before(stmt)
             stmt = replace(stmt, cond=_resolve_cond(stmt.cond, state, config, report))
-        return _prune(stmt, walk, report)
+        live = _prune(stmt, report)
+        return [map_children(stmt, walk)] if live is None else walk(live)
 
     return map_program(prog, eliminate), report
 
@@ -237,7 +234,9 @@ def const_fold(prog: Program) -> "tuple[Program, RewriteReport]":
     report = RewriteReport()
 
     def fold(name, stmt, walk):
-        return _prune(map_exprs(stmt, lambda e: _fold_expr(e, report)), walk, report)
+        stmt = map_exprs(stmt, lambda e: _fold_expr(e, report))
+        live = _prune(stmt, report)
+        return [map_children(stmt, walk)] if live is None else walk(live)
 
     return map_program(prog, fold), report
 

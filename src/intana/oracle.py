@@ -32,7 +32,9 @@ step limit once per segment, a straight-line run of nodes, or per loop
 iteration (see `_Emitter`).  A test fails only where the steps it guards
 pass the limit, and then deoptimizes (Hölzle, Chambers & Ungar 1992):
 tier 0 takes over the frame at the test's first node, with the steps run
-before it and the frame's environment, and runs it to the halt.
+before it and the frame's environment, and runs it to the halt.  Tier 0
+takes over only in `_Interpreter.resume`: at a deopt, a redo (below), or
+a halt the entry function's def does not return itself.
 
 An enumeration may carry one monitor, which sees every point of every
 execution as it runs: each node's environment before the node runs, and
@@ -47,8 +49,9 @@ place, so `check_soundness` needs no trace.  A monitor may also have
 `bounds(fname)`, as `_SoundnessMonitor` does: a dict from node id to the
 `(name, lo, hi)` tests a point passes when the monitor has nothing to do
 there, or None where it always has.  Tier 1 inlines those tests and
-never calls the monitor: an execution with a point that fails them runs
-again on tier 0 from its start, which shows the monitor every point.
+never calls the monitor: an execution with a point that fails them is
+redone, run again on tier 0 from its start, which shows the monitor
+every point.
 
 Tier 1 refuses some enumerations, which then stay on tier 0: those whose
 monitor has no `bounds`, such as `_TraceRecorder`, and those of programs
@@ -276,20 +279,28 @@ class _Interpreter:
             return -a if e.op == "neg" else not a
         raise TypeError(e)
 
-    def resume(self, fname: str, deopt: "_Deopt", env: "dict[str, int]") -> tuple:
-        """Finish an execution that tier 1 stopped in a frame of `fname`
-        before steps that pass the step limit: run the frame on `env`, its
-        environment there, from their first node, to the halt it raises.
-        Returns the entry frame's outcome, as `run` does; a callee frame's
-        halt is raised on to the entry function's def."""
-        n, self.steps = deopt.args
-        try:
-            self.run_function(fname, env, n)
-        except _Halt as halt:
-            if fname != self.entry:
-                raise
-            return halt.verdict, halt.node, env
-        raise RuntimeError("tier 1 deoptimized %s before steps that fit" % fname)
+    def resume(self, fname: str, stop: Exception, env: "dict[str, int]") -> tuple:
+        """Take over an execution that tier 1 stopped in a frame of `fname`
+        whose environment is `env`, and return its outcome, as `run` does.
+        A `_Halt`, which only the entry function's def passes, ends it.  A
+        `_Redo` runs it again from its start.  A `_Deopt`, before steps that
+        pass the step limit, runs the frame from their first node to the
+        halt it raises; a callee frame's halt is raised on to the entry
+        function's def."""
+        if type(stop) is _Redo:
+            # Tier 0 shows the monitor every point.  The values tier 1
+            # appended to the prefix are range minimums, which tier 0 draws.
+            return self.run(self.chooser.values)
+        if type(stop) is _Deopt:
+            n, self.steps = stop.args
+            try:
+                self.run_function(fname, env, n)
+            except _Halt as halt:
+                if fname != self.entry:
+                    raise
+                return halt.verdict, halt.node, env
+            raise RuntimeError("tier 1 deoptimized %s before steps that fit" % fname)
+        return stop.verdict, stop.node, env
 
 
 # Steps per CFG node that an enumeration runs, or is predicted to, before
@@ -412,8 +423,9 @@ class _Emitter:
     not yet declared holds `_U`.  Every value the code uses, from literals
     to analysis bounds, is a namespace constant.  The entry function's
     value is the execution's outcome, `(verdict, node, env)`: at its end,
-    at a failed assume or assert of its own, and from its handler at any
-    other halt.  Only `_Redo` leaves it.
+    at a failed assume or assert of its own, and from its handler, where
+    `_Interpreter.resume` takes over at any other halt, a deopt or a redo.
+    So it always returns one.
 
     Steps are counted per segment: a run of simple statements and the node
     that ends it (a condition, loop head, call or return), or the loop head
@@ -496,12 +508,11 @@ class _Emitter:
         facts = self.block(stmts, 2, {v: (True,) + _ANY for v in params})
         if facts is not None:
             self.exit(2, facts, "None")
-        # A deopt has tier 0 finish the frame; the entry function's handler
-        # also ends the execution at a zero divisor in it or a callee's halt.
-        env = self.env({})
-        self.line(1, "except _Deopt as x: return s, _resume(%s, x, %s)" % (self.frame, env))
-        if self.entry:
-            self.line(1, "except _Halt as x: return s, (x.verdict, x.node, %s)" % env)
+        # Tier 0 takes the frame over at a deopt, and the entry function's
+        # execution at a zero divisor in it, a callee's halt or a redo.
+        self.line(1, "except %s as x: return s, _resume(%s, x, %s)"
+                  % ("(_Deopt, _Halt, _Redo)" if self.entry else "_Deopt", self.frame,
+                     self.env({})))
         self.defs.append("\n".join(self.out) + "\n")
 
     def block(self, stmts, depth: int, facts, follow=None):
@@ -677,30 +688,19 @@ class _Emitter:
         return "(%s %s %s)" % (left, op, right)
 
 
-class _Compiled:
-    """Tier 1: the program as the Python source `_Emitter` writes.  `entry`
-    is the entry function's def, called as `entry(0)`, which returns the
-    steps and the execution's outcome or raises `_Redo`; it draws from tier
-    0's chooser."""
-
-    def __init__(self, tier0: _Interpreter, emitter: _Emitter, source: str):
-        self.namespace = emitter.namespace
-        exec(compile(source, "<intana tier 1>", "exec"), self.namespace)
-        self.entry = self.namespace[emitter.names[tier0.entry]]
-
-    def close(self) -> None:
-        """Break the cycle between the generated functions and their globals."""
-        self.namespace.clear()
-
-
-def _tier_up(tier0: _Interpreter) -> "_Compiled | None":
-    """Tier 1 for tier 0's program, or None if the emitter refuses it."""
+def _tier_up(tier0: _Interpreter):
+    """Tier 1 for tier 0's program, or None if the emitter refuses it: the
+    entry function's def, from the source `_Emitter` writes, called as
+    `entry(0)`, which draws from tier 0's chooser and returns the steps and
+    the execution's outcome.  Its globals hold every def: the enumeration
+    clears them at its end, which breaks that cycle."""
     emitter = _Emitter(tier0)
     try:
         source = emitter.program()
     except _Refused:
         return None
-    return _Compiled(tier0, emitter, source)
+    exec(compile(source, "<intana tier 1>", "exec"), emitter.namespace)
+    return emitter.namespace[emitter.names[tier0.entry]]
 
 
 class _TraceRecorder:
@@ -742,13 +742,11 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
     # The steps tier 0 may still run before tier 1 is compiled.
     budget = sum(len(cfg.nodes) for cfg in interp.cfgs.values()) * TIER_UP_STEPS_PER_NODE
     results, prefix, highs = [], interp.chooser.values, interp.chooser.highs
-    compiled = entry = None
+    entry = None
     try:
         while True:
             if budget < 0:
-                compiled, budget = _tier_up(interp), math.inf
-                if compiled is not None:
-                    entry = compiled.entry
+                entry, budget = _tier_up(interp), math.inf
             if entry is None:
                 verdict, node, env = interp.run(prefix)
                 if not results:
@@ -762,13 +760,7 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 budget -= interp.steps
             else:
                 highs.clear()
-                try:
-                    verdict, node, env = entry(0)[1]
-                except _Redo:
-                    # Tier 0 runs it again and shows the monitor every
-                    # point.  The values this run appended to `prefix` are
-                    # range minimums, the values tier 0 would draw.
-                    verdict, node, env = interp.run(prefix)
+                verdict, node, env = entry(0)[1]
             state = ConcreteState(tuple(prefix), env, verdict, node)
             if monitor is not None:
                 monitor.end(state)
@@ -784,8 +776,8 @@ def enumerate_executions(prog: Program, step_limit: int = 10_000,
                 return results
             prefix[-1] += 1
     finally:
-        if compiled is not None:
-            compiled.close()
+        if entry is not None:
+            entry.__globals__.clear()
 
 
 def _bounds(abstract):

@@ -6,7 +6,9 @@ until it is huge, blow up a contraction, or draw from a wide range.  A
 command must exit with one of the documented codes (0 clean, 1 finding,
 2 usage error, 3 incomplete, 4 internal error), print no traceback, and
 write at most one line to stderr.  No case pins its exit code: several of
-these inputs are still handled unevenly across commands.
+these inputs are still handled unevenly across commands.  The nests are
+not: every command takes them, and `test_nests_pass_every_command` pins
+that.
 """
 
 import os
@@ -34,8 +36,18 @@ def _if_nest(depth: int) -> str:
     return _main(body)
 
 
+def _while_nest(depth: int) -> str:
+    """Loops nested `depth` deep that end: the innermost counts x down."""
+    body = "x = x - 1;"
+    for _ in range(depth):
+        body = "while (x > 0) { %s }" % body
+    return _main(body)
+
+
+NESTS = ["if-nest-300", "while-nest-300"]
 PROGRAMS = {
     "if-nest-300": _if_nest(300),
+    "while-nest-300": _while_nest(300),
     "parens-300": _main("int y = %sx%s;" % ("(" * 300, ")" * 300)),
     "sum-1200": _main("int y = %s;" % " + ".join(["x"] * 1200)),
     "literal-5000-digits": _main("int y = %s;" % ("9" * 5000)),
@@ -59,16 +71,31 @@ CASES.append(pytest.param(["contract", "--constraint", "a / a >= a * a",
                            "--box", "a:[-inf,-5]"], None, id="contract-and-blow-up"))
 
 
-@pytest.mark.parametrize("args,program", CASES)
-def test_command_exits_cleanly(tmp_path, args, program):
+def _run(tmp_path, args, program):
     if program is not None:
         path = tmp_path / (program + ".mini")
         path.write_text(PROGRAMS[program])
         args = [str(path) if arg == "{path}" else arg for arg in args]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "intana.cli", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "intana.cli", *args], env=env,
                           capture_output=True, text=True, timeout=TIMEOUT_S)
+
+
+@pytest.mark.parametrize("args,program", CASES)
+def test_command_exits_cleanly(tmp_path, args, program):
+    done = _run(tmp_path, args, program)
     assert done.returncode in EXIT_CODES, done.stderr
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) <= 1, done.stderr
+
+
+@pytest.mark.parametrize("program", NESTS)
+def test_nests_pass_every_command(tmp_path, program):
+    # The rewrites and instrumentation walk a nest as deep as the parser
+    # reads one, so no command stops at `input nests too deeply`.
+    for command in ("analyze", "optimize", "instrument", "check"):
+        done = _run(tmp_path, [command, "{path}"], program)
+        assert (done.returncode, done.stderr) == (0, ""), command
+        if command == "check":
+            assert done.stdout.endswith("result: clean\n")

@@ -53,7 +53,7 @@ def test_library_pipeline_leaves_no_cyclic_garbage(monkeypatch):
 
     def counted(tier0):
         tier = compile_tier(tier0)
-        tiers.append(type(tier))
+        tiers.append(tier is not None)
         return tier
     monkeypatch.setattr(intana.oracle, "_tier_up", counted)
     # One wrong analysis state, so that tier 1 hands executions back to tier 0.
@@ -84,7 +84,7 @@ def test_library_pipeline_leaves_no_cyclic_garbage(monkeypatch):
     # step limit) unwind through exceptions, which must leave nothing either.
     assert verdicts[STEP_LIMIT] and verdicts[OK]
     assert len(verdicts) >= 4
-    assert tiers.count(intana.oracle._Compiled) == 4
+    assert tiers.count(True) == 4
 
 
 # Every run passes the step limit once tier 1 runs it: in a callee when k

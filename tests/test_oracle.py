@@ -610,7 +610,7 @@ def _assert_tiers_agree(monkeypatch, enumerate, tier_up=-1):
     reference, _, none = _tiered(monkeypatch, NEVER, enumerate)
     got, tier0_runs, tiers = _tiered(monkeypatch, tier_up, enumerate)
     assert not none
-    assert [type(t) for t in tiers] == [intana.oracle._Compiled]
+    assert [tier is not None for tier in tiers] == [True]
     assert got == reference
     return reference, tier0_runs
 
@@ -812,78 +812,73 @@ DRAWS_IN_A_LOOP = """
 
 
 def _handbacks(monkeypatch, enumerate):
-    """`enumerate()`, then each time tier 1 handed an execution to tier 0:
-    the kind (`_Deopt` or `_Redo`), the chooser's values when the execution
-    started, its values and highs then, and for a deopt the verdict tier 0
-    finished with: that of the outcome `resume` returns for the entry
-    frame, or of the halt it raises for a callee's."""
-    oracle, found = intana.oracle, []
-    compile_tier, resume = oracle._tier_up, oracle._Interpreter.resume
+    """`enumerate()` with tier 1 compiled before the first execution, then
+    each time tier 1 handed an execution to tier 0 (`resume`): the kind of
+    stop (`_Deopt`, `_Halt` or `_Redo`), the chooser's values when the
+    execution started, its values and highs then, and the verdict tier 0
+    finished with: that of the outcome `resume` returns, or of the halt it
+    raises for a callee's frame."""
+    oracle, found, choices = intana.oracle, [], []
+    resume, state = oracle._Interpreter.resume, oracle.ConcreteState
 
-    def spy(tier0):
-        compiled = compile_tier(tier0)
-        entry, chooser = compiled.entry, tier0.chooser
+    def built(*args):
+        choices.append(args[0])
+        return state(*args)
 
-        def watched(s):
-            found.append(list(chooser.values))
-            try:
-                return entry(s)
-            except oracle._Redo:
-                found[-1] = ("_Redo", found[-1], list(chooser.values), list(chooser.highs), None)
-                raise
-        compiled.entry = watched
-        return compiled
-
-    def resumed(self, fname, deopt, env):
-        lists = list(self.chooser.values), list(self.chooser.highs)
+    def resumed(self, fname, stop, env):
+        found.append([type(stop).__name__, len(choices), list(self.chooser.values),
+                      list(self.chooser.highs), None])
         try:
-            outcome = resume(self, fname, deopt, env)
+            outcome = resume(self, fname, stop, env)
         except oracle._Halt as halt:
-            found[-1] = ("_Deopt", found[-1]) + lists + (halt.verdict,)
+            found[-1][-1] = halt.verdict
             raise
-        found[-1] = ("_Deopt", found[-1]) + lists + (outcome[0],)
+        found[-1][-1] = outcome[0]
         return outcome
+
+    def start(k):
+        # Execution k's values first differ from those of execution k - 1
+        # at the last value it started from.
+        if k == 0:
+            return []
+        before, after, i = choices[k - 1], choices[k], 0
+        while before[i] == after[i]:
+            i += 1
+        return list(after[:i + 1])
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
-        patch.setattr(oracle, "_tier_up", spy)
+        patch.setattr(oracle, "ConcreteState", built)
         patch.setattr(oracle._Interpreter, "resume", resumed)
         enumerate()
-    return [found_ for found_ in found if isinstance(found_, tuple)]
+    return [(kind, start(k), values, highs, verdict) for kind, k, values, highs, verdict in found]
 
 
 def _entry_calls(monkeypatch, enumerate):
     """`enumerate()` with tier 1 compiled before the first execution, then
-    what each call of the entry def gave: the verdict and the function of
-    the node of the outcome it returned, `_Redo`, or the name of any other
-    exception it raised."""
-    oracle, found = intana.oracle, []
-    compile_tier = oracle._tier_up
+    per execution the outcome the entry def returned, as its verdict and
+    the function of its node, or `_Redo` where tier 1 handed the execution
+    to `resume` to run again."""
+    oracle, found, redone = intana.oracle, [], []
+    resume, state = oracle._Interpreter.resume, oracle.ConcreteState
 
-    def spy(tier0):
-        compiled = compile_tier(tier0)
-        entry = compiled.entry
+    def resumed(self, fname, stop, env):
+        if type(stop) is oracle._Redo:
+            redone.append(stop)
+        return resume(self, fname, stop, env)
 
-        def watched(s):
-            try:
-                steps, (verdict, node, env) = result = entry(s)
-            except oracle._Redo:
-                found.append("_Redo")
-                raise
-            except Exception as exc:
-                found.append(type(exc).__name__)
-                raise
-            assert type(steps) is int and type(env) is dict
-            assert (node is None) == (verdict == OK) and verdict in VERDICTS
-            found.append((verdict, node and node[0]))
-            return result
-        compiled.entry = watched
-        return compiled
+    def built(choices, env, verdict, node):
+        assert type(env) is dict
+        assert (node is None) == (verdict == OK) and verdict in VERDICTS
+        found.append("_Redo" if redone else (verdict, node and node[0]))
+        redone.clear()
+        return state(choices, env, verdict, node)
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
-        patch.setattr(oracle, "_tier_up", spy)
-        enumerate()
+        patch.setattr(oracle, "ConcreteState", built)
+        patch.setattr(oracle._Interpreter, "resume", resumed)
+        _, tier0_runs, tiers = _tiered(monkeypatch, -1, enumerate)
+    assert tier0_runs == 0 and [tier is not None for tier in tiers] == [True]
     return found
 
 
@@ -1161,6 +1156,73 @@ class TestTiers:
             with pytest.raises(RuntimeError, match="deoptimized %s" % fname):
                 tier0.resume(fname, intana.oracle._Deopt(first, 0), env)
 
+    def test_resume_finishes_a_deopt(self):
+        # From any point of a run that halts, tier 0 finishes the entry
+        # frame with the run's outcome and raises a callee's halt on; a
+        # callee frame that would run to its end was handed back too early.
+        prog = parse_program("fn f(a) { int b = a + 1; b = b * 2; return b; }"
+                             " fn main() { int x = 3; x = x + 1; int y; y = f(x); y = y - 1; }")
+        exits = {fname: build_cfg(fn).exit for fname, fn in prog.functions.items()}
+        for step_limit in range(1, 8):
+            (run,) = enumerate_executions(prog, step_limit=step_limit)
+            points = [(fname, n, env) for fname, n, env in run.trace if n != exits[fname]]
+            for steps, (fname, n, env) in enumerate(points):
+                tier0 = intana.oracle._Interpreter(prog, step_limit)
+                stop = intana.oracle._Deopt(n, steps)
+                if fname == "main":
+                    assert tier0.resume(fname, stop, dict(env)) == (
+                        run.verdict, run.verdict_node, run.env)
+                elif run.verdict_node[0] == "f":
+                    with pytest.raises(intana.oracle._Halt) as halt:
+                        tier0.resume(fname, stop, dict(env))
+                    assert (halt.value.verdict, halt.value.node) == (
+                        run.verdict, run.verdict_node)
+                else:
+                    with pytest.raises(RuntimeError, match="deoptimized f"):
+                        tier0.resume(fname, stop, dict(env))
+
+    def test_resume_ends_the_execution_at_a_halt(self):
+        prog = parse_program("fn main() { int x = 1; }")
+        tier0, env = intana.oracle._Interpreter(prog, 100), {"x": 1}
+        outcome = tier0.resume("main", intana.oracle._Halt(DIV_BY_ZERO, ("main", 7)), env)
+        assert outcome == (DIV_BY_ZERO, ("main", 7), env) and outcome[2] is env
+
+    def test_resume_runs_a_redo_again_on_tier0(self):
+        # The chooser holds the values the run started from, then a range
+        # minimum per draw past them; tier 0 runs them from the start.
+        prog = parse_program(DRAWS_IN_A_LOOP)
+        for values, highs in (([], []), ([0], [2]), ([2], []), ([1, 0], [2, 2]),
+                              ([2, 2, 1], [2])):
+            tier0, reference = (intana.oracle._Interpreter(prog, 10_000) for _ in range(2))
+            tier0.chooser.values[:], tier0.chooser.highs[:] = values, highs
+            outcome = tier0.resume("main", intana.oracle._Redo(), {"i": 1, "s": 0})
+            assert outcome == reference.run(list(values))
+            assert (tier0.chooser.values, tier0.chooser.highs, tier0.steps) == (
+                reference.chooser.values, reference.chooser.highs, reference.steps)
+
+    def test_every_def_has_one_handler(self):
+        # Tier 0 takes over only through `resume`: the entry def hands it
+        # every deopt, halt and redo, and every other def its deopts.
+        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
+            + [random_program(seed) for seed in range(30)]
+        for source in sources:
+            prog = parse_program(source)
+            analyses = analyze_program(prog, AnalysisConfig())
+            for monitor in (None, intana.oracle._SoundnessMonitor(analyses)):
+                emitter = intana.oracle._Emitter(
+                    intana.oracle._Interpreter(prog, 10_000, monitor))
+                handlers = {}
+                for line in emitter.program().splitlines():
+                    if line.startswith("def "):
+                        name = line[len("def "):line.index("(")]
+                        handlers[name] = []
+                    elif line.lstrip().startswith("except"):
+                        handlers[name].append(line.split(" as ")[0].strip())
+                entry = emitter.names[prog.main.name]
+                assert handlers == {
+                    name: ["except (_Deopt, _Halt, _Redo)" if name == entry else "except _Deopt"]
+                    for name in emitter.names.values()}
+
     @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
     def test_handbacks_after_draws_leave_tier0_lists(self, monkeypatch, step_limit):
         # At a deopt or a redo, the chooser holds what tier 0 would after
@@ -1199,7 +1261,8 @@ class TestTiers:
     def test_entry_def_returns_an_outcome_or_raises_redo(self, monkeypatch, source, step_limit,
                                                         shifted, expected):
         # Every way an execution ends on tier 1, a deopt's included, is an
-        # outcome the entry def returns; only a redo leaves it.
+        # outcome the entry def returns; a failed bound raises a redo, which
+        # the entry def hands to `resume`.
         prog = parse_program(source)
         _agree_under_every_monitor(monkeypatch, prog, step_limit)
         if shifted:
@@ -1344,7 +1407,7 @@ def check(tier_up):
     compile_tier = intana.oracle._tier_up
     def spy(tier0):
         tier = compile_tier(tier0)
-        tiers.append(type(tier).__name__)
+        tiers.append(tier is not None)
         return tier
     intana.oracle._tier_up = spy
     intana.oracle.TIER_UP_STEPS_PER_NODE = tier_up
@@ -1391,4 +1454,4 @@ class TestCompilerLimits:
         assert tier0[:3] == shipped[:3]
         assert tier0[0] == 0 and tier0[1].endswith("result: clean\n")
         assert tier0[3] == [] and shipped[3]
-        assert ("_Compiled" in shipped[3]) == compiled, shipped[3]
+        assert (True in shipped[3]) == compiled, shipped[3]
