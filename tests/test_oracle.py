@@ -858,9 +858,16 @@ def _entry_calls(monkeypatch, enumerate):
     """`enumerate()` with tier 1 compiled before the first execution, then
     per execution the outcome the entry def returned, as its verdict and
     the function of its node, or `_Redo` where tier 1 handed the execution
-    to `resume` to run again."""
-    oracle, found, redone = intana.oracle, [], []
-    resume, state = oracle._Interpreter.resume, oracle.ConcreteState
+    to `resume` to run again.  A second entry def, compiled from the same
+    tier 0 once the enumeration is done, is called on each execution's
+    choices: it returns an int step count and that execution's outcome."""
+    oracle, tier0s, states, redone = intana.oracle, [], [], []
+    compile_tier, resume, state = oracle._tier_up, oracle._Interpreter.resume, \
+        oracle.ConcreteState
+
+    def spy(tier0):
+        tier0s.append(tier0)
+        return compile_tier(tier0)
 
     def resumed(self, fname, stop, env):
         if type(stop) is oracle._Redo:
@@ -868,18 +875,30 @@ def _entry_calls(monkeypatch, enumerate):
         return resume(self, fname, stop, env)
 
     def built(choices, env, verdict, node):
-        assert type(env) is dict
+        assert tier0s and type(env) is dict
         assert (node is None) == (verdict == OK) and verdict in VERDICTS
-        found.append("_Redo" if redone else (verdict, node and node[0]))
+        states.append((choices, (verdict, node, env), bool(redone)))
         redone.clear()
         return state(choices, env, verdict, node)
 
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "ConcreteState", built)
+        patch.setattr(oracle, "TIER_UP_STEPS_PER_NODE", -1)
+        patch.setattr(oracle, "_tier_up", spy)
         patch.setattr(oracle._Interpreter, "resume", resumed)
-        _, tier0_runs, tiers = _tiered(monkeypatch, -1, enumerate)
-    assert tier0_runs == 0 and [tier is not None for tier in tiers] == [True]
-    return found
+        patch.setattr(oracle, "ConcreteState", built)
+        enumerate()
+    [tier0] = tier0s
+    entry = compile_tier(tier0)
+    assert entry is not None
+    try:
+        for choices, outcome, _ in states:
+            tier0.chooser.reset(list(choices))
+            steps, again = entry(0)
+            assert type(steps) is int and again == outcome
+    finally:
+        entry.__globals__.clear()
+    return ["_Redo" if redo else (verdict, node and node[0])
+            for _, (verdict, node, _), redo in states]
 
 
 VERDICTS = {OK, ASSERT_FAILED, ASSUME_INFEASIBLE, DIV_BY_ZERO, STEP_LIMIT}
@@ -1261,8 +1280,8 @@ class TestTiers:
     def test_entry_def_returns_an_outcome_or_raises_redo(self, monkeypatch, source, step_limit,
                                                         shifted, expected):
         # Every way an execution ends on tier 1, a deopt's included, is an
-        # outcome the entry def returns; a failed bound raises a redo, which
-        # the entry def hands to `resume`.
+        # outcome the entry def returns with an int step count; a failed
+        # bound raises a redo inside it, which its handler hands to `resume`.
         prog = parse_program(source)
         _agree_under_every_monitor(monkeypatch, prog, step_limit)
         if shifted:
