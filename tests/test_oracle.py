@@ -901,6 +901,8 @@ def _entry_calls(monkeypatch, enumerate):
             for _, (verdict, node, _), redo in states]
 
 
+HUGE_VALUE = ("fn main() { int x = 7; %s int y = 0; int i = nondet(0, 99);"
+              " while (i > 0) { i = i - 1; y = x; } }" % ("x = x * x; " * 14))
 VERDICTS = {OK, ASSERT_FAILED, ASSUME_INFEASIBLE, DIV_BY_ZERO, STEP_LIMIT}
 RETURN_IN_MAIN = """
     fn main() { int k = nondet(0, 3); if (k > 1) { return k; } k = k + 1; }
@@ -1012,6 +1014,14 @@ class TestTiers:
             ups += _tier_ups(monkeypatch, _check(path))
         assert len(ups) == 3 * len(self.SOURCES)
         assert ups.count(None) == len(ups)
+
+    def test_values_too_long_for_a_literal(self, monkeypatch, tmp_path, capsys):
+        # 7 squared 14 times has 13,847 digits, more than CPython writes in
+        # decimal; the analysis bounds y by it, and `optimize` propagates it.
+        path = tmp_path / "huge.mini"
+        path.write_text(HUGE_VALUE)
+        assert intana.cli.main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "result: clean"
 
     def test_one_long_execution_compiles_nothing(self, monkeypatch):
         prog = parse_program("fn main() { int i = 0; while (i < 5000) { i = i + 1; } }")
