@@ -41,7 +41,6 @@ from .lang import (
     Return,
     Skip,
     Var,
-    build_cfg,
 )
 
 
@@ -287,8 +286,7 @@ def initial_state(func) -> AbstractState:
 def analyze_program(prog: Program, config: AnalysisConfig = AnalysisConfig()) -> "dict[str, FunctionAnalysis]":
     out = {}
     for name, fn in prog.functions.items():
-        cfg = build_cfg(fn)
-        out[name] = FunctionAnalysis(cfg, analyze(cfg, initial_state(fn), config))
+        out[name] = FunctionAnalysis(fn.cfg, analyze(fn.cfg, initial_state(fn), config))
     return out
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 
 ARITH_OPS = frozenset({"+", "-", "*", "/"})
 CMP_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
@@ -191,6 +191,13 @@ class Function:
     @property
     def has_return(self) -> bool:
         return any(isinstance(s, Return) for s in walk_stmts(self.body))
+
+    @cached_property
+    def cfg(self):
+        """The CFG, built on first read: intana never mutates a parsed body."""
+        from .cfg import build_cfg
+
+        return build_cfg(self)
 
 
 @dataclass

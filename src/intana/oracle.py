@@ -56,9 +56,10 @@ every point.
 Tier 1 refuses some enumerations, which then stay on tier 0: those whose
 monitor has no `bounds`, such as `_TraceRecorder`, and those of programs
 with a block nested in more than 15 compound statements, an expression
-more than 32 nodes deep or with a draw inside (only an AST has one), or a
-statement at two CFG nodes.  CPython rejects Python nested as deep as
-some of those programs are.
+more than 32 nodes deep or with a draw inside (only an AST has one), a
+statement at two CFG nodes, or an int of more digits than CPython writes
+as a literal (`sys.get_int_max_str_digits()`).  CPython rejects Python
+nested as deep as some of those programs are.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ from .lang import (
     Unary,
     Var,
     While,
-    build_cfg,
     program_nondets,
     subexprs,
     walk_stmts,
@@ -182,7 +182,7 @@ class _Interpreter:
     def __init__(self, prog: Program, step_limit: int, monitor=None):
         self.chooser = _Chooser()
         self.prog = prog
-        self.cfgs = {fname: build_cfg(fn) for fname, fn in prog.functions.items()}
+        self.cfgs = {fname: fn.cfg for fname, fn in prog.functions.items()}
         self.watches = {fname: monitor.watch(fname) if monitor is not None else None
                         for fname in prog.functions}
         self.entry = prog.main.name
@@ -421,11 +421,11 @@ class _Emitter:
     value)`: `s` counts the steps run so far, and `value` is None when the
     body falls off its end.  Every mini variable is a local `v_<name>`; one
     not yet declared holds `_U`.  Every value the code uses, from literals
-    to analysis bounds, is a namespace constant.  The entry function's
-    value is the execution's outcome, `(verdict, node, env)`: at its end,
-    at a failed assume or assert of its own, and from its handler, where
-    `_Interpreter.resume` takes over at any other halt, a deopt or a redo.
-    So it always returns one.
+    and analysis bounds to the step limit and verdicts, is its literal.
+    The entry function's value is the execution's outcome, `(verdict,
+    node, env)`: at its end, at a failed assume or assert of its own, and
+    from its handler, where `_Interpreter.resume` takes over at any other
+    halt, a deopt or a redo.  So it always returns one.
 
     Steps are counted per segment: a run of simple statements and the node
     that ends it (a condition, loop head, call or return), or the loop head
@@ -448,30 +448,26 @@ class _Emitter:
 
     `program` raises `_Refused` for a monitor without bounds, such as the
     trace recorder, a block nested deeper than `_MAX_DEPTH`, an expression
-    deeper than `_MAX_INLINE_DEPTH` or with a draw, and a statement at two
-    CFG nodes.
+    deeper than `_MAX_INLINE_DEPTH` or with a draw, a statement at two CFG
+    nodes, and a value `const` cannot write.
     """
 
     def __init__(self, tier0: _Interpreter):
         self.tier0 = tier0
         self.namespace = {"_Halt": _Halt, "_Deopt": _Deopt, "_Redo": _Redo,
                           "_resume": tier0.resume, "_divide": _divide, "_U": _U, "_env": _env,
-                          "_V": tier0.chooser.values, "_H": tier0.chooser.highs,
-                          "_L": tier0.step_limit,
-                          "_OK": OK, "_ASSERT": ASSERT_FAILED, "_ASSUME": ASSUME_INFEASIBLE}
+                          "_V": tier0.chooser.values, "_H": tier0.chooser.highs}
         self.names = {fname: "_f%d" % i for i, fname in enumerate(tier0.prog.functions)}
-        self.consts = {}
         self.defs = []
         self.iteration = False  # in a loop body whose head counts its steps
 
     def const(self, value) -> str:
-        """The namespace name of a value, one per distinct value: CPython
-        compiles fewer distinct names faster."""
-        key = (type(value), value)
-        if key not in self.consts:
-            self.consts[key] = "_k%d" % len(self.consts)
-            self.namespace[self.consts[key]] = value
-        return self.consts[key]
+        """The Python literal of a value; raises `_Refused` for an int with
+        more digits than CPython writes (`sys.get_int_max_str_digits()`)."""
+        try:
+            return repr(value)
+        except ValueError:
+            raise _Refused
 
     def line(self, depth: int, text: str) -> None:
         self.out.append("    " * depth + text)
@@ -482,6 +478,7 @@ class _Emitter:
         monitor = self.tier0.monitor
         if monitor is not None and not hasattr(monitor, "bounds"):
             raise _Refused
+        self.limit = self.const(self.tier0.step_limit)
         for fname, fn in self.tier0.prog.functions.items():
             cfg = self.tier0.cfgs[fname]
             self.nodes = {id(node.stmt): n for n, node in cfg.nodes.items()
@@ -492,7 +489,6 @@ class _Emitter:
             self.entry = fname == self.tier0.entry
             self.variables = fn.variables
             self.declared = set(self.variables)
-            self.frame = self.const(fname)  # the function's name, for its handler
             self.bounds = None if monitor is None else monitor.bounds(fname)
             self.define(self.names[fname], fn.params, fn.body)
         return "\n".join(self.defs)
@@ -511,8 +507,8 @@ class _Emitter:
         # Tier 0 takes the frame over at a deopt, and the entry function's
         # execution at a zero divisor in it, a callee's halt or a redo.
         self.line(1, "except %s as x: return s, _resume(%s, x, %s)"
-                  % ("(_Deopt, _Halt, _Redo)" if self.entry else "_Deopt", self.frame,
-                     self.env({})))
+                  % ("(_Deopt, _Halt, _Redo)" if self.entry else "_Deopt",
+                     self.const(self.fname), self.env({})))
         self.defs.append("\n".join(self.out) + "\n")
 
     def block(self, stmts, depth: int, facts, follow=None):
@@ -556,10 +552,10 @@ class _Emitter:
         if they pass the step limit, unless its loop's head counted them."""
         if steps and not self.iteration:
             self.line(depth, "s += %d" % steps)
-            self.line(depth, "if s > _L: raise _Deopt(%d, s - %d)" % (first, steps))
+            self.line(depth, "if s > %s: raise _Deopt(%d, s - %d)" % (self.limit, first, steps))
 
     def where(self, n: int) -> str:
-        """The constant naming node n in a halt."""
+        """The literal of the (function, node) a halt at node n names."""
         return self.const((self.fname, n))
 
     def point(self, n: int, depth: int, facts) -> None:
@@ -580,7 +576,9 @@ class _Emitter:
             if lo <= known_lo and known_hi <= hi:
                 continue
             facts[name] = (present, max(lo, known_lo), min(hi, known_hi))
-            test = "%s <= %s <= %s" % (self.const(lo), _var(name), self.const(hi))
+            # An infinite side always holds.
+            test = ("" if lo == -math.inf else self.const(lo) + " <= ") + _var(name) \
+                + ("" if hi == math.inf else " <= " + self.const(hi))
             # An undeclared name passes.
             parts.append(test if present else "(%s is _U or %s)" % (_var(name), test))
         if parts:
@@ -591,7 +589,7 @@ class _Emitter:
         or from the entry function its verdict, no node and its
         environment."""
         if self.entry:
-            value = "(_OK, None, %s)" % self.env(facts)
+            value = "(%s, None, %s)" % (self.const(OK), self.env(facts))
         self.point(self.exit_node, depth, facts)
         self.line(depth, "return s, " + value)
 
@@ -613,7 +611,8 @@ class _Emitter:
             steps = _steps(stmt.body)
             if steps is not None:
                 first = self.nodes[id(stmt.body[0])] if stmt.body else n
-                self.line(depth + 1, "if s + %d > _L: raise _Deopt(%d, s)" % (steps + 1, first))
+                self.line(depth + 1, "if s + %d > %s: raise _Deopt(%d, s)"
+                          % (steps + 1, self.limit, first))
                 self.line(depth + 1, "s += %d" % (steps + 1))
             self.iteration = steps is not None
             self.block(stmt.body, depth + 1, facts, follow=n)
@@ -645,7 +644,7 @@ class _Emitter:
                 text = self.const(0) if value is None else self.expr(value, n)
                 self.line(depth, "%s = %s" % (_var(name), text))
         elif isinstance(stmt, (Assume, Assert)):
-            verdict = "_ASSUME" if isinstance(stmt, Assume) else "_ASSERT"
+            verdict = self.const(ASSUME_INFEASIBLE if isinstance(stmt, Assume) else ASSERT_FAILED)
             halt = ("return s, (%s, %s, %s)" % (verdict, self.where(n), self.env(facts))
                     if self.entry else "raise _Halt(%s, %s)" % (verdict, self.where(n)))
             self.line(depth, "if not %s: %s" % (self.expr(stmt.cond, n), halt))
@@ -692,8 +691,8 @@ def _tier_up(tier0: _Interpreter):
     """Tier 1 for tier 0's program, or None if the emitter refuses it: the
     entry function's def, from the source `_Emitter` writes, called as
     `entry(0)`, which draws from tier 0's chooser and returns the steps and
-    the execution's outcome.  Its globals hold every def: the enumeration
-    clears them at its end, which breaks that cycle."""
+    the execution's outcome.  Its globals hold the code it calls and every
+    def: the enumeration clears them at its end, which breaks that cycle."""
     emitter = _Emitter(tier0)
     try:
         source = emitter.program()

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -1020,8 +1022,19 @@ class TestTiers:
         # decimal; the analysis bounds y by it, and `optimize` propagates it.
         path = tmp_path / "huge.mini"
         path.write_text(HUGE_VALUE)
+        compile_tier, tiers = intana.oracle._tier_up, []
+
+        def spy(tier0):
+            tiers.append(compile_tier(tier0))
+            return tiers[-1]
+        monkeypatch.setattr(intana.oracle, "_tier_up", spy)
         assert intana.cli.main(["check", str(path)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "result: clean"
+        # All three enumerations reach the budget.  Tier 1 refuses the
+        # monitored input, whose bounds hold the value, and the optimized
+        # program, which holds it as a literal, but not the instrumented
+        # program, whose assumptions bound only i.
+        assert [tier is None for tier in tiers] == [True, True, False]
 
     def test_one_long_execution_compiles_nothing(self, monkeypatch):
         prog = parse_program("fn main() { int i = 0; while (i < 5000) { i = i + 1; } }")
@@ -1157,9 +1170,9 @@ class TestTiers:
         # segment; one whose paths are equally long tests each iteration at
         # its head, in a callee too.
         uneven = _tier1_source(parse_program(UNEVEN_BRANCHES))
-        assert "if s > _L: raise _Deopt(" in uneven and "if s + " not in uneven
+        assert "if s > 10000: raise _Deopt(" in uneven and "if s + " not in uneven
         callee = _tier1_source(parse_program(EVEN_LOOP_IN_CALLEE)).split("def ")[1]
-        assert callee.startswith("_f0(") and "if s + 4 > _L: raise _Deopt(" in callee
+        assert callee.startswith("_f0(") and "if s + 4 > 10000: raise _Deopt(" in callee
         # So a failed test hands tier 0 only runs that halt within the steps
         # it guards: tier 0 never runs a frame to its end.
         verdicts = set()
@@ -1251,6 +1264,27 @@ class TestTiers:
                 assert handlers == {
                     name: ["except (_Deopt, _Halt, _Redo)" if name == entry else "except _Deopt"]
                     for name in emitter.names.values()}
+
+    def test_every_value_is_a_literal(self):
+        # The namespace holds only code and the chooser's lists, and the
+        # source names no value: an infinite bound is no side of a test.
+        code = {"_Halt", "_Deopt", "_Redo", "_resume", "_divide", "_U", "_env", "_V", "_H"}
+        values = re.compile(r"_k\d+|_L|_OK|_ASSERT|_ASSUME|inf")
+        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
+            + [random_program(seed) for seed in range(30)]
+        for source in sources:
+            prog = parse_program(source)
+            analyses = analyze_program(prog, AnalysisConfig())
+            for monitor in (None, intana.oracle._SoundnessMonitor(analyses)):
+                emitter = intana.oracle._Emitter(
+                    intana.oracle._Interpreter(prog, 10_000, monitor))
+                source = emitter.program()
+                exec(compile(source, "<intana tier 1>", "exec"), emitter.namespace)
+                assert set(emitter.namespace) == code | set(emitter.names.values()) \
+                    | {"__builtins__"}
+                emitter.namespace.clear()
+                assert not [node.id for node in ast.walk(ast.parse(source))
+                            if isinstance(node, ast.Name) and values.fullmatch(node.id)]
 
     @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
     def test_handbacks_after_draws_leave_tier0_lists(self, monkeypatch, step_limit):
