@@ -721,6 +721,18 @@ def _tier1_source(prog):
     return intana.oracle._Emitter(interp).program()
 
 
+def _emitted():
+    """`(prog, emitter, source)` for each tier-1 source of the corpus and
+    fuzz seeds 0-29, with no monitor and under the soundness monitor."""
+    for source in [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
+            + [random_program(seed) for seed in range(30)]:
+        prog = parse_program(source)
+        analyses = analyze_program(prog, AnalysisConfig())
+        for monitor in (None, intana.oracle._SoundnessMonitor(analyses)):
+            emitter = intana.oracle._Emitter(intana.oracle._Interpreter(prog, 10_000, monitor))
+            yield prog, emitter, emitter.program()
+
+
 STEP_LIMIT_IN_CALLEE = """
     fn spin(n) { int i = 0; while (i < n) { i = i + 1; } return i; }
     fn main() { int k = nondet(0, 20); int r; r = spin(k); r = r + 1; }
@@ -1245,46 +1257,31 @@ class TestTiers:
     def test_every_def_has_one_handler(self):
         # Tier 0 takes over only through `resume`: the entry def hands it
         # every deopt, halt and redo, and every other def its deopts.
-        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
-            + [random_program(seed) for seed in range(30)]
-        for source in sources:
-            prog = parse_program(source)
-            analyses = analyze_program(prog, AnalysisConfig())
-            for monitor in (None, intana.oracle._SoundnessMonitor(analyses)):
-                emitter = intana.oracle._Emitter(
-                    intana.oracle._Interpreter(prog, 10_000, monitor))
-                handlers = {}
-                for line in emitter.program().splitlines():
-                    if line.startswith("def "):
-                        name = line[len("def "):line.index("(")]
-                        handlers[name] = []
-                    elif line.lstrip().startswith("except"):
-                        handlers[name].append(line.split(" as ")[0].strip())
-                entry = emitter.names[prog.main.name]
-                assert handlers == {
-                    name: ["except (_Deopt, _Halt, _Redo)" if name == entry else "except _Deopt"]
-                    for name in emitter.names.values()}
+        for prog, emitter, source in _emitted():
+            handlers = {}
+            for line in source.splitlines():
+                if line.startswith("def "):
+                    name = line[len("def "):line.index("(")]
+                    handlers[name] = []
+                elif line.lstrip().startswith("except"):
+                    handlers[name].append(line.split(" as ")[0].strip())
+            entry = emitter.names[prog.main.name]
+            assert handlers == {
+                name: ["except (_Deopt, _Halt, _Redo)" if name == entry else "except _Deopt"]
+                for name in emitter.names.values()}
 
     def test_every_value_is_a_literal(self):
         # The namespace holds only code and the chooser's lists, and the
         # source names no value: an infinite bound is no side of a test.
         code = {"_Halt", "_Deopt", "_Redo", "_resume", "_divide", "_U", "_env", "_V", "_H"}
         values = re.compile(r"_k\d+|_L|_OK|_ASSERT|_ASSUME|inf")
-        sources = [path.read_text() for path in sorted(CORPUS.glob("*.mini"))] \
-            + [random_program(seed) for seed in range(30)]
-        for source in sources:
-            prog = parse_program(source)
-            analyses = analyze_program(prog, AnalysisConfig())
-            for monitor in (None, intana.oracle._SoundnessMonitor(analyses)):
-                emitter = intana.oracle._Emitter(
-                    intana.oracle._Interpreter(prog, 10_000, monitor))
-                source = emitter.program()
-                exec(compile(source, "<intana tier 1>", "exec"), emitter.namespace)
-                assert set(emitter.namespace) == code | set(emitter.names.values()) \
-                    | {"__builtins__"}
-                emitter.namespace.clear()
-                assert not [node.id for node in ast.walk(ast.parse(source))
-                            if isinstance(node, ast.Name) and values.fullmatch(node.id)]
+        for _, emitter, source in _emitted():
+            exec(compile(source, "<intana tier 1>", "exec"), emitter.namespace)
+            assert set(emitter.namespace) == code | set(emitter.names.values()) \
+                | {"__builtins__"}
+            emitter.namespace.clear()
+            assert not [node.id for node in ast.walk(ast.parse(source))
+                        if isinstance(node, ast.Name) and values.fullmatch(node.id)]
 
     @pytest.mark.parametrize("step_limit", [10_000, 9, 12, 15, 18])
     def test_handbacks_after_draws_leave_tier0_lists(self, monkeypatch, step_limit):
