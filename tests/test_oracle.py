@@ -221,6 +221,16 @@ class TestSoundness:
         assert {(v.node, v.var, v.value) for v in violations} \
             == {(fa.cfg.exit, "x", value) for value in range(1, 5)}
 
+    def test_analysis_and_tier0_share_each_cfg(self):
+        # The monitor's tables are keyed by the analysis's node ids, which
+        # are then the nodes tier 0 walks.
+        prog = parse_program("fn f(a) { while (a > 0) { a = a - 1; } return a; }"
+                             " fn main() { int x = nondet(0, 3); int y; y = f(x); }")
+        analyses = analyze_program(prog, AnalysisConfig())
+        tier0 = intana.oracle._Interpreter(prog, 10_000)
+        assert [tier0.cfgs[name] is analyses[name].cfg is fn.cfg
+                for name, fn in prog.functions.items()] == [True, True]
+
 
 def _reference_violations(analyses, executions):
     """The soundness check as a walk over recorded traces, for comparison."""
