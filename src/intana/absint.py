@@ -64,7 +64,7 @@ def eval_cond3(form, state: AbstractState, arith: bool = True) -> Truth3:
         return eval_cmp(form.relation, eval_expr(form.lhs, state, arith),
                         eval_expr(form.rhs, state, arith))
     if isinstance(form, tuple):
-        return or3(*(eval_cond3(side, state, arith) for side in form))
+        return reduce(or3, (eval_cond3(side, state, arith) for side in form))
     return reduce(and3, (eval_cond3(item, state, arith) for item in form))
 
 

@@ -6,10 +6,11 @@ plus report), instrument (program with interval assumptions), contract
 pipelines over exhaustive concrete execution).
 
 Exit codes: 0 success/clean, 1 property violation found, 2 usage or
-parse error, or input nested too deeply to process, 3 `check` incomplete
+parse error (nesting past `lang.MAX_NESTING` is one), 3 `check` incomplete
 because an execution of the input, or of a rewrite where the input ran to
 its end, hit `--step-limit` (its findings are still printed, but none of
-them decides the exit code), 4 unexpected internal error, one line on stderr.
+them decides the exit code), 4 unexpected internal error, a
+`RecursionError` too, one line on stderr.
 """
 
 from __future__ import annotations
@@ -330,9 +331,6 @@ def main(argv=None) -> int:
         return 2
     except (EnumerationCapError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input nests too deeply", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault in intana, never a finding (exit 1)
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -44,7 +44,8 @@ from .interval import (
     parse_range,
 )
 from .lang import (
-    ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var, expr_to_source)
+    ARITH_OPS, Binary, BoolLit, CMP_OPS, Expr, IntLit, Nondet, Unary, Var, expr_to_source, fold,
+    subexprs)
 
 # Divisor parts at most this many values wide are projected member by
 # member; a wider part is projected as one hull.
@@ -89,20 +90,23 @@ def eval_expr(e: Expr, box: AbstractState, arith: bool = True) -> Interval:
     """Bottom-up interval evaluation of an arithmetic expression."""
     if box.is_bottom:
         return BOTTOM
-    kind = type(e)
-    if kind is Var:
-        return box[e.name]
-    if kind is IntLit:
-        iv = _LITERALS.get(e.value)
-        return Interval(e.value, e.value) if iv is None else iv
-    if kind is Binary:
-        return interval_binop(e.op, eval_expr(e.left, box, arith),
-                              eval_expr(e.right, box, arith), arith=arith)
-    if kind is Unary and e.op == "neg":
-        return eval_expr(e.operand, box, arith).negate()
-    if kind is Nondet:
-        return Interval(e.lo, e.hi) if e.bounded else TOP
-    raise ValueError("not an arithmetic expression: %r" % (e,))
+
+    def visit(e, a=None, b=None):
+        kind = type(e)
+        if kind is Var:
+            return box[e.name]
+        if kind is IntLit:
+            iv = _LITERALS.get(e.value)
+            return Interval(e.value, e.value) if iv is None else iv
+        if kind is Binary:
+            return interval_binop(e.op, a, b, arith=arith)
+        if kind is Unary and e.op == "neg":
+            return a.negate()
+        if kind is Nondet:
+            return Interval(e.lo, e.hi) if e.bounded else TOP
+        raise ValueError("not an arithmetic expression: %r" % (e,))
+
+    return fold(e, visit)
 
 
 # --- inverse projections -----------------------------------------------------
@@ -237,20 +241,30 @@ def _push(slots: list, kind: str, a, b) -> int:
     return len(slots) - 1
 
 
+def _same(e: Expr, other: Expr) -> bool:
+    """e == other without recursion: their preorders' nodes match in type and own fields."""
+    return all(type(x) is type(y) and (x.op == y.op if type(x) in (Unary, Binary) else x == y)
+               for x, y in zip(subexprs(e), subexprs(other)))
+
+
 def _emit(e: Expr, box: AbstractState, slots: list) -> int:
     """Append e's slots after those of its operands; e's slot."""
-    if isinstance(e, IntLit):
-        return _push(slots, "const", Interval.singleton(e.value), None)
-    if isinstance(e, Var):
-        return _push(slots, "var", box.position(e.name), None)
-    if isinstance(e, Unary) and e.op == "neg":  # as 0 - operand
-        return _push(slots, "-", _emit(IntLit(0), box, slots), _emit(e.operand, box, slots))
-    if isinstance(e, Binary) and e.op == "*" and e.left == e.right:
-        a = _emit(e.left, box, slots)  # both factors share one value
-        return _push(slots, "sq", a, a)
-    if isinstance(e, Binary) and e.op in ARITH_OPS:
-        return _push(slots, e.op, _emit(e.left, box, slots), _emit(e.right, box, slots))
-    raise ValueError("not an arithmetic expression: %r" % (e,))
+
+    def visit(e, a=None, b=None):
+        if isinstance(e, IntLit):
+            return _push(slots, "const", Interval.singleton(e.value), None)
+        if isinstance(e, Var):
+            return _push(slots, "var", box.position(e.name), None)
+        if isinstance(e, Unary) and e.op == "neg":  # as 0 - operand
+            return _push(slots, "-", _push(slots, "const", Interval.singleton(0), None), a)
+        if isinstance(e, Binary) and e.op == "*" and _same(e.left, e.right):
+            del slots[a + 1:]  # both factors share the left one's value
+            return _push(slots, "sq", a, a)
+        if isinstance(e, Binary) and e.op in ARITH_OPS:
+            return _push(slots, e.op, a, b)
+        raise ValueError("not an arithmetic expression: %r" % (e,))
+
+    return fold(e, visit)
 
 
 def lower_comparison(e: Expr, box: AbstractState, polarity: bool = True) -> _Code:
@@ -341,30 +355,33 @@ def hc4_revise(code: _Code, box: AbstractState) -> AbstractState:
 
 def lower_condition(cond: Expr, polarity: bool, box: AbstractState):
     """cond, or its negation when polarity is False, lowered for boxes over
-    box's names: a bool, a lowered comparison, `||`'s (left, right) or the
-    list of `&&`'s flattened conjuncts.  Negation flips comparisons and
-    swaps the connectives.  Each sub-condition's form is kept in box.forms
-    under (id, polarity), the sub-condition pinned, until the next analysis
-    over these names clears it."""
-    forms, key = box.forms, (id(cond), polarity)
-    known = forms.get(key)
-    if known is not None:
-        return known[1]
-    if isinstance(cond, BoolLit):
-        form = cond.value == polarity
-    elif isinstance(cond, Unary) and cond.op == "not":
-        form = lower_condition(cond.operand, not polarity, box)
-    elif isinstance(cond, Binary) and cond.op in ("&&", "||"):
-        left = lower_condition(cond.left, polarity, box)
-        right = lower_condition(cond.right, polarity, box)
-        if (cond.op == "&&") == polarity:  # a conjunction: flatten
-            form = ((left if isinstance(left, list) else [left])
-                    + (right if isinstance(right, list) else [right]))
+    box's names: a bool, a lowered comparison, or the tuple of `||`'s or list
+    of `&&`'s flattened operands; negation flips comparisons and swaps the
+    connectives.  Each sub-condition's form stays in box.forms under (id,
+    polarity), pinned, until the next analysis over these names clears it."""
+    forms, spine = box.forms, []  # (node, polarity) down left operands; right ones recurse
+    while (known := forms.get((id(cond), polarity))) is None:
+        if isinstance(cond, Unary) and cond.op == "not":
+            spine.append((cond, polarity))
+            cond, polarity = cond.operand, not polarity
+        elif isinstance(cond, Binary) and cond.op in ("&&", "||"):
+            spine.append((cond, polarity))
+            cond = cond.left
         else:
-            form = left, right
-    else:
-        form = lower_comparison(cond, box, polarity)
-    forms[key] = cond, form
+            known = forms[id(cond), polarity] = cond, (
+                cond.value == polarity if isinstance(cond, BoolLit)
+                else lower_comparison(cond, box, polarity))
+            break
+    form = known[1]
+    while spine:
+        cond, polarity = spine.pop()
+        if isinstance(cond, Binary):
+            right = lower_condition(cond.right, polarity, box)
+            # A conjunction flattens into a list, a disjunction into a tuple.
+            flat = list if (cond.op == "&&") == polarity else tuple
+            form = ((form if type(form) is flat else flat((form,)))
+                    + (right if type(right) is flat else flat((right,))))
+        forms[id(cond), polarity] = cond, form
     return form
 
 
@@ -379,9 +396,10 @@ def contract_condition(cond, box: AbstractState, max_rounds: int = 10) -> Abstra
     if type(cond) is _Code:
         return hc4_revise(cond, box)
     if isinstance(cond, tuple):
-        left, right = cond
-        return contract_condition(left, box, max_rounds).join(
-            contract_condition(right, box, max_rounds))
+        hull = contract_condition(cond[0], box, max_rounds)
+        for side in cond[1:]:
+            hull = hull.join(contract_condition(side, box, max_rounds))
+        return hull
     # One round meets each variable with all of its single-variable
     # bounds, so a second round of bounds alone would change nothing.
     bounds_only = all(type(item) is _Code and item.bound is not None for item in cond)

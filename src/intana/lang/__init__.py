@@ -13,6 +13,7 @@ from .ast import (
     Decl,
     Expr,
     FALSE,
+    fold,
     free_vars,
     Function,
     If,
@@ -37,7 +38,7 @@ from .ast import (
     While,
 )
 from .cfg import BRANCH_FALSE, BRANCH_TRUE, build_cfg, Cfg, FALLTHROUGH, Node
-from .parser import parse_condition, parse_program, ParseError
+from .parser import MAX_NESTING, parse_condition, parse_program, ParseError
 from .pretty import expr_to_source, function_to_source, program_to_source
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,6 +93,9 @@ class Nondet(Expr):
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
+_LEAVES = frozenset({IntLit, BoolLit, Var, Nondet})
+_LEFT, _UNARY = object(), object()  # fold's tags for a Binary's left operand and a Unary
+
 
 def subexprs(e: Expr):
     """Yield e and every subexpression, in preorder.
@@ -108,6 +111,35 @@ def subexprs(e: Expr):
             stack.append(e.operand)
         elif isinstance(e, Binary):
             stack += (e.right, e.left)
+
+
+def fold(e: Expr, visit):
+    """Call visit(node, *operand_values) at every node of e after its operands,
+    left to right; the root's value.  Iterative, so e may be of any depth."""
+    if type(e) in _LEAVES:
+        return visit(e)
+    stack = []  # each inner node above e, then _LEFT, _UNARY or its left value
+    while True:
+        kind = type(e)
+        if (kind is Binary and (type(e.left) not in _LEAVES or type(e.right) not in _LEAVES)
+                or kind is Unary and type(e.operand) not in _LEAVES):
+            stack += (e, _LEFT) if kind is Binary else (e, _UNARY)
+            e = e.left if kind is Binary else e.operand
+            continue
+        # e is a leaf or a node over leaves, which takes no stack entry.
+        value = (visit(e, visit(e.left), visit(e.right)) if kind is Binary
+                 else visit(e, visit(e.operand)) if kind is Unary else visit(e))
+        # Up through each node whose operands now all have values.
+        while stack:
+            tag = stack.pop()
+            if tag is _LEFT:  # value is the left operand's: fold the right one
+                e = stack[-1].right
+                stack.append(value)
+                break
+            node = stack.pop()
+            value = visit(node, value) if tag is _UNARY else visit(node, tag, value)
+        else:
+            return value
 
 
 def free_vars(e: Expr) -> frozenset:
@@ -278,8 +310,7 @@ def map_block(fn, block) -> "list[Stmt]":
     """
     # CPython 3.11 calls a partial with keyword arguments through its
     # recursion-counted tp_call path, one more level per nested block;
-    # walk binds fn positionally, so it is not, and every rewrite takes
-    # the 327-deep nests the parser takes (measured on 3.11.7).
+    # walk binds fn positionally, so it is not.
     walk = partial(map_block, fn)
     out = []
     for s in block:

@@ -36,6 +36,12 @@ from .ast import (
 )
 
 
+# The most blocks and parentheses a function body may hold open at once, its
+# own block not counted.  Only these make a walk recurse, at most three Python
+# frames a level (the rewrites), so every command fits in CPython's 1000.
+MAX_NESTING = 320
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__("%d:%d: %s" % (line, col, message))
@@ -124,6 +130,7 @@ class Parser:
         self.calls: "list[tuple[str, Call, Token]]" = []
         # The first operand-sort mismatch of the expression being parsed.
         self.sort_error: "str | None" = None
+        self.depth = 0  # the blocks and parentheses open, against MAX_NESTING
 
     # --- token plumbing ---
 
@@ -161,6 +168,12 @@ class Parser:
         self.next_sid += 1
         return self.next_sid
 
+    def nest(self, tok: Token) -> None:
+        """Open the block or parenthesis at tok, one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nested past the limit of %d blocks and parentheses" % MAX_NESTING, tok)
+
     # --- grammar ---
 
     def parse_program(self) -> Program:
@@ -183,6 +196,7 @@ class Parser:
         self.declared, self.visible = set(), set()
         params = self.parse_list(self.parse_param)
         self.function = name
+        self.depth = -1  # the body's block opens level 0
         return Function(name=name, params=tuple(params), body=self.parse_block())
 
     def parse_param(self) -> str:
@@ -205,12 +219,13 @@ class Parser:
         return items
 
     def parse_block(self) -> "list[Stmt]":
-        self.expect("{")
+        self.nest(self.expect("{"))
         outer, self.scope = self.scope, []
         stmts = []
         while self.kinds[self.pos] != "}":
             stmts.append(self.parse_stmt())
         self.expect("}")
+        self.depth -= 1
         self.visible.difference_update(self.scope)
         self.scope = outer
         return stmts
@@ -261,10 +276,14 @@ class Parser:
         self.pos += 1
         if kind == "int":
             return self.parse_decl()
-        if kind == "if":
-            return self.parse_if()
-        if kind == "while":
-            return self.parse_while()
+        if kind == "if" or kind == "while":
+            # Parsed here: a nested block costs parse_stmt's and parse_block's frames.
+            cond = self.parse_paren_cond()
+            body = self.parse_block()
+            if kind == "while":
+                return While(cond=cond, body=body, sid=self.fresh_sid())
+            orelse = self.parse_block() if self.accept("else") else None
+            return If(cond=cond, then=body, orelse=orelse, sid=self.fresh_sid())
         if kind == "assert" or kind == "assume":
             cond = self.parse_paren_cond()
             self.expect(";")
@@ -301,17 +320,6 @@ class Parser:
         call = Call(callee=callee, args=tuple(args), result=result, sid=self.fresh_sid())
         self.calls.append((self.function, call, tok))
         return call
-
-    def parse_if(self) -> If:
-        cond = self.parse_paren_cond()
-        then = self.parse_block()
-        orelse = self.parse_block() if self.accept("else") else None
-        return If(cond=cond, then=then, orelse=orelse, sid=self.fresh_sid())
-
-    def parse_while(self) -> While:
-        cond = self.parse_paren_cond()
-        body = self.parse_block()
-        return While(cond=cond, body=body, sid=self.fresh_sid())
 
     def parse_paren_cond(self) -> Expr:
         self.expect("(")
@@ -355,27 +363,33 @@ class Parser:
                 kind = "arithmetic operator" if op in ARITH_OPS else "comparison"
                 self.sort_error = "%s %r needs integer operands" % (kind, op)
 
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        """Precedence climbing over PRECEDENCE; an operator's kind is its text."""
-        left = self.parse_unary()
+    def parse_expr(self) -> Expr:
+        """Precedence climbing over PRECEDENCE as one loop over operands, each a
+        primary after any `-` and `!` prefixes; a node is built once its operands are."""
         kinds = self.kinds
+        pending = []  # (strength, operator, left operand) not yet applied
         while True:
+            start = pos = self.pos
+            while kinds[pos] == "-" or kinds[pos] == "!":
+                pos += 1
+            self.pos = pos
+            e = self.parse_primary()
+            while pos > start:  # the innermost prefix first
+                pos -= 1
+                e = Unary("neg" if kinds[pos] == "-" else "not", e)
+                self.check_operands(e)
             op = kinds[self.pos]
             prec = PRECEDENCE.get(op, 0)
-            if prec < min_prec:
-                return left
+            # Operators are left-associative: each pending one at least as
+            # strong as op takes e as its right operand first.
+            while pending and pending[-1][0] >= prec:
+                _, left_op, left = pending.pop()
+                e = Binary(left_op, left, e)
+                self.check_operands(e)
+            if not prec:
+                return e
+            pending.append((prec, op, e))
             self.pos += 1
-            left = Binary(op, left, self.parse_expr(prec + 1))
-            self.check_operands(left)
-
-    def parse_unary(self) -> Expr:
-        kind = self.kinds[self.pos]
-        if kind != "-" and kind != "!":
-            return self.parse_primary()
-        self.pos += 1
-        e = Unary("neg" if kind == "-" else "not", self.parse_unary())
-        self.check_operands(e)
-        return e
 
     def parse_primary(self) -> Expr:
         pos = self.pos
@@ -392,8 +406,10 @@ class Parser:
             return IntLit(int(tok.text))
         if kind == "(":
             self.pos = pos + 1
+            self.nest(tok)
             e = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return e
         if kind == "true" or kind == "false":
             self.pos = pos + 1

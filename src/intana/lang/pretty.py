@@ -23,46 +23,44 @@ from .ast import (
     Unary,
     Var,
     While,
+    fold,
 )
 
-# Children with strictly lower binding strength get parentheses.  Unary
-# operators bind tighter than every binary one, so their operand is
-# parenthesized unless it is a literal, a variable or another unary.
+# Operands with strictly lower binding strength get parentheses.  Unary
+# operators, and leaves, bind tighter than every binary one, so a unary's
+# operand is parenthesized unless it is a literal, a variable or a unary.
 _UNARY_PREC = max(PRECEDENCE.values()) + 1
 
 
 def expr_to_source(e: Expr) -> str:
-    return _expr(e, 0)
+    return fold(e, _source)[0]
 
 
-def _expr(e: Expr, parent_prec: int) -> str:
+def _source(e: Expr, left=None, right=None):
+    """e's text and binding strength, from its operands'."""
     kind = type(e)
     if kind is Var:
-        return e.name
+        return e.name, _UNARY_PREC
     if kind is IntLit:
-        return str(e.value)
+        return str(e.value), _UNARY_PREC
     if kind is Binary:
         prec = PRECEDENCE[e.op]
-        # Left-associative: the right child needs parens at equal strength.
-        left = _expr(e.left, prec)
-        right = _expr(e.right, prec + 1)
-        text = "%s %s %s" % (left, e.op, right)
-        return text if prec >= parent_prec else "(%s)" % text
+        (ltext, lprec), (rtext, rprec) = left, right
+        # Left-associative: the right operand needs parens at equal strength.
+        return "%s %s %s" % (ltext if lprec >= prec else "(%s)" % ltext, e.op,
+                             rtext if rprec > prec else "(%s)" % rtext), prec
     if kind is Unary:
-        prec = _UNARY_PREC
-        sym = "!" if e.op == "not" else "-"
-        inner = _expr(e.operand, prec)
+        inner, strength = left
         # Guard "- -x" from lexing as a decrement-like token soup.
-        if sym == "-" and inner.startswith("-"):
+        if strength < _UNARY_PREC or e.op == "neg" and inner.startswith("-"):
             inner = "(%s)" % inner
-        text = sym + inner
-        return text if prec >= parent_prec else "(%s)" % text
+        return ("!" if e.op == "not" else "-") + inner, _UNARY_PREC
     if kind is BoolLit:
-        return "true" if e.value else "false"
+        return "true" if e.value else "false", _UNARY_PREC
     if kind is Nondet:
         if e.lo is None:
-            return "nondet()"
-        return "nondet(%d, %d)" % (e.lo, e.hi)
+            return "nondet()", _UNARY_PREC
+        return "nondet(%d, %d)" % (e.lo, e.hi), _UNARY_PREC
     raise TypeError(e)
 
 

@@ -41,6 +41,7 @@ from .lang import (
     Unary,
     Var,
     While,
+    fold,
     map_children,
     map_exprs,
     map_program,
@@ -82,6 +83,16 @@ def division_safe(e: Expr, state: AbstractState, arith: bool) -> bool:
     return True
 
 
+def _rebuild(e: Expr, a=None, b=None) -> Expr:
+    """e over operands a (and b), or e itself if they are its own: guard
+    classification meets the analysis's own conditions and their forms."""
+    if isinstance(e, Unary):
+        return e if a is e.operand else Unary(e.op, a)
+    if isinstance(e, Binary):
+        return e if a is e.left and b is e.right else Binary(e.op, a, b)
+    return e
+
+
 def _prune(stmt: Stmt, report: RewriteReport) -> "list[Stmt] | None":
     """The statements, not yet walked, that replace an If or While whose
     condition is now a literal: its live branch, or none.  None for any
@@ -98,22 +109,15 @@ def _prune(stmt: Stmt, report: RewriteReport) -> "list[Stmt] | None":
 # --- singleton propagation ---------------------------------------------------
 
 def _subst_singletons(e: Expr, state: AbstractState, report: RewriteReport) -> Expr:
-    if isinstance(e, Var):
-        iv = state.get(e.name)
-        if iv.is_singleton:
-            report.singletons_propagated += 1
-            return IntLit(iv.lo)
-        return e
-    # An unchanged subtree is returned as it is, so guard classification
-    # meets the analysis's own condition objects and their lowered forms.
-    if isinstance(e, Unary):
-        operand = _subst_singletons(e.operand, state, report)
-        return Unary(e.op, operand) if operand is not e.operand else e
-    if isinstance(e, Binary):
-        left = _subst_singletons(e.left, state, report)
-        right = _subst_singletons(e.right, state, report)
-        return Binary(e.op, left, right) if left is not e.left or right is not e.right else e
-    return e
+    def visit(e, a=None, b=None):
+        if isinstance(e, Var):
+            iv = state.get(e.name)
+            if iv.is_singleton:
+                report.singletons_propagated += 1
+                return IntLit(iv.lo)
+        return _rebuild(e, a, b)
+
+    return fold(e, visit)
 
 
 def singleton_propagate(prog: Program, analyses) -> "tuple[Program, RewriteReport]":
@@ -146,25 +150,30 @@ def _literalize(cond: Expr, verdict: Truth3, state: AbstractState,
 
 def _resolve_cond(cond: Expr, state: "AbstractState | None",
                   config: AnalysisConfig, report: RewriteReport) -> Expr:
-    if isinstance(cond, BoolLit) or state is None or state.is_bottom:
+    """cond, or else each of its operands, resolved to a literal where the analysis
+    decides it; a loop goes down left operands, and only right ones recurse."""
+    if state is None or state.is_bottom:
         return cond
-    verdict = condition_verdict(cond, state, config)
-    if verdict is not Truth3.MAYBE:
-        lit = _literalize(cond, verdict, state, config, report)
-        if lit is not None:
-            return lit
-    if isinstance(cond, Binary) and cond.op in ("&&", "||"):
-        left = _resolve_cond(cond.left, state, config, report)
-        right = _resolve_cond(cond.right, state, config, report)
-        # A literal operand has the verdict of the operand it replaces, so
-        # the rebuilt parent has the verdict found above, and it keeps every
-        # division that stopped the parent from resolving.
-        if left is not cond.left or right is not cond.right:
-            return Binary(cond.op, left, right)
-    if isinstance(cond, Unary) and cond.op == "not":
-        inner = _resolve_cond(cond.operand, state, config, report)
-        if inner is not cond.operand:
-            return Unary("not", inner)
+    spine = []  # the unresolved nodes from cond down
+    while not isinstance(cond, BoolLit):
+        verdict = condition_verdict(cond, state, config)
+        if verdict is not Truth3.MAYBE:
+            lit = _literalize(cond, verdict, state, config, report)
+            if lit is not None:
+                cond = lit
+                break
+        if not (isinstance(cond, Binary) and cond.op in ("&&", "||")
+                or isinstance(cond, Unary) and cond.op == "not"):
+            break
+        spine.append(cond)
+        cond = cond.left if isinstance(cond, Binary) else cond.operand
+    # A literal operand has the verdict of the operand it replaces, so a
+    # rebuilt parent has the verdict found for it, and it keeps every
+    # division that stopped the parent from resolving.
+    for node in reversed(spine):
+        right = (_resolve_cond(node.right, state, config, report)
+                 if isinstance(node, Binary) else None)
+        cond = _rebuild(node, cond, right)
     return cond
 
 
@@ -185,32 +194,28 @@ def guard_eliminate(prog: Program, analyses,
 # --- constant folding --------------------------------------------------------
 
 def _fold_expr(e: Expr, report: RewriteReport) -> Expr:
-    if isinstance(e, Unary):
-        operand = _fold_expr(e.operand, report)
-        if e.op == "neg" and isinstance(operand, IntLit):
-            report.constants_folded += 1
-            return IntLit(-operand.value)
-        if e.op == "not" and isinstance(operand, BoolLit):
-            report.constants_folded += 1
-            return BoolLit(not operand.value)
-        return Unary(e.op, operand) if operand is not e.operand else e
-    if not isinstance(e, Binary):
-        return e
-    left = _fold_expr(e.left, report)
-    right = _fold_expr(e.right, report)
-    op = e.op
-    # A division by a literal zero is left for the concrete checker to trap.
-    if isinstance(left, IntLit) and isinstance(right, IntLit) and (op != "/" or right.value):
-        report.constants_folded += 1
-        value = CONCRETE[op](left.value, right.value)
-        return IntLit(value) if op in ARITH_OPS else BoolLit(value)
-    if op in ("&&", "||"):
-        folded = _fold_bool(op, left, right, report)
-        if folded is not None:
-            return folded
-    if left is not e.left or right is not e.right:
-        return Binary(op, left, right)
-    return e
+    def visit(e, left=None, right=None):
+        if isinstance(e, Unary):
+            if e.op == "neg" and isinstance(left, IntLit):
+                report.constants_folded += 1
+                return IntLit(-left.value)
+            if e.op == "not" and isinstance(left, BoolLit):
+                report.constants_folded += 1
+                return BoolLit(not left.value)
+        elif isinstance(e, Binary):
+            op = e.op
+            # A division by a literal zero is left for the concrete checker to trap.
+            if type(left) is IntLit and type(right) is IntLit and (op != "/" or right.value):
+                report.constants_folded += 1
+                value = CONCRETE[op](left.value, right.value)
+                return IntLit(value) if op in ARITH_OPS else BoolLit(value)
+            if op in ("&&", "||"):
+                folded = _fold_bool(op, left, right, report)
+                if folded is not None:
+                    return folded
+        return _rebuild(e, left, right)
+
+    return fold(e, visit)
 
 
 def _fold_bool(op: str, left: Expr, right: Expr,

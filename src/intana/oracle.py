@@ -86,6 +86,7 @@ from .lang import (
     Unary,
     Var,
     While,
+    fold,
     program_nondets,
     subexprs,
     walk_stmts,
@@ -209,7 +210,24 @@ class _Interpreter:
         cfg, watch = self.cfgs[fname], self.watches[fname]
         nodes, succs, exit_node = cfg.nodes, cfg.succs, cfg.exit
         n = succs[cfg.entry][0][0] if start is None else start
-        evaluate = self.evaluate
+        choose = self.chooser.choose
+
+        def visit(e, a=None, b=None):
+            """e's value in env from its operands' values a and b, both for `&&` and `||`.
+            A zero divisor halts naming no node; the handler below names node n."""
+            kind = type(e)
+            if kind is Var:
+                return env[e.name]
+            if kind is Binary:
+                return _OPERATORS[e.op](a, b)
+            if kind is IntLit or kind is BoolLit:
+                return e.value
+            if kind is Nondet:
+                return choose(e.lo, e.hi)
+            if kind is Unary:
+                return -a if e.op == "neg" else not a
+            raise TypeError(e)
+
         limit = self.step_limit
         steps = self.steps
         value = None
@@ -226,27 +244,27 @@ class _Interpreter:
                     (taken, label), (other, _) = succs[n]
                     if label != BRANCH_TRUE:
                         taken, other = other, taken
-                    n = taken if evaluate(stmt.cond, env) else other
+                    n = taken if fold(stmt.cond, visit) else other
                     continue
                 kind = type(stmt)
                 if kind is Assign:
-                    env[stmt.target] = evaluate(stmt.rhs, env)
+                    env[stmt.target] = fold(stmt.rhs, visit)
                 elif kind is Decl:
-                    env[stmt.name] = 0 if stmt.init is None else evaluate(stmt.init, env)
+                    env[stmt.name] = 0 if stmt.init is None else fold(stmt.init, visit)
                 elif kind is Assume or kind is Assert:
-                    if not evaluate(stmt.cond, env):
+                    if not fold(stmt.cond, visit):
                         raise _Halt(ASSUME_INFEASIBLE if kind is Assume else ASSERT_FAILED,
                                     (fname, n))
                 elif kind is Call:
                     params = self.prog.functions[stmt.callee].params
-                    frame = dict(zip(params, [evaluate(arg, env) for arg in stmt.args]))
+                    frame = dict(zip(params, [fold(arg, visit) for arg in stmt.args]))
                     self.steps = steps
                     rv = self.run_function(stmt.callee, frame)
                     steps = self.steps
                     if stmt.result is not None:
                         env[stmt.result] = rv
                 elif kind is Return:
-                    value = evaluate(stmt.value, env)
+                    value = fold(stmt.value, visit)
                     break
                 n = succs[n][0][0]  # the one successor; `skip` does nothing else
         except _Halt as halt:
@@ -259,25 +277,6 @@ class _Interpreter:
         if watch is not None:  # the frame's exit state, checked like any other
             watch(exit_node, env)
         return value
-
-    def evaluate(self, e, env: "dict[str, int]"):
-        """The value of e in env.  Both operands of `&&` and `||` are
-        evaluated, left first.  A zero divisor raises a halt that names no
-        node; `run_function` names the node whose expression it was."""
-        kind = type(e)
-        if kind is Var:
-            return env[e.name]
-        if kind is Binary:
-            a, b = self.evaluate(e.left, env), self.evaluate(e.right, env)
-            return _OPERATORS[e.op](a, b)
-        if kind is IntLit or kind is BoolLit:
-            return e.value
-        if kind is Nondet:
-            return self.chooser.choose(e.lo, e.hi)
-        if kind is Unary:
-            a = self.evaluate(e.operand, env)
-            return -a if e.op == "neg" else not a
-        raise TypeError(e)
 
     def resume(self, fname: str, stop: Exception, env: "dict[str, int]") -> tuple:
         """Take over an execution that tier 1 stopped in a frame of `fname`

@@ -233,6 +233,18 @@ class TestHc4Revise:
         out = hc4_revise(lowered("x * x >= 9", box), box)
         assert out["x"] == iv(3, 10)
 
+    def test_equal_factors_share_one_square_slot_at_any_depth(self):
+        box = parse_box("x:[-10,10], y:[0,1]")
+        long = " + ".join(["x"] * 1200)
+        for source, square in [("(x + y) * (x + y) <= 4", True),
+                               ("(x + y) * (y + x) <= 4", False),
+                               ("(x + 1) * (x + 2) <= 4", False),
+                               ("-x * -x <= 4", True),
+                               ("(%s) * (%s) <= 4" % (long, long), True),
+                               ("(%s) * (%s + y) <= 4" % (long, long), False)]:
+            code = lowered(source, box)
+            assert ("sq" in [kind for kind, _, _ in code.slots]) == square, source[:40]
+
     def test_not_equal_prunes_only_singleton_gap(self):
         box = parse_box("x:[5,5]")
         out = hc4_revise(lowered("x != 5", box), box)

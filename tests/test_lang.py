@@ -24,6 +24,7 @@ from intana.lang import (
     While,
     build_cfg,
     expr_to_source,
+    fold,
     free_vars,
     map_exprs,
     parse_condition,
@@ -396,6 +397,47 @@ class TestLocals:
         """)
         assert prog.main.locals == ("a", "b", "c", "d", "e", "f")
         assert prog.main.variables == ("p", "a", "b", "c", "d", "e", "f")
+
+
+class TestFold:
+    def test_visits_each_node_after_its_operands_left_to_right(self):
+        seen = []
+
+        def visit(e, *values):
+            seen.append(e)
+            return (e, *values)
+
+        def reference(e):  # recursive, for a shallow e
+            return (e, *map(reference, _operands(e)))
+
+        for source in ["x < 1", "-x < 2", "-(x + 1) * 2 < x", "!(x == 3 || true) && -x < 2",
+                       "x - (1 - (x - (2 - x))) > 0", "!!(x > 0)"]:
+            e = parse_condition(source, ["x"])
+            seen.clear()
+            assert fold(e, visit) == reference(e), source
+            assert list(map(id, seen)) == list(map(id, _postorder(e))), source
+
+    def test_takes_chains_of_any_depth(self):
+        left = parse_program("fn main() { int x = 0; x = %s; }"
+                             % " - ".join(["x"] * 5000)).main.body[1].rhs
+        right = IntLit(0)
+        for _ in range(5000):
+            right = Unary("neg", Binary("-", Var("x"), right))
+        for e, nodes in ((left, 9999), (right, 15001)):
+            assert fold(e, lambda node, *values: 1 + sum(values)) == nodes
+        assert fold(Var("x"), lambda node: node) == Var("x")
+
+
+def _operands(e):
+    return (e.left, e.right) if isinstance(e, Binary) else \
+        (e.operand,) if isinstance(e, Unary) else ()
+
+
+def _postorder(e):
+    """e's nodes, each after its operands, left to right (recursive, for a shallow e)."""
+    for operand in _operands(e):
+        yield from _postorder(operand)
+    yield e
 
 
 class TestParseCondition:
